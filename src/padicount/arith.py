@@ -1,8 +1,17 @@
 """Exact integer helpers shared by every counting formula.
 
-Everything is plain arbitrary-precision integer arithmetic; divisibility
-questions about p^F - 1 are answered through multiplicative orders or
-modular reduction so that huge powers are never materialized.
+Everything is plain arbitrary-precision integer arithmetic.  No loop runs
+longer than a fixed bound; an input past it raises MagnitudeError:
+
+* primality is deterministic Miller-Rabin, exact below MR_BOUND (about
+  3.3e24) and refused past it;
+* factoring is trial division up to TRIAL_BOUND (10^6) with a primality
+  shortcut for the cofactor, so every n below 10^12 factors, and so does
+  any n below MR_BOUND all of whose prime factors but the largest are at
+  most 10^6;
+* multiplicative orders come from the factorisation of phi(modulus), and
+  divisibility questions about p^F - 1 are answered through them or by
+  modular reduction, so huge powers are never materialized.
 """
 
 from __future__ import annotations
@@ -10,7 +19,16 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, MagnitudeError
+
+# Sorenson and Webster (Math. Comp. 86, 2017): no composite below MR_BOUND
+# is a strong pseudoprime to all of the first 13 prime bases.
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3317044064679887385961981
+# Trial divisors above SHORTCUT_FROM test the cofactor for primality first;
+# none goes past TRIAL_BOUND.
+SHORTCUT_FROM = 1000
+TRIAL_BOUND = 10**6
 
 
 class PValuation(NamedTuple):
@@ -21,29 +39,57 @@ class PValuation(NamedTuple):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (desk-scale inputs)."""
-    if n < 2:
-        return False
+    """Exact primality: trial division by MR_BASES, then Miller-Rabin to
+    every one of them.
+
+    A number with no prime factor up to 41 and below 43^2 is prime.  A
+    number at or past MR_BOUND that trial division does not settle raises
+    MagnitudeError: no answer is ever a probabilistic one.
+    """
     if n < 4:
+        return n > 1
+    for b in MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n < 1849:
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= MR_BOUND:
+        raise MagnitudeError(
+            f"is_prime: {n} >= {MR_BOUND}, past the range where "
+            "Miller-Rabin to bases 2..41 is proven exact"
+        )
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for b in MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n, ascending."""
+    """Distinct prime factors of n, ascending.
+
+    Trial division; past SHORTCUT_FROM the cofactor is tested with
+    is_prime after each factor found, so a large prime cofactor ends the
+    search at once.  A composite cofactor with no prime factor up to
+    TRIAL_BOUND raises MagnitudeError, so every n < TRIAL_BOUND^2 factors.
+    """
     if n < 1:
         raise DomainError("prime_factors: n must be >= 1")
     out = []
     rest = n
     p = 2
     while p * p <= rest:
+        if p > SHORTCUT_FROM:
+            return _prime_factors_from(p, rest, out)
         if rest % p == 0:
             out.append(p)
             while rest % p == 0:
@@ -51,6 +97,26 @@ def prime_factors(n: int) -> list[int]:
         p += 1 if p == 2 else 2
     if rest > 1:
         out.append(rest)
+    return out
+
+
+def _prime_factors_from(p: int, rest: int, out: list[int]) -> list[int]:
+    """Finish prime_factors for rest > 1, which has no prime factor below
+    the odd trial divisor p."""
+    while not is_prime(rest):
+        # rest is composite, so it has a prime factor in [p, sqrt(rest)]
+        while rest % p:
+            p += 2
+            if p > TRIAL_BOUND:
+                raise MagnitudeError(
+                    f"prime_factors: {rest} has no prime factor up to {TRIAL_BOUND}"
+                )
+        out.append(p)
+        while rest % p == 0:
+            rest //= p
+        if rest == 1:
+            return out
+    out.append(rest)
     return out
 
 
@@ -100,18 +166,19 @@ def divisor_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def mult_order(p: int, modulus: int) -> int:
-    """Smallest t >= 1 with p^t = 1 mod modulus; 1 when modulus = 1."""
+    """Smallest t >= 1 with p^t = 1 mod modulus; 1 when modulus = 1.
+
+    The order divides phi(modulus): each prime q of phi(modulus) is divided
+    out of t for as long as p^(t/q) stays 1.
+    """
     if modulus < 1:
         raise DomainError("mult_order: modulus must be >= 1")
     if math.gcd(p, modulus) != 1:
         raise DomainError(f"mult_order: gcd({p}, {modulus}) != 1")
-    if modulus == 1:
-        return 1
-    t = 1
-    x = p % modulus
-    while x != 1:
-        x = (x * p) % modulus
-        t += 1
+    t = euler_phi(modulus)
+    for q in prime_factors(t):
+        while t % q == 0 and pow(p, t // q, modulus) == 1:
+            t //= q
     return t
 
 

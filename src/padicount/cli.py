@@ -2,7 +2,8 @@
 
 All counts are serialized as decimal strings in JSON so consumers without
 big integers stay safe; output bytes are fully deterministic.  Exit codes:
-0 success, 1 selfcheck failure, 2 precondition violation, 3 magnitude limit.
+0 success, 1 selfcheck failure, 2 precondition violation or malformed
+input, 3 magnitude or work limit, 4 internal consistency failure (a bug).
 """
 
 from __future__ import annotations
@@ -57,8 +58,6 @@ def _auto_depth(kind: str, p: int, args) -> int:
 
 def _field_for(args, depth: int) -> BaseFieldProfile:
     if args.qp is not None:
-        if not arith.is_prime(args.qp):
-            raise DomainError(f"p must be prime, got {args.qp}")
         return qp_profile(args.qp, depth)
     return load_profile(args.profile)
 
@@ -95,11 +94,7 @@ def _cmd_count(args) -> int:
     if args.breakdown and kind not in BREAKDOWN_KINDS:
         raise DomainError(f"--breakdown is not available for kind {kind}")
 
-    depth = 0
-    if args.qp is not None:
-        if not arith.is_prime(args.qp):
-            raise DomainError(f"p must be prime, got {args.qp}")
-        depth = _auto_depth(kind, args.qp, args)
+    depth = 0 if args.qp is None else _auto_depth(kind, args.qp, args)
     profile = _field_for(args, depth)
 
     terms = None
@@ -108,7 +103,10 @@ def _cmd_count(args) -> int:
     elif kind == "iso-total":
         value, terms = theorems.iso_count_total_terms(profile, args.n)
     elif kind == "tame":
-        value, terms = theorems.tame_iso_count_terms(profile, args.e, args.f)
+        # the per-i summands come from the cross-check, run only when printed
+        value, terms = theorems.tame_iso_count_terms(
+            profile, args.e, args.f, cross_check=args.breakdown
+        )
     elif kind == "krasner":
         value = counting.krasner_count(
             counting.KrasnerQuery(profile.p, profile.n0, args.e, args.f)
@@ -162,28 +160,25 @@ def _cmd_table(args) -> int:
     for name in ("n_max", "e_max", "f_max"):
         _positive(name.replace("_", "-"), getattr(args, name))
 
+    depth = 0
     if args.qp is not None:
-        if not arith.is_prime(args.qp):
-            raise DomainError(f"p must be prime, got {args.qp}")
         # deepest level any cell or total can demand
-        if degree_mode:
-            depth = max(arith.p_valuation(n, args.qp).s for n in range(1, args.n_max + 1))
-        else:
-            depth = max(arith.p_valuation(e, args.qp).s for e in range(1, args.e_max + 1))
-        profile = qp_profile(args.qp, depth)
-    else:
-        profile = load_profile(args.profile)
+        top = args.n_max if degree_mode else args.e_max
+        depth = max(arith.p_valuation(m, args.qp).s for m in range(1, top + 1))
+    profile = _field_for(args, depth)
 
     cell_keys, total_keys = _table_rows(args)
     cells = []
+    classes = {}
     for e, f in cell_keys:
         fields = counting.krasner_count(counting.KrasnerQuery(profile.p, profile.n0, e, f))
-        classes = theorems.iso_count_ef(profile, e, f)
-        cells.append({"e": e, "f": f, "krasner": str(fields), "classes": str(classes)})
+        classes[e, f] = theorems.iso_count_ef(profile, e, f)
+        cells.append({"e": e, "f": f, "krasner": str(fields), "classes": str(classes[e, f])})
     totals = []
     for n in total_keys:
+        # the total route stays independent of the cells it is checked against
         from_total = theorems.iso_count_total(profile, n)
-        from_cells = sum(theorems.iso_count_ef(profile, e, f) for e, f in arith.divisor_pairs(n))
+        from_cells = sum(classes[e, f] for e, f in arith.divisor_pairs(n))
         if from_total != from_cells:
             raise ConsistencyError(
                 f"degree {n}: total route gives {from_total}, (e,f) cells give {from_cells}"
@@ -294,6 +289,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except ConsistencyError as exc:
+        print(f"error: internal consistency failure: {exc}", file=sys.stderr)
+        return 4
     except MagnitudeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

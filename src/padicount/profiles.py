@@ -174,27 +174,38 @@ def validate(profile: BaseFieldProfile) -> list[str]:
     return problems
 
 
+def _integer(record: dict, key: str) -> int:
+    value = record[key]
+    if type(value) is not int:  # bool is a subclass of int
+        raise DomainError(f"malformed profile: {key} must be an integer, got {value!r}")
+    return value
+
+
 def load_profile(source) -> BaseFieldProfile:
     """Build a profile from a JSON file path or an already-parsed dict.
 
     The file holds a single object {"p", "e0", "f0", "cyclotomic":
-    [{"i", "e", "f"}, ...]} with levels consecutive from 1.  The profile
-    is validated; any violation raises DomainError.
+    [{"i", "e", "f"}, ...]} with levels consecutive from 1.  Every number
+    must be a JSON integer: floats, strings and booleans are refused, never
+    coerced.  The profile is validated; any violation raises DomainError.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+                raise DomainError(f"malformed profile JSON: {exc}") from exc
     else:
         raw = source
     if not isinstance(raw, dict):
         raise DomainError("profile must be a JSON object")
     try:
         levels = tuple(
-            CyclotomicDatum(int(item["i"]), int(item["e"]), int(item["f"]))
+            CyclotomicDatum(*(_integer(item, key) for key in ("i", "e", "f")))
             for item in raw.get("cyclotomic", [])
         )
-        profile = BaseFieldProfile(int(raw["p"]), int(raw["e0"]), int(raw["f0"]), levels)
-    except (KeyError, TypeError, ValueError) as exc:
+        profile = BaseFieldProfile(*(_integer(raw, key) for key in ("p", "e0", "f0")), levels)
+    except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed profile: {exc}") from exc
     problems = validate(profile)
     if problems:

@@ -12,7 +12,8 @@ Each evaluator sums exact terms and divides once at the end (by f,
 respectively n); a non-integral result is impossible for correct code
 and raises ConsistencyError rather than being rounded.  The *_terms
 variants also return the individual summands in a fixed iteration
-order (ascending level, then ascending divisors) for breakdown output.
+order (ascending level, then ascending divisors) for breakdown output;
+the tame variant builds its per-i summands only when asked.
 """
 
 from __future__ import annotations
@@ -150,14 +151,16 @@ def iso_count_total(K: BaseFieldProfile, n: int) -> int:
 
 def tame_iso_count_terms(
     K: BaseFieldProfile, e: int, f: int, cross_check: bool = False
-) -> tuple[int, list[TermTame]]:
-    """Tame class count (p not dividing e), with its summands.
+) -> tuple[int, list[TermTame] | None]:
+    """Tame class count (p not dividing e), with its summands on request.
 
+    The count is the divisor sum
+    (1/f) * sum_{f1*f2=f} phi(f2) * gcd(e, p^{f0*f1} - 1),
+    which costs O(d(f)).  With cross_check=True the equivalent gcd sum
     (1/f) * sum_{i=0}^{f-1} gcd(e, p^{f0*gcd(f,i)} - 1), where gcd(f, 0)
-    is f.  With cross_check=True the equivalent divisor-sum form
-    (1/f) * sum_{f1*f2=f} phi(f2) * gcd(e, p^{f0*f1} - 1) is evaluated
-    as well and any disagreement raises ConsistencyError; release-style
-    calls compute the gcd-sum form only.
+    is f, is evaluated as well, one summand per i, any disagreement
+    raises ConsistencyError, and those f summands are returned; without
+    it the summands are None.
     """
     if e < 1 or f < 1:
         raise DomainError("tame_iso_count: e and f must be >= 1")
@@ -165,20 +168,20 @@ def tame_iso_count_terms(
     s, _ = arith.p_valuation(e, p)
     if s:
         raise DomainError(f"tame_iso_count requires p not dividing e; {p} | {e}")
-    total = 0
-    terms: list[TermTame] = []
-    for i in range(f):
-        g = arith.gcd_p_power_minus_one(e, p, K.f0 * math.gcd(f, i))
-        total += g
-        terms.append(TermTame(i, g))
+    total = sum(
+        arith.euler_phi(f2) * arith.gcd_p_power_minus_one(e, p, K.f0 * f1)
+        for f1, f2 in arith.divisor_pairs(f)
+    )
+    terms = None
     if cross_check:
-        alt = sum(
-            arith.euler_phi(f2) * arith.gcd_p_power_minus_one(e, p, K.f0 * f1)
-            for f1, f2 in arith.divisor_pairs(f)
-        )
+        terms = [
+            TermTame(i, arith.gcd_p_power_minus_one(e, p, K.f0 * math.gcd(f, i)))
+            for i in range(f)
+        ]
+        alt = sum(t.term for t in terms)
         if alt != total:
             raise ConsistencyError(
-                f"tame_iso_count(e={e}, f={f}): gcd-sum {total} != divisor-sum {alt}"
+                f"tame_iso_count(e={e}, f={f}): divisor-sum {total} != gcd-sum {alt}"
             )
     q, rem = divmod(total, f)
     if rem:

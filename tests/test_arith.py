@@ -1,10 +1,11 @@
 import math
+import random
 
-import numpy as np
 import pytest
+import sympy
 
 from padicount import arith
-from padicount.errors import DomainError
+from padicount.errors import DomainError, MagnitudeError
 
 
 def test_euler_phi_examples():
@@ -21,10 +22,15 @@ def test_euler_phi_rejects_zero():
 
 
 def test_euler_phi_brute_force_to_ten_thousand():
-    # unit counts mod n by literal gcd enumeration, vectorized
-    for n in range(1, 10_001):
-        units = int(np.count_nonzero(np.gcd(np.arange(n), n) == 1))
-        assert arith.euler_phi(n) == units, n
+    # totient sieve: for each prime q, every multiple of q loses 1/q of its value
+    top = 10_000
+    phi = list(range(top + 1))
+    for q in range(2, top + 1):
+        if phi[q] == q:  # untouched so far, hence prime
+            for m in range(q, top + 1, q):
+                phi[m] -= phi[m] // q
+    for n in range(1, top + 1):
+        assert arith.euler_phi(n) == phi[n], n
 
 
 def test_p_valuation_examples():
@@ -59,6 +65,18 @@ def test_mult_order_examples():
     assert arith.mult_order(2, 7) == 3
     assert arith.mult_order(2, 1) == 1
     assert arith.mult_order(3, 8) == 2
+
+
+def test_mult_order_against_brute_force():
+    for p in (2, 3, 5, 7):
+        for h in range(1, 2001):
+            if math.gcd(p, h) != 1:
+                continue
+            t, x = 1, p % h
+            while x != 1 % h:
+                x = x * p % h
+                t += 1
+            assert arith.mult_order(p, h) == t, (p, h)
 
 
 def test_mult_order_rejects_shared_factor():
@@ -101,7 +119,62 @@ def test_prime_factors():
     assert arith.prime_factors(97) == [97]
 
 
+def test_prime_factors_past_the_shortcut():
+    assert arith.prime_factors(999_999_999_989) == [999_999_999_989]  # largest prime < 10^12
+    assert arith.prime_factors(2 * 999_983 * 999_979) == [2, 999_979, 999_983]
+    assert arith.prime_factors(1009**2 * 999_999_999_989) == [1009, 999_999_999_989]
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randrange(2, 10**12)
+        assert arith.prime_factors(n) == sorted(sympy.factorint(n)), n
+
+
+def test_prime_factors_refuses_two_primes_past_the_trial_bound():
+    with pytest.raises(MagnitudeError):
+        arith.prime_factors(1_000_000_007 * 1_000_000_009)
+
+
 def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(50):
         assert arith.is_prime(n) == (n in primes)
+
+
+def test_is_prime_against_sympy_to_a_hundred_thousand():
+    for n in range(-2, 100_001):
+        assert arith.is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_against_sympy_on_large_values():
+    rng = random.Random(2017)
+    values = []
+    for bits in range(40, 81):
+        values.append(rng.getrandbits(bits) | 1 << (bits - 1) | 1)
+        values.append(sympy.nextprime(rng.getrandbits(bits)))
+        # products of two primes: no small factor, so Miller-Rabin decides
+        half = bits // 2
+        values.append(sympy.nextprime(rng.getrandbits(half)) * sympy.nextprime(rng.getrandbits(half)))
+    for n in values:
+        assert arith.is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_rejects_pseudoprimes():
+    # Carmichael numbers whose prime factors all exceed the trial bases
+    carmichael = (1152271, 10024561, 10267951, 14913991)
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to 2 .. 23
+    strong = (3215031751, 3825123056546413051)
+    for n in carmichael:
+        factors = sympy.factorint(n)
+        assert min(factors) > 41 and all((n - 1) % (q - 1) == 0 for q in factors), n
+    for n in carmichael + strong:
+        assert not sympy.isprime(n)
+        assert arith.is_prime(n) is False, n
+
+
+def test_is_prime_refuses_past_the_proven_bound():
+    with pytest.raises(MagnitudeError):
+        arith.is_prime(arith.MR_BOUND)
+    assert arith.MR_BOUND == 3317044064679887385961981
+    # a factor among the bases still settles a number past the bound
+    assert arith.is_prime(arith.MR_BOUND + 1) is False
+    assert arith.is_prime(sympy.prevprime(arith.MR_BOUND)) is True

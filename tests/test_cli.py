@@ -1,8 +1,9 @@
 import json
 
 import pytest
+import sympy
 
-from padicount import counting
+from padicount import arith, counting
 from padicount.cli import main
 
 
@@ -85,6 +86,71 @@ def test_count_exit_codes_for_bad_inputs(capsys):
     assert code == 2 and "--n" in err
 
 
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        ("count krasner --qp 2305843009213693951 --e 1 --f 1", "1"),
+        ("count cyclic-ef --qp 2 --e 1000000007 --f 1", "0"),
+        ("count iso-ef --qp 3 --e 1000000007 --f 1", "1"),
+        ("count tame --qp 3 --e 2 --f 10000000", "2"),
+    ],
+)
+def test_worst_case_probes_finish_with_their_values(capsys, argv, value):
+    # each once hung in a loop linear or square-root in its input
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert (code, out.strip()) == (0, value)
+
+
+def test_factoring_past_the_trial_bound_exits_3(capsys):
+    d = str(1_000_000_007 * 1_000_000_009)
+    code, out, err = run_cli(capsys, "count", "cyclic-total", "--qp", "2", "--d", d)
+    assert (code, out) == (3, "")
+    assert "no prime factor up to" in err
+
+
+def test_prime_past_the_miller_rabin_bound_exits_3(capsys):
+    p = str(sympy.nextprime(arith.MR_BOUND))  # prime, yet refused rather than guessed
+    code, out, err = run_cli(capsys, "count", "krasner", "--qp", p, "--e", "1", "--f", "1")
+    assert (code, out) == (3, "")
+    assert "Miller-Rabin" in err
+
+
+def test_tame_breakdown_bytes(capsys):
+    code, out, _ = run_cli(capsys, "count", "tame", "--qp", "7", "--e", "4", "--f", "6", "--breakdown")
+    assert code == 0
+    assert out == "".join(f"i={i}  term={4 if i % 2 == 0 else 2}\n" for i in range(6)) + "3\n"
+    code, out, _ = run_cli(
+        capsys, "count", "tame", "--qp", "2", "--e", "3", "--f", "4", "--breakdown", "--json"
+    )
+    assert code == 0
+    records = ",\n".join(
+        f'    {{\n      "i": {i},\n      "term": "{t}"\n    }}' for i, t in enumerate("3131")
+    )
+    assert out == (
+        '{\n  "query": {\n    "kind": "tame",\n    "qp": 2,\n    "e": 3,\n    "f": 4\n  },\n'
+        f'  "value": "2",\n  "breakdown": [\n{records}\n  ]\n}}\n'
+    )
+
+
+def test_consistency_failure_exits_4(capsys, monkeypatch):
+    real_phi = arith.euler_phi
+    monkeypatch.setattr(arith, "euler_phi", lambda n: 2 if n == 2 else real_phi(n))
+    code, out, err = run_cli(capsys, "count", "iso-ef", "--qp", "5", "--e", "1", "--f", "2")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: internal consistency failure: ")
+
+
+def test_tame_breakdown_cross_checks_the_divisor_sum(capsys, monkeypatch):
+    real_phi = arith.euler_phi
+    # phi(4) = 6 corrupts the divisor sum only, and keeps it divisible by f = 4
+    monkeypatch.setattr(arith, "euler_phi", lambda n: 6 if n == 4 else real_phi(n))
+    argv = ("count", "tame", "--qp", "2", "--e", "3", "--f", "4")
+    assert run_cli(capsys, *argv)[:2] == (0, "3\n")
+    code, out, err = run_cli(capsys, *argv, "--breakdown")
+    assert (code, out) == (4, "")
+    assert "divisor-sum 12 != gcd-sum 8" in err
+
+
 def test_magnitude_limit_exit_code(capsys):
     code, _, err = run_cli(
         capsys, "count", "krasner", "--qp", "2", "--e", str(1 << 25), "--f", "1"
@@ -121,6 +187,22 @@ def test_invalid_profile_exit_code(capsys, tmp_path):
     code, _, err = run_cli(capsys, "count", "iso-ef", "--profile", str(path), "--e", "3", "--f", "1")
     assert code == 2
     assert "invalid profile" in err
+
+
+def test_malformed_profile_json_exit_code(capsys, tmp_path):
+    path = tmp_path / "truncated.json"
+    path.write_text('{"p": 3,', encoding="utf-8")
+    code, out, err = run_cli(capsys, "count", "iso-ef", "--profile", str(path), "--e", "1", "--f", "1")
+    assert (code, out) == (2, "")
+    assert "malformed profile JSON" in err
+
+
+def test_coerced_profile_fields_exit_code(capsys, tmp_path):
+    path = tmp_path / "coerced.json"
+    path.write_text(json.dumps({"p": 3.9, "e0": 1.5, "f0": True, "cyclotomic": []}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "count", "iso-ef", "--profile", str(path), "--e", "2", "--f", "1")
+    assert (code, out) == (2, "")
+    assert "must be an integer" in err
 
 
 def test_table_csv_degree_mode(capsys):

@@ -150,5 +150,31 @@ def test_load_profile_rejects_malformed(tmp_path):
         load_profile(path)
 
 
+def test_load_profile_rejects_broken_json(tmp_path):
+    path = tmp_path / "truncated.json"
+    path.write_text('{"p": 3,', encoding="utf-8")
+    with pytest.raises(DomainError, match="malformed profile JSON"):
+        load_profile(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("p", 3.9), ("p", "3"), ("e0", 1.5), ("f0", True), ("e0", False), ("f0", None)],
+)
+def test_load_profile_refuses_to_coerce_top_level_fields(field, value):
+    data = {"p": 3, "e0": 1, "f0": 1, "cyclotomic": []}
+    data[field] = value
+    with pytest.raises(DomainError, match=f"{field} must be an integer"):
+        load_profile(data)
+
+
+@pytest.mark.parametrize("field, value", [("i", 1.0), ("e", True), ("f", "1")])
+def test_load_profile_refuses_to_coerce_level_fields(field, value):
+    level = {"i": 1, "e": 2, "f": 1}
+    level[field] = value
+    with pytest.raises(DomainError, match=f"{field} must be an integer"):
+        load_profile({"p": 3, "e0": 1, "f0": 1, "cyclotomic": [level]})
+
+
 def test_profiles_module_reexports():
     assert profiles.qp_profile is qp_profile

@@ -89,6 +89,25 @@ def test_tame_terms_and_cross_check():
     assert [t.term for t in terms] == [3, 1]  # gcd(3, 2^gcd(2,0)-1), gcd(3, 2^gcd(2,1)-1)
 
 
+def test_tame_summands_only_on_request():
+    K = qp_profile(3, 0)
+    assert tame_iso_count_terms(K, 2, 12) == (2, None)
+    value, terms = tame_iso_count_terms(K, 2, 12, cross_check=True)
+    assert value == 2
+    assert [t.i for t in terms] == list(range(12))
+    assert sum(t.term for t in terms) == value * 12
+
+
+def test_tame_cross_check_compares_the_two_forms(monkeypatch):
+    real_phi = arith.euler_phi
+    # only the divisor sum uses phi; phi(4) = 6 keeps it divisible by f = 4
+    monkeypatch.setattr(arith, "euler_phi", lambda n: 6 if n == 4 else real_phi(n))
+    K = qp_profile(2, 0)
+    assert tame_iso_count(K, 3, 4) == 3  # alone, the divisor sum cannot see it
+    with pytest.raises(ConsistencyError):
+        tame_iso_count(K, 3, 4, cross_check=True)
+
+
 def test_tame_matches_general_evaluator():
     for p in (3, 5, 7):
         K = qp_profile(p, 0)
