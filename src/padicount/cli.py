@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, NamedTuple
 
 from . import arith, counting, theorems
 from .errors import ConsistencyError, DomainError, MagnitudeError
@@ -21,16 +22,58 @@ from .selfcheck import (
     run_selfcheck,
 )
 
-COUNT_KINDS = ("iso-ef", "iso-total", "krasner", "cyclic-ef", "cyclic-total", "tame")
-_NEEDED_PARAMS = {
-    "iso-ef": ("e", "f"),
-    "iso-total": ("n",),
-    "krasner": ("e", "f"),
-    "cyclic-ef": ("e", "f"),
-    "cyclic-total": ("d",),
-    "tame": ("e", "f"),
+
+class Kind(NamedTuple):
+    """One count kind: its parameters, the Q_p depth it needs, how to
+    evaluate it, and whether it has summands to print."""
+
+    params: tuple[str, ...]
+    depth: Callable[[int, argparse.Namespace], int]
+    evaluate: Callable[[BaseFieldProfile, argparse.Namespace], tuple[int, list | None]]
+    breakdown: bool = False
+
+
+def _cyclic_depth(p, args):
+    return 2 if p == 2 else 1  # enough levels to pin down xi
+
+
+# Evaluators are looked up on their modules at call time, never bound here.
+KINDS = {
+    "iso-ef": Kind(
+        ("e", "f"),
+        lambda p, a: arith.p_valuation(a.e, p).s,
+        lambda K, a: theorems.iso_count_ef_terms(K, a.e, a.f),
+        breakdown=True,
+    ),
+    "iso-total": Kind(
+        ("n",),
+        lambda p, a: arith.p_valuation(a.n, p).s,
+        lambda K, a: theorems.iso_count_total_terms(K, a.n),
+        breakdown=True,
+    ),
+    "krasner": Kind(
+        ("e", "f"),
+        lambda p, a: 0,
+        lambda K, a: (counting.krasner_count(counting.KrasnerQuery(K.p, K.n0, a.e, a.f)), None),
+    ),
+    "cyclic-ef": Kind(
+        ("e", "f"),
+        _cyclic_depth,
+        lambda K, a: (counting.cyclic_count_ef(cyclic_profile_of(K), a.e, a.f), None),
+    ),
+    "cyclic-total": Kind(
+        ("d",),
+        _cyclic_depth,
+        lambda K, a: (counting.cyclic_count_total(cyclic_profile_of(K), a.d), None),
+    ),
+    # the per-i summands come from the cross-check, run only when printed
+    "tame": Kind(
+        ("e", "f"),
+        lambda p, a: 0,
+        lambda K, a: theorems.tame_iso_count_terms(K, a.e, a.f, cross_check=a.breakdown),
+        breakdown=True,
+    ),
 }
-BREAKDOWN_KINDS = ("iso-ef", "iso-total", "tame")
 
 
 def to_json(payload) -> str:
@@ -39,21 +82,8 @@ def to_json(payload) -> str:
 
 
 def _positive(name, value):
-    if value is None:
-        return
-    if value < 1:
+    if value is not None and value < 1:
         raise DomainError(f"--{name} must be >= 1")
-
-
-def _auto_depth(kind: str, p: int, args) -> int:
-    """Cyclotomic depth a Q_p profile needs for this query."""
-    if kind == "iso-ef":
-        return arith.p_valuation(args.e, p).s
-    if kind == "iso-total":
-        return arith.p_valuation(args.n, p).s
-    if kind in ("cyclic-ef", "cyclic-total"):
-        return 2 if p == 2 else 1  # enough levels to pin down xi
-    return 0
 
 
 def _field_for(args, depth: int) -> BaseFieldProfile:
@@ -62,92 +92,42 @@ def _field_for(args, depth: int) -> BaseFieldProfile:
     return load_profile(args.profile)
 
 
-def _field_echo(args) -> list[tuple[str, object]]:
+def _field_echo(args) -> dict:
     if args.qp is not None:
-        return [("qp", args.qp)]
-    return [("profile", args.profile)]
-
-
-def _breakdown_records(kind: str, terms):
-    if kind == "iso-ef":
-        return [
-            {"i": t.i, "e1": t.e1, "f1": t.f1, "e2": t.e2, "f2": t.f2, "term": str(t.term)}
-            for t in terms
-        ]
-    if kind == "iso-total":
-        return [
-            {"i": t.i, "d": t.d, "e1": t.e1, "f1": t.f1, "term": str(t.term)} for t in terms
-        ]
-    return [{"i": t.i, "term": str(t.term)} for t in terms]
+        return {"qp": args.qp}
+    return {"profile": args.profile}
 
 
 def _cmd_count(args) -> int:
-    kind = args.kind
-    needed = _NEEDED_PARAMS[kind]
+    kind = KINDS[args.kind]
     for name in ("e", "f", "n", "d"):
         value = getattr(args, name)
-        if name in needed and value is None:
-            raise DomainError(f"kind {kind} requires --{name}")
-        if name not in needed and value is not None:
-            raise DomainError(f"kind {kind} does not take --{name}")
+        if name in kind.params and value is None:
+            raise DomainError(f"kind {args.kind} requires --{name}")
+        if name not in kind.params and value is not None:
+            raise DomainError(f"kind {args.kind} does not take --{name}")
         _positive(name, value)
-    if args.breakdown and kind not in BREAKDOWN_KINDS:
-        raise DomainError(f"--breakdown is not available for kind {kind}")
+    if args.breakdown and not kind.breakdown:
+        raise DomainError(f"--breakdown is not available for kind {args.kind}")
 
-    depth = 0 if args.qp is None else _auto_depth(kind, args.qp, args)
-    profile = _field_for(args, depth)
+    depth = 0 if args.qp is None else kind.depth(args.qp, args)
+    value, terms = kind.evaluate(_field_for(args, depth), args)
 
-    terms = None
-    if kind == "iso-ef":
-        value, terms = theorems.iso_count_ef_terms(profile, args.e, args.f)
-    elif kind == "iso-total":
-        value, terms = theorems.iso_count_total_terms(profile, args.n)
-    elif kind == "tame":
-        # the per-i summands come from the cross-check, run only when printed
-        value, terms = theorems.tame_iso_count_terms(
-            profile, args.e, args.f, cross_check=args.breakdown
-        )
-    elif kind == "krasner":
-        value = counting.krasner_count(
-            counting.KrasnerQuery(profile.p, profile.n0, args.e, args.f)
-        )
-    elif kind == "cyclic-ef":
-        value = counting.cyclic_count_ef(cyclic_profile_of(profile), args.e, args.f)
-    else:
-        value = counting.cyclic_count_total(cyclic_profile_of(profile), args.d)
-
-    query = {"kind": kind}
-    query.update(_field_echo(args))
-    for name in needed:
+    query = {"kind": args.kind, **_field_echo(args)}
+    for name in kind.params:
         query[name] = getattr(args, name)
+    records = [{**t._asdict(), "term": str(t.term)} for t in terms] if args.breakdown else []
 
     if args.json:
         payload = {"query": query, "value": str(value)}
         if args.breakdown:
-            payload["breakdown"] = _breakdown_records(kind, terms)
+            payload["breakdown"] = records
         print(to_json(payload))
     else:
-        if args.breakdown:
-            for record in _breakdown_records(kind, terms):
-                parts = [f"{key}={val}" for key, val in record.items()]
-                print("  ".join(parts))
+        for record in records:
+            print("  ".join(f"{key}={val}" for key, val in record.items()))
         print(value)
     return 0
-
-
-def _table_rows(args):
-    cells = []
-    totals = []
-    if args.n_max is not None:
-        for n in range(1, args.n_max + 1):
-            for e, f in arith.divisor_pairs(n):
-                cells.append((e, f))
-            totals.append(n)
-    else:
-        for e in range(1, args.e_max + 1):
-            for f in range(1, args.f_max + 1):
-                cells.append((e, f))
-    return cells, totals
 
 
 def _cmd_table(args) -> int:
@@ -167,7 +147,12 @@ def _cmd_table(args) -> int:
         depth = max(arith.p_valuation(m, args.qp).s for m in range(1, top + 1))
     profile = _field_for(args, depth)
 
-    cell_keys, total_keys = _table_rows(args)
+    if degree_mode:
+        total_keys = range(1, args.n_max + 1)
+        cell_keys = [pair for n in total_keys for pair in arith.divisor_pairs(n)]
+    else:
+        total_keys = ()
+        cell_keys = [(e, f) for e in range(1, args.e_max + 1) for f in range(1, args.f_max + 1)]
     cells = []
     classes = {}
     for e, f in cell_keys:
@@ -188,8 +173,7 @@ def _cmd_table(args) -> int:
         )
 
     if args.format == "json":
-        query = {"command": "table"}
-        query.update(_field_echo(args))
+        query = {"command": "table", **_field_echo(args)}
         if degree_mode:
             query["n_max"] = args.n_max
         else:
@@ -251,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument("--profile", metavar="PATH", help="JSON base-field profile")
 
     count = sub.add_parser("count", help="compute a single count")
-    count.add_argument("kind", choices=COUNT_KINDS)
+    count.add_argument("kind", choices=KINDS)
     add_field_source(count)
     count.add_argument("--e", type=int, help="ramification index")
     count.add_argument("--f", type=int, help="inertia degree")

@@ -95,24 +95,21 @@ def dual_group(F: CyclicBaseProfile, d: int, cap: int = DEFAULT_ABELIAN_CAP) -> 
     return AbelianGroup(factors, cap=cap)
 
 
-def dual_cyclic_subgroup_count(Ghat: AbelianGroup, d: int, f: int, b_index: int = 0) -> int:
-    """Cyclic subgroups H of Ghat of order d meeting the distinguished
-    coordinate subgroup B in a subgroup of order f.
+def dual_cyclic_subgroup_count(Ghat: AbelianGroup, d: int) -> Counter:
+    """Cyclic subgroups H of Ghat of order d, counted by |H intersect B|.
 
-    Enumerates every element of order d, forms the generated subgroup as
-    a canonical element set, deduplicates, and measures |H intersect B|,
-    where B is the factor at b_index embedded coordinate-wise.
+    B is the distinguished first factor, which must be C_d, embedded
+    coordinate-wise.  Enumerates every element of order d once, forms the
+    generated subgroup as a canonical element set, deduplicates, and maps
+    each intersection order f to the number of subgroups H meeting B in
+    a subgroup of order f.
     """
-    if f < 1 or d < 1:
-        raise DomainError("d and f must be >= 1")
-    if not 0 <= b_index < len(Ghat.factors):
-        raise DomainError("b_index out of range")
-    if Ghat.factors[b_index] != d:
-        raise DomainError(
-            f"distinguished factor must be C_{d}, found C_{Ghat.factors[b_index]}"
-        )
+    if d < 1:
+        raise DomainError("d must be >= 1")
+    if Ghat.factors[:1] != (d,):
+        raise DomainError(f"distinguished first factor must be C_{d}, factors are {Ghat.factors}")
     seen = set()
-    hits = 0
+    by_meet = Counter()
     for x in Ghat.elements():
         if Ghat.element_order(x) != d:
             continue
@@ -125,14 +122,8 @@ def dual_cyclic_subgroup_count(Ghat: AbelianGroup, d: int, f: int, b_index: int 
         if H in seen:
             continue
         seen.add(H)
-        inside_b = sum(
-            1
-            for m in members
-            if all(c == 0 for j, c in enumerate(m) if j != b_index)
-        )
-        if inside_b == f:
-            hits += 1
-    return hits
+        by_meet[sum(1 for m in members if not any(m[1:]))] += 1
+    return by_meet
 
 
 class GroupTable:
@@ -186,9 +177,6 @@ class GroupTable:
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self._inverse[a]
 
     def conjugate(self, g: int, x: int) -> int:
         """g * x * g^-1."""

@@ -174,6 +174,14 @@ def validate(profile: BaseFieldProfile) -> list[str]:
     return problems
 
 
+def require_valid(profile: BaseFieldProfile) -> BaseFieldProfile:
+    """The profile itself if validate() finds nothing, else DomainError."""
+    problems = validate(profile)
+    if problems:
+        raise DomainError("invalid profile: " + "; ".join(problems))
+    return profile
+
+
 def _integer(record: dict, key: str) -> int:
     value = record[key]
     if type(value) is not int:  # bool is a subclass of int
@@ -207,7 +215,4 @@ def load_profile(source) -> BaseFieldProfile:
         profile = BaseFieldProfile(*(_integer(raw, key) for key in ("p", "e0", "f0")), levels)
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed profile: {exc}") from exc
-    problems = validate(profile)
-    if problems:
-        raise DomainError("invalid profile: " + "; ".join(problems))
-    return profile
+    return require_valid(profile)

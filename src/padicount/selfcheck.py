@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import arith, counting, oracles, theorems
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, MagnitudeError
 from .profiles import CyclicBaseProfile, qp_profile
 
 DEFAULT_MAX_ABELIAN_ORDER = 1_000_000
@@ -228,14 +228,15 @@ def dual_oracle_suite(
     d_max = 8 if small else 12
     for F in _cyclic_profiles():
         for d in range(1, d_max + 1):
-            Ghat = oracles.dual_group(F, d, cap=max_abelian_order)
-            if Ghat.order > max_abelian_order:
+            try:
+                Ghat = oracles.dual_group(F, d, cap=max_abelian_order)
+            except MagnitudeError:  # past the enumeration cap: skipped
                 continue
+            by_meet = oracles.dual_cyclic_subgroup_count(Ghat, d)
             for e, f in arith.divisor_pairs(d):
 
-                def check(F=F, Ghat=Ghat, d=d, e=e, f=f):
+                def check(F=F, e=e, f=f, want=by_meet[f]):
                     got = counting.cyclic_count_ef(F, e, f)
-                    want = oracles.dual_cyclic_subgroup_count(Ghat, d, f)
                     return got == want, (
                         f"cyclic_count_ef(p={F.p},m={F.m},f_abs={F.f_abs},xi={F.xi}; "
                         f"e={e},f={f}) = {got} but subgroup enumeration finds {want}"
@@ -264,78 +265,71 @@ def cyclic_decomposition_suite(small: bool = False) -> SuiteResult:
     return result
 
 
-def remark_equivalence_suite(small: bool = False) -> SuiteResult:
-    result = SuiteResult("remark-equivalence")
+def _tame_grid(small: bool):
+    """(K, e, f) over Q_p for p in {3, 5, 7} (small: {3, 5}), p not dividing
+    e <= 10 (small: 6), f <= 6 (small: 4)."""
     primes = (3, 5) if small else (3, 5, 7)
     e_max = 6 if small else 10
     f_max = 4 if small else 6
     for p in primes:
         K = qp_profile(p, 0)
         for e in range(1, e_max + 1):
-            if e % p == 0:
-                continue
-            for f in range(1, f_max + 1):
+            if e % p:
+                for f in range(1, f_max + 1):
+                    yield K, e, f
 
-                def check(p=p, K=K, e=e, f=f):
-                    tame = theorems.tame_iso_count(K, e, f, cross_check=True)
-                    general = theorems.iso_count_ef(K, e, f)
-                    return tame == general, (
-                        f"tame_iso_count(Q_{p},e={e},f={f}) = {tame} "
-                        f"but iso_count_ef gives {general}"
-                    )
 
-                result.run(check)
+def _degree_grid(small: bool):
+    """(K, n) over Q_2 and Q_3 for n <= 12 (small: 8), K as deep as n needs."""
+    for p in (2, 3):
+        for n in range(1, (8 if small else 12) + 1):
+            yield qp_profile(p, arith.p_valuation(n, p).s), n
+
+
+def remark_equivalence_suite(small: bool = False) -> SuiteResult:
+    result = SuiteResult("remark-equivalence")
+    for K, e, f in _tame_grid(small):
+
+        def check(K=K, e=e, f=f):
+            tame = theorems.tame_iso_count(K, e, f, cross_check=True)
+            general = theorems.iso_count_ef(K, e, f)
+            return tame == general, (
+                f"tame_iso_count(Q_{K.p},e={e},f={f}) = {tame} but iso_count_ef gives {general}"
+            )
+
+        result.run(check)
     return result
 
 
 def theorem_consistency_suite(small: bool = False) -> SuiteResult:
     result = SuiteResult("theorem-consistency")
-    n_max = 8 if small else 12
-    for p in (2, 3):
-        for n in range(1, n_max + 1):
+    for K, n in _degree_grid(small):
 
-            def check(p=p, n=n):
-                K = qp_profile(p, arith.p_valuation(n, p).s)
-                total = theorems.iso_count_total(K, n)
-                parts = sum(theorems.iso_count_ef(K, e, f) for e, f in arith.divisor_pairs(n))
-                return total == parts, (
-                    f"iso_count_total(Q_{p},n={n}) = {total} but the (e,f) cells sum to {parts}"
-                )
+        def check(K=K, n=n):
+            total = theorems.iso_count_total(K, n)
+            parts = sum(theorems.iso_count_ef(K, e, f) for e, f in arith.divisor_pairs(n))
+            return total == parts, (
+                f"iso_count_total(Q_{K.p},n={n}) = {total} but the (e,f) cells sum to {parts}"
+            )
 
-            result.run(check)
+        result.run(check)
     return result
 
 
 def sandwich_suite(small: bool = False) -> SuiteResult:
     result = SuiteResult("sandwich")
-    n_max = 8 if small else 12
+    cells = [(K, e, f) for K, n in _degree_grid(small) for e, f in arith.divisor_pairs(n)]
+    for K, e, f in cells + list(_tame_grid(small)):
 
-    def cell_check(p, K, e, f):
-        def check():
+        def check(K=K, e=e, f=f):
             classes = theorems.iso_count_ef(K, e, f)
-            fields = counting.krasner_count(counting.KrasnerQuery(p, K.n0, e, f))
+            fields = counting.krasner_count(counting.KrasnerQuery(K.p, K.n0, e, f))
             return classes <= fields <= e * f * classes, (
-                f"sandwich fails over Q_{p} at (e={e},f={f}): "
+                f"sandwich fails over Q_{K.p} at (e={e},f={f}): "
                 f"classes={classes}, fields={fields}"
             )
 
-        return check
-
-    for p in (2, 3):
-        for n in range(1, n_max + 1):
-            K = qp_profile(p, arith.p_valuation(n, p).s)
-            for e, f in arith.divisor_pairs(n):
-                result.run(cell_check(p, K, e, f))
-    primes = (3, 5) if small else (3, 5, 7)
-    e_max = 6 if small else 10
-    f_max = 4 if small else 6
-    for p in primes:
-        K = qp_profile(p, 0)
-        for e in range(1, e_max + 1):
-            if e % p == 0:
-                continue
-            for f in range(1, f_max + 1):
-                result.run(cell_check(p, K, e, f))
+        result.run(check)
     return result
 
 

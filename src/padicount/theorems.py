@@ -8,23 +8,27 @@ Three evaluators:
 * tame_iso_count: the much simpler closed form available when p does
   not divide e.
 
-Each evaluator sums exact terms and divides once at the end (by f,
-respectively n); a non-integral result is impossible for correct code
-and raises ConsistencyError rather than being rounded.  The *_terms
-variants also return the individual summands in a fixed iteration
-order (ascending level, then ascending divisors) for breakdown output;
-the tame variant builds its per-i summands only when asked.
+Each evaluator refuses a profile that fails validate(), sums integer
+terms and divides once at the end (by f, respectively n); a remainder is
+impossible for correct code and raises ConsistencyError rather than
+being rounded.  The *_terms variants also return the individual
+summands in a fixed iteration order (ascending level, then ascending
+divisors) for breakdown output; the tame variant builds its per-i
+summands only when asked, and at most MAX_TAME_SUMMANDS of them.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import arith, counting
-from .errors import ConsistencyError, DomainError
-from .profiles import BaseFieldProfile
+from .errors import ConsistencyError, DomainError, MagnitudeError
+from .profiles import BaseFieldProfile, require_valid
+
+# The tame cross-check builds one summand per i < f; past this many it is
+# refused before any is built.
+MAX_TAME_SUMMANDS = 10**5
 
 
 class TermEF(NamedTuple):
@@ -35,7 +39,7 @@ class TermEF(NamedTuple):
     f1: int
     e2: int
     f2: int
-    term: Fraction
+    term: int
 
 
 class TermTotal(NamedTuple):
@@ -55,21 +59,30 @@ class TermTame(NamedTuple):
     term: int
 
 
+def _divide_exactly(total: int, divisor: int, where: str) -> int:
+    q, rem = divmod(total, divisor)
+    if rem:
+        raise ConsistencyError(f"{where}: sum {total} not divisible by {divisor}")
+    return q
+
+
 def iso_count_ef_terms(K: BaseFieldProfile, e: int, f: int) -> tuple[int, list[TermEF]]:
     """Class count for ramification e and inertia f, with its summands.
 
     Sums over levels 0 <= i <= v_p(e) and splittings e = e1*e2*e_i,
     f = f1*f2*f_i subject to the prime-to-p part of e2 dividing
-    p^{f0*f_i*f1} - 1.  Each term is
+    p^{f0*f_i*f1} - 1.  Each term is the integer
     phi(h2)*phi(f2)/e_i * sigma_krasner(p, N1, v_p(e1)) * delta_count(p, N1, v_p(e2), i)
-    with N1 = n0*e_i*f_i*e1*f1.  The profile must cover levels 0..v_p(e).
+    with N1 = n0*e_i*f_i*e1*f1.  The profile must be valid and cover
+    levels 0..v_p(e).
     """
     if e < 1 or f < 1:
         raise DomainError("iso_count_ef: e and f must be >= 1")
+    require_valid(K)
     p = K.p
     s, _ = arith.p_valuation(e, p)
     K.level(s)  # hard requirement up front, never silently padded
-    total = Fraction(0)
+    total = 0
     terms: list[TermEF] = []
     for i in range(s + 1):
         e_i, f_i = K.level(i)
@@ -84,17 +97,17 @@ def iso_count_ef_terms(K: BaseFieldProfile, e: int, f: int) -> tuple[int, list[T
                 if not arith.divides_p_power_minus_one(h2, p, K.f0 * f_i * f1):
                     continue
                 n1 = K.n0 * n_i * e1 * f1
-                term = (
-                    Fraction(weight * arith.euler_phi(f2), e_i)
-                    * counting.sigma_krasner(p, n1, s1)
-                    * counting.delta_count(p, n1, s2, i)
-                )
+                term = weight * arith.euler_phi(f2) * counting.sigma_krasner(p, n1, s1)
+                # validity makes e_i divide p^{i-1}(p-1), which divides
+                # delta_count(p, ., s2, i) for i >= 1; e_0 = 1
+                term, rem = divmod(term * counting.delta_count(p, n1, s2, i), e_i)
+                if rem:
+                    raise ConsistencyError(
+                        f"iso_count_ef(e={e}, f={f}): level-{i} term not divisible by {e_i}"
+                    )
                 total += term
                 terms.append(TermEF(i, e1, f1, e2, f2, term))
-    value = total / f
-    if value.denominator != 1:
-        raise ConsistencyError(f"iso_count_ef(e={e}, f={f}): non-integral result {value}")
-    return int(value), terms
+    return _divide_exactly(total, f, f"iso_count_ef(e={e}, f={f})"), terms
 
 
 def iso_count_ef(K: BaseFieldProfile, e: int, f: int) -> int:
@@ -110,10 +123,12 @@ def iso_count_total_terms(K: BaseFieldProfile, n: int) -> tuple[int, list[TermTo
     where d is the degree of the cyclic top step.  Each term is
     e1 * psi(k, p^{f0*f_i*f1} - 1) * sigma_krasner(p, N1, v_p(e1))
     * delta_count(p, N1 + 1, v_p(d), i) with d = p^r*k, gcd(k, p) = 1
-    and N1 = n0*n_i*e1*f1.  The profile must cover levels 0..v_p(n).
+    and N1 = n0*n_i*e1*f1.  The profile must be valid and cover levels
+    0..v_p(n).
     """
     if n < 1:
         raise DomainError("iso_count_total: n must be >= 1")
+    require_valid(K)
     p = K.p
     t, _ = arith.p_valuation(n, p)
     K.level(t)
@@ -138,10 +153,7 @@ def iso_count_total_terms(K: BaseFieldProfile, n: int) -> tuple[int, list[TermTo
                 )
                 total += term
                 terms.append(TermTotal(i, d, e1, f1, term))
-    q, rem = divmod(total, n)
-    if rem:
-        raise ConsistencyError(f"iso_count_total(n={n}): sum {total} not divisible by {n}")
-    return q, terms
+    return _divide_exactly(total, n, f"iso_count_total(n={n})"), terms
 
 
 def iso_count_total(K: BaseFieldProfile, n: int) -> int:
@@ -160,14 +172,20 @@ def tame_iso_count_terms(
     (1/f) * sum_{i=0}^{f-1} gcd(e, p^{f0*gcd(f,i)} - 1), where gcd(f, 0)
     is f, is evaluated as well, one summand per i, any disagreement
     raises ConsistencyError, and those f summands are returned; without
-    it the summands are None.
+    it the summands are None.  The cross-check refuses f past
+    MAX_TAME_SUMMANDS with MagnitudeError.
     """
     if e < 1 or f < 1:
         raise DomainError("tame_iso_count: e and f must be >= 1")
+    require_valid(K)
     p = K.p
     s, _ = arith.p_valuation(e, p)
     if s:
         raise DomainError(f"tame_iso_count requires p not dividing e; {p} | {e}")
+    if cross_check and f > MAX_TAME_SUMMANDS:
+        raise MagnitudeError(
+            f"tame_iso_count: cross-check of f = {f} summands, more than {MAX_TAME_SUMMANDS}"
+        )
     total = sum(
         arith.euler_phi(f2) * arith.gcd_p_power_minus_one(e, p, K.f0 * f1)
         for f1, f2 in arith.divisor_pairs(f)
@@ -183,10 +201,7 @@ def tame_iso_count_terms(
             raise ConsistencyError(
                 f"tame_iso_count(e={e}, f={f}): divisor-sum {total} != gcd-sum {alt}"
             )
-    q, rem = divmod(total, f)
-    if rem:
-        raise ConsistencyError(f"tame_iso_count(e={e}, f={f}): sum {total} not divisible by {f}")
-    return q, terms
+    return _divide_exactly(total, f, f"tame_iso_count(e={e}, f={f})"), terms
 
 
 def tame_iso_count(K: BaseFieldProfile, e: int, f: int, cross_check: bool = False) -> int:

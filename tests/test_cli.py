@@ -132,6 +132,14 @@ def test_tame_breakdown_bytes(capsys):
     )
 
 
+def test_tame_breakdown_past_the_summand_bound_exits_3(capsys):
+    argv = ("count", "tame", "--qp", "3", "--e", "2", "--f", "1000000")
+    assert run_cli(capsys, *argv)[:2] == (0, "2\n")
+    code, out, err = run_cli(capsys, *argv, "--breakdown", "--json")
+    assert (code, out) == (3, "")
+    assert "more than 100000" in err
+
+
 def test_consistency_failure_exits_4(capsys, monkeypatch):
     real_phi = arith.euler_phi
     monkeypatch.setattr(arith, "euler_phi", lambda n: 2 if n == 2 else real_phi(n))

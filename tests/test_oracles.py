@@ -66,20 +66,22 @@ def test_dual_group_shape_for_q2():
 def test_dual_cyclic_subgroup_count_q2():
     F = CyclicBaseProfile(2, 1, 1, 1)
     Ghat = dual_group(F, 2)
-    assert dual_cyclic_subgroup_count(Ghat, 2, 2) == 1  # only B itself
-    assert dual_cyclic_subgroup_count(Ghat, 2, 1) == 6  # the ramified quadratics
+    by_meet = dual_cyclic_subgroup_count(Ghat, 2)
+    assert by_meet[2] == 1  # only B itself
+    assert by_meet[1] == 6  # the ramified quadratics
+    assert sorted(by_meet) == [1, 2]
 
 
 def test_dual_cyclic_subgroup_count_trivial():
     for F in (CyclicBaseProfile(2, 1, 1, 1), CyclicBaseProfile(3, 2, 1, 1)):
         Ghat = dual_group(F, 1)
-        assert dual_cyclic_subgroup_count(Ghat, 1, 1) == 1
+        assert dual_cyclic_subgroup_count(Ghat, 1)[1] == 1
 
 
 def test_dual_cyclic_subgroup_count_checks_distinguished_factor():
     Ghat = AbelianGroup([4, 2])
     with pytest.raises(DomainError):
-        dual_cyclic_subgroup_count(Ghat, 2, 1)
+        dual_cyclic_subgroup_count(Ghat, 2)
 
 
 def test_dual_oracle_matches_formulas_small():
@@ -88,10 +90,8 @@ def test_dual_oracle_matches_formulas_small():
             F = CyclicBaseProfile(p, 1, 1, xi)
             for d in range(1, 9):
                 Ghat = dual_group(F, d)
-                per_f = {
-                    f: dual_cyclic_subgroup_count(Ghat, d, f)
-                    for _, f in arith.divisor_pairs(d)
-                }
+                by_meet = dual_cyclic_subgroup_count(Ghat, d)
+                per_f = {f: by_meet[f] for _, f in arith.divisor_pairs(d)}
                 for e, f in arith.divisor_pairs(d):
                     assert cyclic_count_ef(F, e, f) == per_f[f], (p, xi, e, f)
                 assert sum(per_f.values()) == cyclic_count_total(F, d)

@@ -71,3 +71,9 @@ def test_table_order_cap_filters_zoo():
     names = {g.name for g in zoo}
     assert "symmetric(3)" in names
     assert "cyclic(6)" in names
+
+
+def test_dual_oracle_skips_groups_past_the_abelian_cap():
+    capped = selfcheck.dual_oracle_suite(max_abelian_order=10, small=True)
+    assert capped.ok
+    assert 0 < capped.checks < selfcheck.dual_oracle_suite(small=True).checks

@@ -1,12 +1,11 @@
-from fractions import Fraction
-
 import pytest
 
 from padicount import arith, counting, theorems
 from padicount.counting import KrasnerQuery, cyclic_count_ef, krasner_count
-from padicount.errors import ConsistencyError, DomainError, ProfileTooShortError
-from padicount.profiles import CyclicBaseProfile, qp_profile
+from padicount.errors import ConsistencyError, DomainError, MagnitudeError, ProfileTooShortError
+from padicount.profiles import BaseFieldProfile, CyclicBaseProfile, CyclotomicDatum, qp_profile
 from padicount.theorems import (
+    MAX_TAME_SUMMANDS,
     iso_count_ef,
     iso_count_ef_terms,
     iso_count_total,
@@ -58,9 +57,22 @@ def test_iso_count_total_classical_values():
 def test_breakdown_terms_resum():
     K = qp_profile(2, 3)
     value, terms = iso_count_ef_terms(K, 8, 2)
-    assert sum(t.term for t in terms) == Fraction(value * 2)
+    assert all(type(t.term) is int for t in terms)
+    assert sum(t.term for t in terms) == value * 2
     value, terms = iso_count_total_terms(K, 8)
     assert sum(t.term for t in terms) == value * 8
+
+
+def test_evaluators_refuse_invalid_profiles():
+    # level 1 over Q_2 has |(Z/2)^*| = 1, so e_1 = 3 describes no field
+    K = BaseFieldProfile(2, 1, 1, (CyclotomicDatum(1, 3, 1),))
+    for evaluate in (
+        lambda: iso_count_ef(K, 2, 1),
+        lambda: iso_count_total(K, 2),
+        lambda: tame_iso_count(K, 3, 1),
+    ):
+        with pytest.raises(DomainError, match="invalid profile"):
+            evaluate()
 
 
 def test_profile_too_short_is_a_hard_error():
@@ -96,6 +108,25 @@ def test_tame_summands_only_on_request():
     assert value == 2
     assert [t.i for t in terms] == list(range(12))
     assert sum(t.term for t in terms) == value * 12
+
+
+def test_tame_cross_check_refuses_too_many_summands(monkeypatch):
+    K = qp_profile(3, 0)
+    assert MAX_TAME_SUMMANDS == 10**5
+
+    def no_work(*args):
+        raise AssertionError("a summand was built before the refusal")
+
+    monkeypatch.setattr(arith, "gcd_p_power_minus_one", no_work)
+    with pytest.raises(MagnitudeError, match="summands"):
+        tame_iso_count_terms(K, 2, MAX_TAME_SUMMANDS + 1, cross_check=True)
+    monkeypatch.undo()
+    monkeypatch.setattr(theorems, "MAX_TAME_SUMMANDS", 12)
+    value, terms = tame_iso_count_terms(K, 2, 12, cross_check=True)
+    assert (value, len(terms)) == (2, 12)
+    with pytest.raises(MagnitudeError):
+        tame_iso_count_terms(K, 2, 13, cross_check=True)
+    assert tame_iso_count_terms(K, 2, 13) == (2, None)  # the divisor sum alone is not bounded
 
 
 def test_tame_cross_check_compares_the_two_forms(monkeypatch):
