@@ -15,7 +15,6 @@ brute-force oracle (see padicount.oracles and padicount.selfcheck).
 """
 
 from .counting import (
-    KrasnerQuery,
     cyclic_count_ef,
     cyclic_count_total,
     delta_count,
@@ -38,7 +37,6 @@ from .profiles import (
     cyclic_profile_of,
     load_profile,
     qp_profile,
-    validate,
     xi_of,
 )
 from .theorems import iso_count_ef, iso_count_total, tame_iso_count
@@ -52,7 +50,6 @@ __all__ = [
     "CyclicBaseProfile",
     "CyclotomicDatum",
     "DomainError",
-    "KrasnerQuery",
     "MagnitudeError",
     "ProfileTooShortError",
     "cyclic_count_ef",
@@ -68,6 +65,5 @@ __all__ = [
     "qp_profile",
     "sigma_krasner",
     "tame_iso_count",
-    "validate",
     "xi_of",
 ]

@@ -12,6 +12,10 @@ longer than a fixed bound; an input past it raises MagnitudeError:
 * multiplicative orders come from the factorisation of phi(modulus), and
   divisibility questions about p^F - 1 are answered through them or by
   modular reduction, so huge powers are never materialized.
+
+No helper here checks that its p is prime: p comes from a base-field
+profile, which checks that once, when it is built.  A helper refuses
+only a p for which its own loop would not end.
 """
 
 from __future__ import annotations
@@ -131,11 +135,15 @@ def euler_phi(n: int) -> int:
 
 
 def p_valuation(n: int, p: int) -> PValuation:
-    """Largest s with p^s | n, together with the cofactor h = n / p^s."""
+    """Largest s with p^s | n, together with the cofactor h = n / p^s.
+
+    Well defined for any p >= 2, prime or not; p < 2 would never stop
+    dividing and is refused.
+    """
     if n < 1:
         raise DomainError("p_valuation: n must be >= 1")
-    if not is_prime(p):
-        raise DomainError(f"p_valuation: p = {p} is not prime")
+    if p < 2:
+        raise DomainError(f"p_valuation: p = {p} must be >= 2")
     s = 0
     h = n
     while h % p == 0:

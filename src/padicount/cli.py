@@ -54,7 +54,7 @@ KINDS = {
     "krasner": Kind(
         ("e", "f"),
         lambda p, a: 0,
-        lambda K, a: (counting.krasner_count(counting.KrasnerQuery(K.p, K.n0, a.e, a.f)), None),
+        lambda K, a: (counting.krasner_count(K, a.e, a.f), None),
     ),
     "cyclic-ef": Kind(
         ("e", "f"),
@@ -156,7 +156,7 @@ def _cmd_table(args) -> int:
     cells = []
     classes = {}
     for e, f in cell_keys:
-        fields = counting.krasner_count(counting.KrasnerQuery(profile.p, profile.n0, e, f))
+        fields = counting.krasner_count(profile, e, f)
         classes[e, f] = theorems.iso_count_ef(profile, e, f)
         cells.append({"e": e, "f": f, "krasner": str(fields), "classes": str(classes[e, f])})
     totals = []

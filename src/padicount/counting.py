@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 from . import arith
 from .errors import ConsistencyError, DomainError, MagnitudeError
-from .profiles import CyclicBaseProfile
+from .profiles import BaseFieldProfile, CyclicBaseProfile
 
 DEFAULT_MAX_BITS = 1 << 20
 MAX_BITS_ENV = "PADICOUNT_MAX_BITS"
@@ -52,14 +51,16 @@ def sigma_krasner(p: int, N: int, s: int) -> int:
     sum_{i=0}^{s} p^i * (p^{eps(i)*N} - p^{eps(i-1)*N}), where eps(0) = 0,
     eps(i) = 1/p + ... + 1/p^i, and the i = -1 power contributes 0.  Each
     exponent is evaluated exactly as (N / p^i) * (1 + p + ... + p^{i-1}),
-    which is integral because p^s must divide N.
+    which is integral because p^s must divide N.  The caller's profile
+    vouches that p is prime; only p >= 2 is checked here, because the
+    exponent divides by p - 1.
     """
     if N < 1:
         raise DomainError("sigma_krasner: N must be >= 1")
     if s < 0:
         raise DomainError("sigma_krasner: s must be >= 0")
-    if not arith.is_prime(p):
-        raise DomainError(f"sigma_krasner: p = {p} is not prime")
+    if p < 2:
+        raise DomainError(f"sigma_krasner: p = {p} must be >= 2")
     if N % p**s:
         raise DomainError(f"sigma_krasner: p^s = {p**s} must divide N = {N}")
     total = 0
@@ -72,28 +73,14 @@ def sigma_krasner(p: int, N: int, s: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class KrasnerQuery:
-    """Inputs for a Krasner count: ambient prime, base degree n0, target (e, f)."""
-
-    p: int
-    n0: int
-    e: int
-    f: int
-
-    def __post_init__(self):
-        if not arith.is_prime(self.p):
-            raise DomainError(f"p = {self.p} is not prime")
-        if min(self.n0, self.e, self.f) < 1:
-            raise DomainError("n0, e and f must all be >= 1")
-
-
-def krasner_count(q: KrasnerQuery) -> int:
-    """Number of extensions with ramification e and inertia f in a fixed
-    algebraic closure, fields counted individually rather than up to
+def krasner_count(K: BaseFieldProfile, e: int, f: int) -> int:
+    """Number of extensions of K with ramification e and inertia f in a
+    fixed algebraic closure, fields counted individually rather than up to
     isomorphism: e * sigma_krasner(p, n0*e*f, v_p(e))."""
-    s, _ = arith.p_valuation(q.e, q.p)
-    return q.e * sigma_krasner(q.p, q.n0 * q.e * q.f, s)
+    if e < 1 or f < 1:
+        raise DomainError("krasner_count: e and f must be >= 1")
+    s, _ = arith.p_valuation(e, K.p)
+    return e * sigma_krasner(K.p, K.n0 * e * f, s)
 
 
 def pi_count(p: int, m: int, s: int, xi: int) -> int:
@@ -150,18 +137,6 @@ def psi_count(u: int, v: int) -> int:
     return q
 
 
-def psi_p_power_minus_one(k: int, p: int, exponent: int) -> int:
-    """psi_count(k, p^exponent - 1) without forming the second argument.
-
-    psi only depends on its second argument through gcd with the first,
-    so p^exponent - 1 is reduced modulo k up front.
-    """
-    if k == 1:
-        return 1
-    reduced = (pow(p, exponent, k) - 1) % k
-    return psi_count(k, reduced)
-
-
 def cyclic_count_ef(F: CyclicBaseProfile, e: int, f: int) -> int:
     """Number of cyclic extensions of F with ramification e and inertia f.
 
@@ -184,12 +159,15 @@ def cyclic_count_total(F: CyclicBaseProfile, d: int) -> int:
     """Number of cyclic extensions of F of degree d, all (e, f) combined.
 
     With d = p^r * k, gcd(k, p) = 1:
-    psi(k, p^f_abs - 1) / phi(d) * pi_count(p, m+1, r, xi).
+    psi(k, p^f_abs - 1) / phi(d) * pi_count(p, m+1, r, xi).  psi depends
+    on its second argument only through its gcd with k, so that gcd is
+    passed instead of the power.
     """
     if d < 1:
         raise DomainError("cyclic_count_total: d must be >= 1")
     r, k = arith.p_valuation(d, F.p)
-    num = psi_p_power_minus_one(k, F.p, F.f_abs) * pi_count(F.p, F.m + 1, r, F.xi)
+    psi = psi_count(k, arith.gcd_p_power_minus_one(k, F.p, F.f_abs))
+    num = psi * pi_count(F.p, F.m + 1, r, F.xi)
     q, rem = divmod(num, arith.euler_phi(d))
     if rem:
         raise ConsistencyError(f"cyclic_count_total({d}): division by phi({d}) inexact")

@@ -8,6 +8,10 @@ so for any field other than Q_p itself it must be supplied explicitly,
 typically from a JSON profile file.  Only Q_p gets an auto-built profile,
 which hard-codes the classical fact that adjoining the p^i-th roots of
 unity to Q_p is totally ramified of degree phi(p^i).
+
+A BaseFieldProfile is validated once, when it is built: an invalid one
+cannot exist, so the evaluators and the arithmetic they call never
+re-check p or the tower.
 """
 
 from __future__ import annotations
@@ -33,9 +37,10 @@ class CyclotomicDatum:
 class BaseFieldProfile:
     """A base field: (p, e0, f0) and its cyclotomic tower, levels 1..depth.
 
-    Level 0 is implicitly the trivial datum (1, 1).  Instances are dumb
-    containers; semantic invariants are inspected by validate(), which
-    reports violations as data instead of raising.
+    Level 0 is implicitly the trivial datum (1, 1).  Construction runs
+    validate() and raises DomainError listing every violation, so each
+    instance describes a field: p is prime, e0, f0 >= 1, and the tower
+    satisfies the level invariants.
     """
 
     p: int
@@ -45,6 +50,9 @@ class BaseFieldProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "cyclotomic", tuple(self.cyclotomic))
+        problems = validate(self)
+        if problems:
+            raise DomainError("invalid profile: " + "; ".join(problems))
 
     @property
     def n0(self) -> int:
@@ -99,10 +107,9 @@ def qp_profile(p: int, max_level: int) -> BaseFieldProfile:
 
     Level i carries e_i = phi(p^i), f_i = 1: the p-power cyclotomic
     extensions of Q_p are totally ramified, for every p and every level
-    (phi(2) = 1 makes level 1 trivial when p = 2).
+    (phi(2) = 1 makes level 1 trivial when p = 2).  A p that is not prime
+    is refused when the profile is built.
     """
-    if not arith.is_prime(p):
-        raise DomainError(f"p = {p} is not prime")
     if max_level < 0:
         raise DomainError("max_level must be >= 0")
     data = tuple(
@@ -136,8 +143,8 @@ def cyclic_profile_of(profile: BaseFieldProfile) -> CyclicBaseProfile:
 def validate(profile: BaseFieldProfile) -> list[str]:
     """All invariant violations found in the profile; empty list means ok.
 
-    Violations are data, not faults: invalid profiles can be built and
-    inspected, they just describe no actual field.
+    BaseFieldProfile's constructor calls this and refuses any profile it
+    faults, so on a profile that exists it returns [].
     """
     problems = []
     if not arith.is_prime(profile.p):
@@ -174,14 +181,6 @@ def validate(profile: BaseFieldProfile) -> list[str]:
     return problems
 
 
-def require_valid(profile: BaseFieldProfile) -> BaseFieldProfile:
-    """The profile itself if validate() finds nothing, else DomainError."""
-    problems = validate(profile)
-    if problems:
-        raise DomainError("invalid profile: " + "; ".join(problems))
-    return profile
-
-
 def _integer(record: dict, key: str) -> int:
     value = record[key]
     if type(value) is not int:  # bool is a subclass of int
@@ -195,7 +194,8 @@ def load_profile(source) -> BaseFieldProfile:
     The file holds a single object {"p", "e0", "f0", "cyclotomic":
     [{"i", "e", "f"}, ...]} with levels consecutive from 1.  Every number
     must be a JSON integer: floats, strings and booleans are refused, never
-    coerced.  The profile is validated; any violation raises DomainError.
+    coerced.  Building the profile validates it; any violation raises
+    DomainError.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, encoding="utf-8") as fh:
@@ -212,7 +212,6 @@ def load_profile(source) -> BaseFieldProfile:
             CyclotomicDatum(*(_integer(item, key) for key in ("i", "e", "f")))
             for item in raw.get("cyclotomic", [])
         )
-        profile = BaseFieldProfile(*(_integer(raw, key) for key in ("p", "e0", "f0")), levels)
+        return BaseFieldProfile(*(_integer(raw, key) for key in ("p", "e0", "f0")), levels)
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed profile: {exc}") from exc
-    return require_valid(profile)

@@ -165,11 +165,15 @@ def pi_oracle_suite(
     return result
 
 
-def psi_oracle_suite(small: bool = False) -> SuiteResult:
+def psi_oracle_suite(
+    max_abelian_order: int = DEFAULT_MAX_ABELIAN_ORDER, small: bool = False
+) -> SuiteResult:
     result = SuiteResult("psi-oracle")
     bound = 12 if small else 30
     for u in range(1, bound + 1):
         for v in range(1, bound + 1):
+            if u * v > max_abelian_order:
+                continue
 
             def check(u=u, v=v):
                 got = counting.psi_count(u, v)
@@ -323,7 +327,7 @@ def sandwich_suite(small: bool = False) -> SuiteResult:
 
         def check(K=K, e=e, f=f):
             classes = theorems.iso_count_ef(K, e, f)
-            fields = counting.krasner_count(counting.KrasnerQuery(K.p, K.n0, e, f))
+            fields = counting.krasner_count(K, e, f)
             return classes <= fields <= e * f * classes, (
                 f"sandwich fails over Q_{K.p} at (e={e},f={f}): "
                 f"classes={classes}, fields={fields}"
@@ -336,8 +340,8 @@ def sandwich_suite(small: bool = False) -> SuiteResult:
 def golden_suite() -> SuiteResult:
     result = SuiteResult("golden")
     cases = [
-        ("N(Q_2,e=2,f=1)", lambda: counting.krasner_count(counting.KrasnerQuery(2, 1, 2, 1)), 6),
-        ("N(Q_3,e=3,f=1)", lambda: counting.krasner_count(counting.KrasnerQuery(3, 1, 3, 1)), 21),
+        ("N(Q_2,e=2,f=1)", lambda: counting.krasner_count(qp_profile(2, 0), 2, 1), 6),
+        ("N(Q_3,e=3,f=1)", lambda: counting.krasner_count(qp_profile(3, 0), 3, 1), 21),
         ("I(Q_2,e=2,f=1)", lambda: theorems.iso_count_ef(qp_profile(2, 1), 2, 1), 6),
         ("I(Q_3,e=3,f=1)", lambda: theorems.iso_count_ef(qp_profile(3, 1), 3, 1), 9),
         ("I(Q_2,n=2)", lambda: theorems.iso_count_total(qp_profile(2, 1), 2), 7),
@@ -369,7 +373,7 @@ def run_selfcheck(
     return [
         lemma_suite(max_table_order=max_table_order, small=small),
         pi_oracle_suite(max_abelian_order=max_abelian_order, small=small),
-        psi_oracle_suite(small=small),
+        psi_oracle_suite(max_abelian_order=max_abelian_order, small=small),
         delta_telescoping_suite(),
         dual_oracle_suite(max_abelian_order=max_abelian_order, small=small),
         cyclic_decomposition_suite(small=small),

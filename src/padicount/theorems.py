@@ -8,13 +8,14 @@ Three evaluators:
 * tame_iso_count: the much simpler closed form available when p does
   not divide e.
 
-Each evaluator refuses a profile that fails validate(), sums integer
-terms and divides once at the end (by f, respectively n); a remainder is
-impossible for correct code and raises ConsistencyError rather than
-being rounded.  The *_terms variants also return the individual
-summands in a fixed iteration order (ascending level, then ascending
-divisors) for breakdown output; the tame variant builds its per-i
-summands only when asked, and at most MAX_TAME_SUMMANDS of them.
+A BaseFieldProfile is validated when it is built, so the evaluators take
+p and the tower on trust and re-check neither.  Each evaluator sums
+integer terms and divides once at the end (by f, respectively n); a
+remainder is impossible for correct code and raises ConsistencyError
+rather than being rounded.  The *_terms variants also return the
+individual summands in a fixed iteration order (ascending level, then
+ascending divisors) for breakdown output; the tame variant builds its
+per-i summands only when asked, and at most MAX_TAME_SUMMANDS of them.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import NamedTuple
 
 from . import arith, counting
 from .errors import ConsistencyError, DomainError, MagnitudeError
-from .profiles import BaseFieldProfile, require_valid
+from .profiles import BaseFieldProfile
 
 # The tame cross-check builds one summand per i < f; past this many it is
 # refused before any is built.
@@ -73,12 +74,11 @@ def iso_count_ef_terms(K: BaseFieldProfile, e: int, f: int) -> tuple[int, list[T
     f = f1*f2*f_i subject to the prime-to-p part of e2 dividing
     p^{f0*f_i*f1} - 1.  Each term is the integer
     phi(h2)*phi(f2)/e_i * sigma_krasner(p, N1, v_p(e1)) * delta_count(p, N1, v_p(e2), i)
-    with N1 = n0*e_i*f_i*e1*f1.  The profile must be valid and cover
-    levels 0..v_p(e).
+    with N1 = n0*e_i*f_i*e1*f1.  The profile must cover levels
+    0..v_p(e).
     """
     if e < 1 or f < 1:
         raise DomainError("iso_count_ef: e and f must be >= 1")
-    require_valid(K)
     p = K.p
     s, _ = arith.p_valuation(e, p)
     K.level(s)  # hard requirement up front, never silently padded
@@ -123,12 +123,11 @@ def iso_count_total_terms(K: BaseFieldProfile, n: int) -> tuple[int, list[TermTo
     where d is the degree of the cyclic top step.  Each term is
     e1 * psi(k, p^{f0*f_i*f1} - 1) * sigma_krasner(p, N1, v_p(e1))
     * delta_count(p, N1 + 1, v_p(d), i) with d = p^r*k, gcd(k, p) = 1
-    and N1 = n0*n_i*e1*f1.  The profile must be valid and cover levels
-    0..v_p(n).
+    and N1 = n0*n_i*e1*f1; psi is evaluated at gcd(k, p^{f0*f_i*f1} - 1),
+    on which alone it depends.  The profile must cover levels 0..v_p(n).
     """
     if n < 1:
         raise DomainError("iso_count_total: n must be >= 1")
-    require_valid(K)
     p = K.p
     t, _ = arith.p_valuation(n, p)
     K.level(t)
@@ -147,7 +146,7 @@ def iso_count_total_terms(K: BaseFieldProfile, n: int) -> tuple[int, list[TermTo
                 n1 = K.n0 * n_i * e1 * f1
                 term = (
                     e1
-                    * counting.psi_p_power_minus_one(k, p, K.f0 * f_i * f1)
+                    * counting.psi_count(k, arith.gcd_p_power_minus_one(k, p, K.f0 * f_i * f1))
                     * counting.sigma_krasner(p, n1, s1)
                     * counting.delta_count(p, n1 + 1, r, i)
                 )
@@ -177,7 +176,6 @@ def tame_iso_count_terms(
     """
     if e < 1 or f < 1:
         raise DomainError("tame_iso_count: e and f must be >= 1")
-    require_valid(K)
     p = K.p
     s, _ = arith.p_valuation(e, p)
     if s:

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from padicount import arith, counting, selfcheck, theorems
-from padicount.counting import KrasnerQuery, cyclic_count_ef, cyclic_count_total, krasner_count
+from padicount.counting import cyclic_count_ef, cyclic_count_total, krasner_count
 from padicount.errors import ConsistencyError
 from padicount.profiles import CyclicBaseProfile, qp_profile
 
@@ -37,8 +37,8 @@ def _assert_suite(result):
 
 def test_criterion_1_exact_golden_values():
     with _Timer("criterion 1, exact golden values"):
-        assert krasner_count(KrasnerQuery(2, 1, 2, 1)) == 6
-        assert krasner_count(KrasnerQuery(3, 1, 3, 1)) == 21
+        assert krasner_count(qp_profile(2, 0), 2, 1) == 6
+        assert krasner_count(qp_profile(3, 0), 3, 1) == 21
         assert theorems.iso_count_ef(qp_profile(2, 1), 2, 1) == 6
         assert theorems.iso_count_ef(qp_profile(3, 1), 3, 1) == 9
         assert theorems.iso_count_total(qp_profile(2, 1), 2) == 7

@@ -39,11 +39,14 @@ def test_p_valuation_examples():
     assert arith.p_valuation(8, 2) == (3, 1)
 
 
-def test_p_valuation_rejects_non_prime():
-    with pytest.raises(DomainError):
-        arith.p_valuation(12, 4)
+def test_p_valuation_refuses_p_below_two():
+    # primality of p is the profile's job; p < 2 would divide forever
+    for p in (1, 0, -3):
+        with pytest.raises(DomainError):
+            arith.p_valuation(12, p)
     with pytest.raises(DomainError):
         arith.p_valuation(0, 2)
+    assert arith.p_valuation(12, 4) == (1, 3)
 
 
 def test_divisor_pairs_examples():

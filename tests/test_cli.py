@@ -86,6 +86,38 @@ def test_count_exit_codes_for_bad_inputs(capsys):
     assert code == 2 and "--n" in err
 
 
+@pytest.mark.parametrize("p", ["9", "4", "1", "0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "count iso-ef --e 2 --f 1",
+        "count iso-total --n 4",
+        "count krasner --e 2 --f 1",
+        "count cyclic-ef --e 2 --f 1",
+        "count cyclic-total --d 4",
+        "count tame --e 1 --f 2",
+        "table --n-max 4",
+        "table --e-max 2 --f-max 2",
+    ],
+)
+def test_every_command_refuses_a_qp_that_is_not_prime(capsys, argv, p):
+    # p is checked once, where the profile is built; p < 2 must not reach
+    # a loop that divides by p
+    code, out, err = run_cli(capsys, *argv.split(), "--qp", p)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("n_max", ["6", "24"])
+def test_table_checks_primality_once_whatever_its_size(capsys, monkeypatch, n_max):
+    real = arith.is_prime
+    calls = []
+    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or real(n))
+    code, _, _ = run_cli(capsys, "table", "--qp", "1000003", "--n-max", n_max)
+    assert code == 0
+    assert calls == [1000003]
+
+
 @pytest.mark.parametrize(
     "argv, value",
     [

@@ -1,8 +1,7 @@
 import pytest
 
-from padicount import counting
+from padicount import arith, counting
 from padicount.counting import (
-    KrasnerQuery,
     cyclic_count_ef,
     cyclic_count_total,
     delta_count,
@@ -12,7 +11,7 @@ from padicount.counting import (
     sigma_krasner,
 )
 from padicount.errors import DomainError, MagnitudeError
-from padicount.profiles import CyclicBaseProfile
+from padicount.profiles import BaseFieldProfile, CyclicBaseProfile, qp_profile
 
 Q2 = CyclicBaseProfile(2, 1, 1, 1)
 Q3 = CyclicBaseProfile(3, 1, 1, 0)
@@ -63,16 +62,27 @@ def test_magnitude_guard_env_override(monkeypatch):
 def test_krasner_count_examples():
     for p in (2, 3, 5):
         for f in (1, 2, 3):
-            assert krasner_count(KrasnerQuery(p, 1, 1, f)) == 1
-    assert krasner_count(KrasnerQuery(2, 1, 2, 1)) == 6
-    assert krasner_count(KrasnerQuery(3, 1, 3, 1)) == 21
+            assert krasner_count(qp_profile(p, 0), 1, f) == 1
+    assert krasner_count(qp_profile(2, 0), 2, 1) == 6
+    assert krasner_count(qp_profile(3, 0), 3, 1) == 21
 
 
-def test_krasner_query_validation():
-    with pytest.raises(DomainError):
-        KrasnerQuery(4, 1, 2, 1)
-    with pytest.raises(DomainError):
-        KrasnerQuery(2, 0, 2, 1)
+def test_krasner_count_validation():
+    K = qp_profile(2, 0)
+    for e, f in ((0, 1), (2, 0), (-1, 1)):
+        with pytest.raises(DomainError, match="e and f must be >= 1"):
+            krasner_count(K, e, f)
+    # p and n0 are the profile's: a bad one never reaches the count
+    with pytest.raises(DomainError, match="not prime"):
+        BaseFieldProfile(4, 1, 1)
+    with pytest.raises(DomainError, match="e0 = 0"):
+        BaseFieldProfile(2, 0, 1)
+
+
+def test_sigma_krasner_refuses_p_below_two():
+    for p in (1, 0, -3):
+        with pytest.raises(DomainError, match="must be >= 2"):
+            sigma_krasner(p, 1, 0)
 
 
 def test_pi_count_examples():
@@ -121,11 +131,12 @@ def test_psi_count_tiny_brute_force():
             assert psi_count(u, v) == count
 
 
-def test_psi_p_power_minus_one_matches_direct():
+def test_psi_depends_only_on_gcd_with_p_power_minus_one():
     for k in range(1, 40):
         for p in (2, 3, 5):
             for exp in (1, 2, 7, 20):
-                assert counting.psi_p_power_minus_one(k, p, exp) == psi_count(k, p**exp - 1)
+                gcd = arith.gcd_p_power_minus_one(k, p, exp)
+                assert psi_count(k, gcd) == psi_count(k, p**exp - 1)
 
 
 def test_cyclic_count_ef_examples():

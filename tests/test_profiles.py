@@ -79,23 +79,25 @@ def test_validate_accepts_qp_profiles():
             assert validate(qp_profile(p, L)) == []
 
 
+# validate() runs when a profile is built, so its findings surface as the
+# constructor's DomainError
+
+
 def test_validate_reports_broken_divisibility_chain():
-    prof = BaseFieldProfile(5, 1, 1, (CyclotomicDatum(1, 3, 1), CyclotomicDatum(2, 4, 1)))
-    problems = validate(prof)
-    assert any("e_1 = 3" in msg for msg in problems)
+    with pytest.raises(DomainError, match="invalid profile: .*e_1 = 3"):
+        BaseFieldProfile(5, 1, 1, (CyclotomicDatum(1, 3, 1), CyclotomicDatum(2, 4, 1)))
 
 
 def test_validate_reports_unit_group_overflow():
-    prof = BaseFieldProfile(3, 1, 1, (CyclotomicDatum(1, 5, 1),))
-    problems = validate(prof)
-    assert any("does not divide" in msg for msg in problems)
+    with pytest.raises(DomainError, match="invalid profile: .*does not divide"):
+        BaseFieldProfile(3, 1, 1, (CyclotomicDatum(1, 5, 1),))
 
 
 def test_validate_reports_bad_prime_and_level_gaps():
-    prof = BaseFieldProfile(4, 1, 1, (CyclotomicDatum(2, 1, 1),))
-    problems = validate(prof)
-    assert any("not prime" in msg for msg in problems)
-    assert any("consecutive" in msg for msg in problems)
+    with pytest.raises(DomainError, match="invalid profile: ") as caught:
+        BaseFieldProfile(4, 1, 1, (CyclotomicDatum(2, 1, 1),))
+    assert "not prime" in str(caught.value)
+    assert "consecutive" in str(caught.value)
 
 
 def test_divisibility_monotone_on_valid_profiles():

@@ -77,3 +77,10 @@ def test_dual_oracle_skips_groups_past_the_abelian_cap():
     capped = selfcheck.dual_oracle_suite(max_abelian_order=10, small=True)
     assert capped.ok
     assert 0 < capped.checks < selfcheck.dual_oracle_suite(small=True).checks
+
+
+def test_psi_oracle_skips_groups_past_the_abelian_cap():
+    results = {r.name: r for r in selfcheck.run_selfcheck(grid="small", max_abelian_order=10)}
+    capped = results["psi-oracle"]
+    assert capped.ok
+    assert 0 < capped.checks < 144  # 144 = 12 x 12 groups C_u x C_v uncapped
