@@ -201,6 +201,9 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
+    # a cap below 1 empties suites, which would then report a pass
+    _positive("max-abelian-order", args.max_abelian_order)
+    _positive("max-table-order", args.max_table_order)
     results = run_selfcheck(
         grid=args.grid,
         max_abelian_order=args.max_abelian_order,

@@ -76,11 +76,12 @@ def sigma_krasner(p: int, N: int, s: int) -> int:
 def krasner_count(K: BaseFieldProfile, e: int, f: int) -> int:
     """Number of extensions of K with ramification e and inertia f in a
     fixed algebraic closure, fields counted individually rather than up to
-    isomorphism: e * sigma_krasner(p, n0*e*f, v_p(e))."""
+    isomorphism: e * sigma_krasner(p, n0*e*f, v_p(e)), fetched through
+    K's memo, where the class counts find the same value."""
     if e < 1 or f < 1:
         raise DomainError("krasner_count: e and f must be >= 1")
     s, _ = arith.p_valuation(e, K.p)
-    return e * sigma_krasner(K.p, K.n0 * e * f, s)
+    return e * K._once(sigma_krasner, K.p, K.n0 * e * f, s, bits=magnitude_bits())
 
 
 def pi_count(p: int, m: int, s: int, xi: int) -> int:

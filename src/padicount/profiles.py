@@ -11,14 +11,16 @@ unity to Q_p is totally ramified of degree phi(p^i).
 
 A BaseFieldProfile is validated once, when it is built: an invalid one
 cannot exist, so the evaluators and the arithmetic they call never
-re-check p or the tower.
+re-check p or the tower.  It also carries a private memo through which
+the evaluators compute each closed-form value once for as long as the
+profile lives (see BaseFieldProfile._once).
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import arith
 from .errors import DomainError, ProfileTooShortError
@@ -41,18 +43,40 @@ class BaseFieldProfile:
     validate() and raises DomainError listing every violation, so each
     instance describes a field: p is prime, e0, f0 >= 1, and the tower
     satisfies the level invariants.
+
+    The private _memo takes no part in construction, equality, hashing
+    or repr.
     """
 
     p: int
     e0: int
     f0: int
     cyclotomic: tuple[CyclotomicDatum, ...] = ()
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "cyclotomic", tuple(self.cyclotomic))
         problems = validate(self)
         if problems:
             raise DomainError("invalid profile: " + "; ".join(problems))
+
+    def _once(self, compute, *args, bits=None):
+        """compute(*args), computed at most once per key while this profile lives.
+
+        The key is compute itself, its argument tuple and bits, the
+        magnitude limit a guarded value was computed under, so a tighter
+        limit misses and raises again.  Every stored value is a
+        deterministic function of its key, so threads may share the
+        profile: a race at worst computes the same value twice.  A call
+        that raises stores nothing.
+        """
+        key = (compute, args, bits)
+        memo = self._memo
+        try:
+            return memo[key]
+        except KeyError:
+            value = memo[key] = compute(*args)
+            return value
 
     @property
     def n0(self) -> int:

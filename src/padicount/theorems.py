@@ -9,13 +9,17 @@ Three evaluators:
   not divide e.
 
 A BaseFieldProfile is validated when it is built, so the evaluators take
-p and the tower on trust and re-check neither.  Each evaluator sums
-integer terms and divides once at the end (by f, respectively n); a
-remainder is impossible for correct code and raises ConsistencyError
-rather than being rounded.  The *_terms variants also return the
-individual summands in a fixed iteration order (ascending level, then
-ascending divisors) for breakdown output; the tame variant builds its
-per-i summands only when asked, and at most MAX_TAME_SUMMANDS of them.
+p and the tower on trust and re-check neither.  The cells of a table
+share most of their terms, so the evaluators fetch sigma_krasner,
+delta_count, psi_count and the totients through the profile's memo
+(BaseFieldProfile._once) and read the magnitude limit once per call.
+Each evaluator sums integer terms and divides once at the end (by f,
+respectively n); a remainder is impossible for correct code and raises
+ConsistencyError rather than being rounded.  The *_terms variants also
+return the individual summands in a fixed iteration order (ascending
+level, then ascending divisors) for breakdown output; the tame variant
+builds its per-i summands only when asked, and at most MAX_TAME_SUMMANDS
+of them.
 """
 
 from __future__ import annotations
@@ -82,6 +86,8 @@ def iso_count_ef_terms(K: BaseFieldProfile, e: int, f: int) -> tuple[int, list[T
     p = K.p
     s, _ = arith.p_valuation(e, p)
     K.level(s)  # hard requirement up front, never silently padded
+    n0, once = K.n0, K._once
+    bits = counting.magnitude_bits()
     total = 0
     terms: list[TermEF] = []
     for i in range(s + 1):
@@ -89,18 +95,23 @@ def iso_count_ef_terms(K: BaseFieldProfile, e: int, f: int) -> tuple[int, list[T
         if e % e_i or f % f_i:
             continue
         n_i = e_i * f_i
+        f_splits = [
+            (f1, f2, once(arith.euler_phi, f2)) for f1, f2 in arith.divisor_pairs(f // f_i)
+        ]
         for e1, e2 in arith.divisor_pairs(e // e_i):
             s1, _ = arith.p_valuation(e1, p)
             s2, h2 = arith.p_valuation(e2, p)
-            weight = arith.euler_phi(h2)
-            for f1, f2 in arith.divisor_pairs(f // f_i):
-                if not arith.divides_p_power_minus_one(h2, p, K.f0 * f_i * f1):
+            weight = once(arith.euler_phi, h2)
+            for f1, f2, phi_f2 in f_splits:
+                if not once(arith.divides_p_power_minus_one, h2, p, K.f0 * f_i * f1):
                     continue
-                n1 = K.n0 * n_i * e1 * f1
-                term = weight * arith.euler_phi(f2) * counting.sigma_krasner(p, n1, s1)
+                n1 = n0 * n_i * e1 * f1
+                term = weight * phi_f2 * once(counting.sigma_krasner, p, n1, s1, bits=bits)
                 # validity makes e_i divide p^{i-1}(p-1), which divides
                 # delta_count(p, ., s2, i) for i >= 1; e_0 = 1
-                term, rem = divmod(term * counting.delta_count(p, n1, s2, i), e_i)
+                term, rem = divmod(
+                    term * once(counting.delta_count, p, n1, s2, i, bits=bits), e_i
+                )
                 if rem:
                     raise ConsistencyError(
                         f"iso_count_ef(e={e}, f={f}): level-{i} term not divisible by {e_i}"
@@ -131,6 +142,8 @@ def iso_count_total_terms(K: BaseFieldProfile, n: int) -> tuple[int, list[TermTo
     p = K.p
     t, _ = arith.p_valuation(n, p)
     K.level(t)
+    n0, once = K.n0, K._once
+    bits = counting.magnitude_bits()
     total = 0
     terms: list[TermTotal] = []
     for i in range(t + 1):
@@ -143,12 +156,13 @@ def iso_count_total_terms(K: BaseFieldProfile, n: int) -> tuple[int, list[TermTo
             r, k = arith.p_valuation(d, p)
             for e1, f1 in arith.divisor_pairs(rest // d):
                 s1, _ = arith.p_valuation(e1, p)
-                n1 = K.n0 * n_i * e1 * f1
+                n1 = n0 * n_i * e1 * f1
+                g = arith.gcd_p_power_minus_one(k, p, K.f0 * f_i * f1)
                 term = (
                     e1
-                    * counting.psi_count(k, arith.gcd_p_power_minus_one(k, p, K.f0 * f_i * f1))
-                    * counting.sigma_krasner(p, n1, s1)
-                    * counting.delta_count(p, n1 + 1, r, i)
+                    * once(counting.psi_count, k, g)
+                    * once(counting.sigma_krasner, p, n1, s1, bits=bits)
+                    * once(counting.delta_count, p, n1 + 1, r, i, bits=bits)
                 )
                 total += term
                 terms.append(TermTotal(i, d, e1, f1, term))

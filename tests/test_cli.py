@@ -329,3 +329,11 @@ def test_selfcheck_fault_injection(capsys, monkeypatch):
 def test_selfcheck_table_cap(capsys):
     code, out, _ = run_cli(capsys, "selfcheck", "--grid", "small", "--max-table-order", "6")
     assert code == 0
+
+
+@pytest.mark.parametrize("flag", ["--max-abelian-order", "--max-table-order"])
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_selfcheck_refuses_a_cap_below_one(capsys, flag, cap):
+    code, out, err = run_cli(capsys, "selfcheck", "--grid", "small", flag, cap)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} must be >= 1\n"

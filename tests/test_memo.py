@@ -1,0 +1,166 @@
+"""The profile's memo: each closed-form value is computed once per profile,
+and sharing it changes no answer."""
+
+import threading
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from padicount import counting, theorems
+from padicount.cli import main
+from padicount.errors import MagnitudeError
+from padicount.profiles import BaseFieldProfile, CyclotomicDatum, qp_profile
+
+
+def _pairs(n):
+    return [(e, n // e) for e in range(1, n + 1) if n % e == 0]
+
+
+def _fresh(K):
+    return BaseFieldProfile(K.p, K.e0, K.f0, K.cyclotomic)
+
+
+def test_memo_leaves_construction_equality_hash_and_repr_alone():
+    warm = qp_profile(3, 2)
+    theorems.iso_count_total(warm, 9)
+    cold = qp_profile(3, 2)
+    assert warm._memo and not cold._memo
+    assert warm == cold
+    assert hash(warm) == hash(cold)
+    assert repr(warm) == repr(cold)
+    with pytest.raises(TypeError):
+        BaseFieldProfile(3, 1, 1, (), {})
+
+
+@pytest.mark.parametrize(
+    "argv, sigma_distinct, delta_distinct",
+    [
+        ("table --qp 2 --n-max 60", 116, 379),
+        ("table --qp 3 --e-max 40 --f-max 5", 150, 232),
+    ],
+)
+def test_table_computes_each_closed_form_once(
+    capsys, monkeypatch, argv, sigma_distinct, delta_distinct
+):
+    calls = {"sigma_krasner": [], "delta_count": []}
+    for name, seen in calls.items():
+        real = getattr(counting, name)
+        monkeypatch.setattr(
+            counting, name, lambda *a, real=real, seen=seen: seen.append(a) or real(*a)
+        )
+
+    assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    first = {name: list(seen) for name, seen in calls.items()}
+    assert len(first["sigma_krasner"]) == len(set(first["sigma_krasner"])) == sigma_distinct
+    assert len(first["delta_count"]) == len(set(first["delta_count"])) == delta_distinct
+
+    # the memo lives with the invocation's profile: a second run starts cold
+    for seen in calls.values():
+        seen.clear()
+    assert main(argv.split()) == 0
+    assert capsys.readouterr().out == out
+    assert calls == first
+
+
+def test_a_lower_bit_limit_still_raises_on_a_warm_profile(monkeypatch):
+    K = qp_profile(2, 5)
+    expected = (
+        counting.krasner_count(K, 8, 4),
+        theorems.iso_count_ef(K, 8, 4),
+        theorems.iso_count_total(K, 32),
+    )
+    monkeypatch.setenv(counting.MAX_BITS_ENV, "16")
+    with pytest.raises(MagnitudeError):
+        counting.krasner_count(K, 8, 4)
+    with pytest.raises(MagnitudeError):
+        theorems.iso_count_ef(K, 8, 4)
+    with pytest.raises(MagnitudeError):
+        theorems.iso_count_total(K, 32)
+    monkeypatch.delenv(counting.MAX_BITS_ENV)
+    assert (
+        counting.krasner_count(K, 8, 4),
+        theorems.iso_count_ef(K, 8, 4),
+        theorems.iso_count_total(K, 32),
+    ) == expected
+
+
+def _table(K, n_max, start=0):
+    cells = [pair for n in range(1, n_max + 1) for pair in _pairs(n)]
+    cells = cells[start:] + cells[:start]
+    values = {
+        (e, f): (counting.krasner_count(K, e, f), theorems.iso_count_ef(K, e, f))
+        for e, f in cells
+    }
+    totals = {n: theorems.iso_count_total(K, n) for n in range(1, n_max + 1)}
+    return values, totals
+
+
+def test_threads_sharing_a_profile_match_a_serial_run():
+    serial = _table(qp_profile(2, 5), 40)
+    shared = qp_profile(2, 5)
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def work(k):
+        barrier.wait()
+        results[k] = _table(shared, 40, start=17 * k)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert results == [serial] * 4
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@st.composite
+def valid_profiles(draw):
+    """Any profile that passes validation, with p <= 7 and depth <= 2."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    levels = []
+    prev_e = prev_f = 1
+    for i in range(1, draw(st.integers(0, 2)) + 1):
+        units = p ** (i - 1) * (p - 1)
+        e = draw(st.sampled_from(
+            [d for d in _divisors(units) if d % prev_e == 0 and (units // d) % prev_f == 0]
+        ))
+        f = draw(st.sampled_from([d for d in _divisors(units // e) if d % prev_f == 0]))
+        levels.append(CyclotomicDatum(i, e, f))
+        prev_e, prev_f = e, f
+    return BaseFieldProfile(p, draw(st.integers(1, 3)), draw(st.integers(1, 2)), tuple(levels))
+
+
+def _within_depth(K, n):
+    s = 0
+    while n % K.p == 0:
+        n //= K.p
+        s += 1
+    return s <= K.depth
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_warm_profile_agrees_with_fresh_profiles(data):
+    K = data.draw(valid_profiles())
+    degrees = data.draw(st.lists(
+        st.integers(1, 12).filter(lambda n: _within_depth(K, n)), min_size=1, max_size=4
+    ))
+
+    def values():
+        return [
+            (theorems.iso_count_total(K, n), [theorems.iso_count_ef(K, e, f) for e, f in _pairs(n)])
+            for n in degrees
+        ]
+
+    cold = values()
+    assert values() == cold  # now every term comes from the memo
+    for n, (total, cells) in zip(degrees, cold):
+        assert total == sum(cells)
+        assert total == theorems.iso_count_total(_fresh(K), n)
+        assert cells == [theorems.iso_count_ef(_fresh(K), e, f) for e, f in _pairs(n)]
