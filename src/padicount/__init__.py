@@ -32,12 +32,9 @@ from .errors import (
 )
 from .profiles import (
     BaseFieldProfile,
-    CyclicBaseProfile,
     CyclotomicDatum,
-    cyclic_profile_of,
     load_profile,
     qp_profile,
-    xi_of,
 )
 from .theorems import iso_count_ef, iso_count_total, tame_iso_count
 
@@ -47,14 +44,12 @@ __all__ = [
     "BaseFieldProfile",
     "ConsistencyError",
     "CountingError",
-    "CyclicBaseProfile",
     "CyclotomicDatum",
     "DomainError",
     "MagnitudeError",
     "ProfileTooShortError",
     "cyclic_count_ef",
     "cyclic_count_total",
-    "cyclic_profile_of",
     "delta_count",
     "iso_count_ef",
     "iso_count_total",
@@ -65,5 +60,4 @@ __all__ = [
     "qp_profile",
     "sigma_krasner",
     "tame_iso_count",
-    "xi_of",
 ]

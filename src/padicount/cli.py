@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 from . import arith, counting, theorems
 from .errors import ConsistencyError, DomainError, MagnitudeError
-from .profiles import BaseFieldProfile, cyclic_profile_of, load_profile, qp_profile
+from .profiles import BaseFieldProfile, load_profile, qp_profile
 from .selfcheck import (
     DEFAULT_MAX_ABELIAN_ORDER,
     DEFAULT_MAX_TABLE_ORDER,
@@ -59,12 +59,12 @@ KINDS = {
     "cyclic-ef": Kind(
         ("e", "f"),
         _cyclic_depth,
-        lambda K, a: (counting.cyclic_count_ef(cyclic_profile_of(K), a.e, a.f), None),
+        lambda K, a: (counting.cyclic_count_ef(K, a.e, a.f), None),
     ),
     "cyclic-total": Kind(
         ("d",),
         _cyclic_depth,
-        lambda K, a: (counting.cyclic_count_total(cyclic_profile_of(K), a.d), None),
+        lambda K, a: (counting.cyclic_count_total(K, a.d), None),
     ),
     # the per-i summands come from the cross-check, run only when printed
     "tame": Kind(

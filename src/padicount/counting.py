@@ -14,7 +14,7 @@ import os
 
 from . import arith
 from .errors import ConsistencyError, DomainError, MagnitudeError
-from .profiles import BaseFieldProfile, CyclicBaseProfile
+from .profiles import BaseFieldProfile
 
 DEFAULT_MAX_BITS = 1 << 20
 MAX_BITS_ENV = "PADICOUNT_MAX_BITS"
@@ -138,37 +138,40 @@ def psi_count(u: int, v: int) -> int:
     return q
 
 
-def cyclic_count_ef(F: CyclicBaseProfile, e: int, f: int) -> int:
-    """Number of cyclic extensions of F with ramification e and inertia f.
+def cyclic_count_ef(K: BaseFieldProfile, e: int, f: int) -> int:
+    """Number of cyclic extensions of K with ramification e and inertia f.
 
-    Zero when the prime-to-p part h of e does not divide p^f_abs - 1,
-    else e*phi(h)*phi(f)/phi(e*f) * pi_count(p, m, v_p(e), xi).
+    Zero when the prime-to-p part h of e does not divide p^f0 - 1,
+    else e*phi(h)*phi(f)/phi(e*f) * pi_count(p, n0, v_p(e), xi).  K must
+    be deep enough to determine xi, even where the count is zero.
     """
     if e < 1 or f < 1:
         raise DomainError("cyclic_count_ef: e and f must be >= 1")
-    s, h = arith.p_valuation(e, F.p)
-    if not arith.divides_p_power_minus_one(h, F.p, F.f_abs):
+    xi = K.xi
+    s, h = arith.p_valuation(e, K.p)
+    if not arith.divides_p_power_minus_one(h, K.p, K.f0):
         return 0
-    num = e * arith.euler_phi(h) * arith.euler_phi(f) * pi_count(F.p, F.m, s, F.xi)
+    num = e * arith.euler_phi(h) * arith.euler_phi(f) * pi_count(K.p, K.n0, s, xi)
     q, r = divmod(num, arith.euler_phi(e * f))
     if r:
         raise ConsistencyError(f"cyclic_count_ef({e}, {f}): division by phi({e * f}) inexact")
     return q
 
 
-def cyclic_count_total(F: CyclicBaseProfile, d: int) -> int:
-    """Number of cyclic extensions of F of degree d, all (e, f) combined.
+def cyclic_count_total(K: BaseFieldProfile, d: int) -> int:
+    """Number of cyclic extensions of K of degree d, all (e, f) combined.
 
     With d = p^r * k, gcd(k, p) = 1:
-    psi(k, p^f_abs - 1) / phi(d) * pi_count(p, m+1, r, xi).  psi depends
+    psi(k, p^f0 - 1) / phi(d) * pi_count(p, n0+1, r, xi).  psi depends
     on its second argument only through its gcd with k, so that gcd is
     passed instead of the power.
     """
     if d < 1:
         raise DomainError("cyclic_count_total: d must be >= 1")
-    r, k = arith.p_valuation(d, F.p)
-    psi = psi_count(k, arith.gcd_p_power_minus_one(k, F.p, F.f_abs))
-    num = psi * pi_count(F.p, F.m + 1, r, F.xi)
+    xi = K.xi
+    r, k = arith.p_valuation(d, K.p)
+    psi = psi_count(k, arith.gcd_p_power_minus_one(k, K.p, K.f0))
+    num = psi * pi_count(K.p, K.n0 + 1, r, xi)
     q, rem = divmod(num, arith.euler_phi(d))
     if rem:
         raise ConsistencyError(f"cyclic_count_total({d}): division by phi({d}) inexact")

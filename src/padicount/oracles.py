@@ -21,7 +21,7 @@ from itertools import permutations, product, starmap
 
 from . import arith
 from .errors import ConsistencyError, DomainError, MagnitudeError
-from .profiles import CyclicBaseProfile
+from .profiles import BaseFieldProfile
 
 DEFAULT_ABELIAN_CAP = 100_000
 DEFAULT_TABLE_CAP = 48
@@ -80,18 +80,18 @@ def element_order_count(G: AbelianGroup, u: int) -> int:
     return G.order_histogram().get(u, 0)
 
 
-def dual_group(F: CyclicBaseProfile, d: int, cap: int = DEFAULT_ABELIAN_CAP) -> AbelianGroup:
-    """The dual-side product for degree d over F.
+def dual_group(K: BaseFieldProfile, d: int, cap: int = DEFAULT_ABELIAN_CAP) -> AbelianGroup:
+    """The dual-side product for degree d over K.
 
-    C_d x C_z x C_{p^r}^m x C_{p^{min(xi,r)}} with d = p^r * k,
-    gcd(k, p) = 1 and z = gcd(k, p^f_abs - 1).  The C_d factor comes
+    C_d x C_z x C_{p^r}^n0 x C_{p^{min(xi,r)}} with d = p^r * k,
+    gcd(k, p) = 1 and z = gcd(k, p^f0 - 1).  The C_d factor comes
     first; it is the distinguished coordinate for intersection counts.
     """
     if d < 1:
         raise DomainError("d must be >= 1")
-    r, k = arith.p_valuation(d, F.p)
-    z = arith.gcd_p_power_minus_one(k, F.p, F.f_abs)
-    factors = (d, z) + (F.p**r,) * F.m + (F.p ** min(F.xi, r),)
+    r, k = arith.p_valuation(d, K.p)
+    z = arith.gcd_p_power_minus_one(k, K.p, K.f0)
+    factors = (d, z) + (K.p**r,) * K.n0 + (K.p ** min(K.xi, r),)
     return AbelianGroup(factors, cap=cap)
 
 

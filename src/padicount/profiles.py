@@ -9,6 +9,10 @@ typically from a JSON profile file.  Only Q_p gets an auto-built profile,
 which hard-codes the classical fact that adjoining the p^i-th roots of
 unity to Q_p is totally ramified of degree phi(p^i).
 
+Every count takes a BaseFieldProfile: the cyclic counts read the
+absolute degree n0, the absolute inertia f0 and xi, where p^xi is the
+order of the group of p-power roots of unity in K.
+
 A BaseFieldProfile is validated once, when it is built: an invalid one
 cannot exist, so the evaluators and the arithmetic they call never
 re-check p or the tower.  It also carries a private memo through which
@@ -86,6 +90,23 @@ class BaseFieldProfile:
     def depth(self) -> int:
         return len(self.cyclotomic)
 
+    @property
+    def xi(self) -> int:
+        """Largest i whose level-i cyclotomic extension is trivial.
+
+        Equivalently, p^xi is the order of the group of p-power roots of
+        unity in the field: zeta_{p^i} lies in the field exactly when the
+        level-i extension has degree 1.  The profile must extend at least
+        one level past the answer; otherwise xi cannot be bounded above.
+        """
+        xi = 0
+        for datum in self.cyclotomic:
+            if datum.e * datum.f == 1:
+                xi = datum.i
+            else:
+                return xi
+        raise ProfileTooShortError("profile too short to determine xi")
+
     def level(self, i: int) -> tuple[int, int]:
         """(e_i, f_i) for the level-i cyclotomic extension; level 0 is (1, 1)."""
         if i < 0:
@@ -98,32 +119,6 @@ class BaseFieldProfile:
             )
         datum = self.cyclotomic[i - 1]
         return (datum.e, datum.f)
-
-
-@dataclass(frozen=True)
-class CyclicBaseProfile:
-    """Base-field data consumed by the cyclic-extension counts.
-
-    m is the absolute degree, f_abs the absolute inertia, and p^xi the
-    order of the group of p-power roots of unity in the field.
-    """
-
-    p: int
-    m: int
-    f_abs: int
-    xi: int
-
-    def __post_init__(self):
-        if not arith.is_prime(self.p):
-            raise DomainError(f"p = {self.p} is not prime")
-        if self.m < 1 or self.f_abs < 1:
-            raise DomainError("m and f_abs must be >= 1")
-        if self.m % self.f_abs:
-            raise DomainError(f"f_abs = {self.f_abs} must divide m = {self.m}")
-        if self.xi < 0:
-            raise DomainError("xi must be >= 0")
-        if self.p == 2 and self.xi < 1:
-            raise DomainError("xi >= 1 required for p = 2 (-1 is a 2-power root of unity)")
 
 
 def qp_profile(p: int, max_level: int) -> BaseFieldProfile:
@@ -140,28 +135,6 @@ def qp_profile(p: int, max_level: int) -> BaseFieldProfile:
         CyclotomicDatum(i, p ** (i - 1) * (p - 1), 1) for i in range(1, max_level + 1)
     )
     return BaseFieldProfile(p, 1, 1, data)
-
-
-def xi_of(profile: BaseFieldProfile) -> int:
-    """Largest i whose level-i cyclotomic extension is trivial.
-
-    Equivalently, p^xi is the order of the group of p-power roots of
-    unity in the field: zeta_{p^i} lies in the field exactly when the
-    level-i extension has degree 1.  The profile must extend at least
-    one level past the answer; otherwise xi cannot be bounded above.
-    """
-    xi = 0
-    for datum in profile.cyclotomic:
-        if datum.e * datum.f == 1:
-            xi = datum.i
-        else:
-            return xi
-    raise ProfileTooShortError("profile too short to determine xi")
-
-
-def cyclic_profile_of(profile: BaseFieldProfile) -> CyclicBaseProfile:
-    """View a base field as input for the cyclic-extension counts."""
-    return CyclicBaseProfile(profile.p, profile.n0, profile.f0, xi_of(profile))
 
 
 def validate(profile: BaseFieldProfile) -> list[str]:

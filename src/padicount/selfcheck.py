@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from . import arith, counting, oracles, theorems
 from .errors import ConsistencyError, DomainError, MagnitudeError
-from .profiles import CyclicBaseProfile, qp_profile
+from .profiles import BaseFieldProfile, CyclotomicDatum, qp_profile
 
 DEFAULT_MAX_ABELIAN_ORDER = 1_000_000
 DEFAULT_MAX_TABLE_ORDER = 48
@@ -216,13 +216,18 @@ def delta_telescoping_suite() -> SuiteResult:
     return result
 
 
-def _cyclic_profiles() -> list[CyclicBaseProfile]:
-    profiles = []
-    for p in (2, 3):
-        for m, f_abs in ((1, 1), (2, 1), (2, 2)):
-            for xi in ((1,) if p == 2 else (0, 1)):
-                profiles.append(CyclicBaseProfile(p, m, f_abs, xi))
-    return profiles
+def _cyclic_profiles() -> list[BaseFieldProfile]:
+    """Base fields with n0 <= 2, f0 <= 2 and xi <= 1 (xi = 1 when p = 2),
+    through level 2: level i is trivial for i <= xi, else totally
+    ramified of degree phi(p^i)."""
+    return [
+        BaseFieldProfile(p, e0, f0, [
+            CyclotomicDatum(i, 1 if i <= xi else p ** (i - 1) * (p - 1), 1) for i in (1, 2)
+        ])
+        for p in (2, 3)
+        for e0, f0 in ((1, 1), (2, 1), (1, 2))
+        for xi in ((1,) if p == 2 else (0, 1))
+    ]
 
 
 def dual_oracle_suite(
@@ -230,19 +235,19 @@ def dual_oracle_suite(
 ) -> SuiteResult:
     result = SuiteResult("dual-oracle")
     d_max = 8 if small else 12
-    for F in _cyclic_profiles():
+    for K in _cyclic_profiles():
         for d in range(1, d_max + 1):
             try:
-                Ghat = oracles.dual_group(F, d, cap=max_abelian_order)
+                Ghat = oracles.dual_group(K, d, cap=max_abelian_order)
             except MagnitudeError:  # past the enumeration cap: skipped
                 continue
             by_meet = oracles.dual_cyclic_subgroup_count(Ghat, d)
             for e, f in arith.divisor_pairs(d):
 
-                def check(F=F, e=e, f=f, want=by_meet[f]):
-                    got = counting.cyclic_count_ef(F, e, f)
+                def check(K=K, e=e, f=f, want=by_meet[f]):
+                    got = counting.cyclic_count_ef(K, e, f)
                     return got == want, (
-                        f"cyclic_count_ef(p={F.p},m={F.m},f_abs={F.f_abs},xi={F.xi}; "
+                        f"cyclic_count_ef(p={K.p},n0={K.n0},f0={K.f0},xi={K.xi}; "
                         f"e={e},f={f}) = {got} but subgroup enumeration finds {want}"
                     )
 
@@ -253,16 +258,16 @@ def dual_oracle_suite(
 def cyclic_decomposition_suite(small: bool = False) -> SuiteResult:
     result = SuiteResult("cyclic-decomposition")
     d_max = 12 if small else 24
-    for F in _cyclic_profiles():
+    for K in _cyclic_profiles():
         for d in range(1, d_max + 1):
 
-            def check(F=F, d=d):
-                parts = sum(counting.cyclic_count_ef(F, e, f) for e, f in arith.divisor_pairs(d))
-                total = counting.cyclic_count_total(F, d)
+            def check(K=K, d=d):
+                parts = sum(counting.cyclic_count_ef(K, e, f) for e, f in arith.divisor_pairs(d))
+                total = counting.cyclic_count_total(K, d)
                 return parts == total, (
                     f"sum of cyclic_count_ef over ef={d} is {parts}, "
                     f"cyclic_count_total gives {total} "
-                    f"(p={F.p},m={F.m},f_abs={F.f_abs},xi={F.xi})"
+                    f"(p={K.p},n0={K.n0},f0={K.f0},xi={K.xi})"
                 )
 
             result.run(check)
@@ -347,9 +352,9 @@ def golden_suite() -> SuiteResult:
         ("I(Q_2,n=2)", lambda: theorems.iso_count_total(qp_profile(2, 1), 2), 7),
         ("I(Q_3,n=3)", lambda: theorems.iso_count_total(qp_profile(3, 1), 3), 10),
         ("I(Q_5,e=2,f=1)", lambda: theorems.tame_iso_count(qp_profile(5, 0), 2, 1), 2),
-        ("C(Q_2,e=2,f=1)", lambda: counting.cyclic_count_ef(CyclicBaseProfile(2, 1, 1, 1), 2, 1), 6),
-        ("C(Q_2,d=2)", lambda: counting.cyclic_count_total(CyclicBaseProfile(2, 1, 1, 1), 2), 7),
-        ("C(Q_3,d=3)", lambda: counting.cyclic_count_total(CyclicBaseProfile(3, 1, 1, 0), 3), 4),
+        ("C(Q_2,e=2,f=1)", lambda: counting.cyclic_count_ef(qp_profile(2, 2), 2, 1), 6),
+        ("C(Q_2,d=2)", lambda: counting.cyclic_count_total(qp_profile(2, 2), 2), 7),
+        ("C(Q_3,d=3)", lambda: counting.cyclic_count_total(qp_profile(3, 1), 3), 4),
     ]
     for label, compute, want in cases:
 

@@ -11,7 +11,7 @@ Three evaluators:
 A BaseFieldProfile is validated when it is built, so the evaluators take
 p and the tower on trust and re-check neither.  The cells of a table
 share most of their terms, so the evaluators fetch sigma_krasner,
-delta_count, psi_count and the totients through the profile's memo
+delta_count, psi_count, totients and gcds through the profile's memo
 (BaseFieldProfile._once) and read the magnitude limit once per call.
 Each evaluator sums integer terms and divides once at the end (by f,
 respectively n); a remainder is impossible for correct code and raises
@@ -157,7 +157,7 @@ def iso_count_total_terms(K: BaseFieldProfile, n: int) -> tuple[int, list[TermTo
             for e1, f1 in arith.divisor_pairs(rest // d):
                 s1, _ = arith.p_valuation(e1, p)
                 n1 = n0 * n_i * e1 * f1
-                g = arith.gcd_p_power_minus_one(k, p, K.f0 * f_i * f1)
+                g = once(arith.gcd_p_power_minus_one, k, p, K.f0 * f_i * f1)
                 term = (
                     e1
                     * once(counting.psi_count, k, g)

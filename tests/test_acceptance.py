@@ -12,7 +12,7 @@ import pytest
 from padicount import arith, counting, selfcheck, theorems
 from padicount.counting import cyclic_count_ef, cyclic_count_total, krasner_count
 from padicount.errors import ConsistencyError
-from padicount.profiles import CyclicBaseProfile, qp_profile
+from padicount.profiles import qp_profile
 
 
 class _Timer:
@@ -44,9 +44,9 @@ def test_criterion_1_exact_golden_values():
         assert theorems.iso_count_total(qp_profile(2, 1), 2) == 7
         assert theorems.iso_count_total(qp_profile(3, 1), 3) == 10
         assert theorems.tame_iso_count(qp_profile(5, 0), 2, 1) == 2
-        assert cyclic_count_ef(CyclicBaseProfile(2, 1, 1, 1), 2, 1) == 6
-        assert cyclic_count_total(CyclicBaseProfile(2, 1, 1, 1), 2) == 7
-        assert cyclic_count_total(CyclicBaseProfile(3, 1, 1, 0), 3) == 4
+        assert cyclic_count_ef(qp_profile(2, 2), 2, 1) == 6
+        assert cyclic_count_total(qp_profile(2, 2), 2) == 7
+        assert cyclic_count_total(qp_profile(3, 1), 3) == 4
 
 
 def test_criterion_2_lemma_brute_force_suite():
@@ -79,7 +79,7 @@ def test_criterion_3_element_count_oracles():
 
 def test_criterion_4_dual_group_oracle():
     # cyclic_count_ef vs dual-group subgroup enumeration for d <= 12,
-    # profiles with m <= 2, f_abs <= 2, xi <= 1, p in {2,3};
+    # profiles with n0 <= 2, f0 <= 2, xi <= 1, p in {2,3};
     # decomposition identity up to d = 24
     with _Timer("criterion 4, dual-group oracle and decomposition"):
         dual = selfcheck.dual_oracle_suite(max_abelian_order=1_000_000, small=False)
@@ -121,7 +121,7 @@ def test_criterion_6_exactness_guards(monkeypatch):
 
         monkeypatch.setattr(counting, "pi_count", lambda p, m, s, xi: 3)
         with pytest.raises(ConsistencyError):
-            counting.cyclic_count_ef(CyclicBaseProfile(3, 1, 1, 0), 3, 1)
+            counting.cyclic_count_ef(qp_profile(3, 1), 3, 1)
         monkeypatch.undo()
 
         with pytest.raises(counting.DomainError):

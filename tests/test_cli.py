@@ -220,6 +220,24 @@ def test_profile_too_short_exit_code(capsys, tmp_path):
     assert "too short" in err
 
 
+@pytest.mark.parametrize(
+    "query",
+    [("cyclic-ef", "--e", "3", "--f", "1"), ("cyclic-total", "--d", "2")],
+    ids=["cyclic-ef", "cyclic-total"],
+)
+@pytest.mark.parametrize(
+    "tower", [[], [{"i": 1, "e": 1, "f": 1}]], ids=["depth-0", "depth-1-trivial"]
+)
+def test_profile_too_short_for_xi_exit_code(capsys, tmp_path, query, tower):
+    # no nontrivial level bounds xi, so the cyclic counts refuse the profile,
+    # even where the count would be 0 (3 does not divide 2^1 - 1)
+    path = tmp_path / "shallow.json"
+    path.write_text(json.dumps({"p": 2, "e0": 1, "f0": 1, "cyclotomic": tower}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "count", query[0], "--profile", str(path), *query[1:])
+    assert (code, out) == (2, "")
+    assert "too short" in err
+
+
 def test_invalid_profile_exit_code(capsys, tmp_path):
     path = tmp_path / "bad.json"
     bad = {"p": 3, "e0": 1, "f0": 1, "cyclotomic": [{"i": 1, "e": 5, "f": 1}]}

@@ -11,10 +11,10 @@ from padicount.counting import (
     sigma_krasner,
 )
 from padicount.errors import DomainError, MagnitudeError
-from padicount.profiles import BaseFieldProfile, CyclicBaseProfile, qp_profile
+from padicount.profiles import BaseFieldProfile, CyclotomicDatum, qp_profile
 
-Q2 = CyclicBaseProfile(2, 1, 1, 1)
-Q3 = CyclicBaseProfile(3, 1, 1, 0)
+Q2 = qp_profile(2, 2)  # xi = 1
+Q3 = qp_profile(3, 1)  # xi = 0
 
 
 def test_sigma_krasner_trivial_s():
@@ -150,8 +150,8 @@ def test_cyclic_count_ef_vanishes_without_tame_roots():
     # h = 3 does not divide 2^1 - 1
     assert cyclic_count_ef(Q2, 3, 1) == 0
     # but 3 | 2^2 - 1, so inertia 2 admits it
-    F = CyclicBaseProfile(2, 2, 2, 1)
-    assert cyclic_count_ef(F, 3, 1) > 0
+    K = BaseFieldProfile(2, 1, 2, (CyclotomicDatum(1, 1, 1), CyclotomicDatum(2, 2, 1)))
+    assert cyclic_count_ef(K, 3, 1) > 0
 
 
 def test_cyclic_count_total_examples():
@@ -162,7 +162,9 @@ def test_cyclic_count_total_examples():
 
 
 def test_cyclic_decomposition_small():
-    for F in (Q2, Q3, CyclicBaseProfile(3, 2, 2, 1)):
+    # (p, n0, f0, xi) = (3, 2, 2, 1) as well
+    K = BaseFieldProfile(3, 1, 2, (CyclotomicDatum(1, 1, 1), CyclotomicDatum(2, 6, 1)))
+    for F in (Q2, Q3, K):
         for d in range(1, 13):
             from padicount.arith import divisor_pairs
 

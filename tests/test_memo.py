@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicount import counting, theorems
+from padicount import arith, counting, theorems
 from padicount.cli import main
 from padicount.errors import MagnitudeError
 from padicount.profiles import BaseFieldProfile, CyclotomicDatum, qp_profile
@@ -33,6 +33,10 @@ def test_memo_leaves_construction_equality_hash_and_repr_alone():
         BaseFieldProfile(3, 1, 1, (), {})
 
 
+# degree mode's totals take gcd(k, p^F - 1); the rectangle has no totals
+GCD_DISTINCT = {"table --qp 2 --n-max 60": 150, "table --qp 3 --e-max 40 --f-max 5": 0}
+
+
 @pytest.mark.parametrize(
     "argv, sigma_distinct, delta_distinct",
     [
@@ -43,11 +47,12 @@ def test_memo_leaves_construction_equality_hash_and_repr_alone():
 def test_table_computes_each_closed_form_once(
     capsys, monkeypatch, argv, sigma_distinct, delta_distinct
 ):
-    calls = {"sigma_krasner": [], "delta_count": []}
+    calls = {"sigma_krasner": [], "delta_count": [], "gcd_p_power_minus_one": []}
     for name, seen in calls.items():
-        real = getattr(counting, name)
+        module = arith if name == "gcd_p_power_minus_one" else counting
+        real = getattr(module, name)
         monkeypatch.setattr(
-            counting, name, lambda *a, real=real, seen=seen: seen.append(a) or real(*a)
+            module, name, lambda *a, real=real, seen=seen: seen.append(a) or real(*a)
         )
 
     assert main(argv.split()) == 0
@@ -55,6 +60,8 @@ def test_table_computes_each_closed_form_once(
     first = {name: list(seen) for name, seen in calls.items()}
     assert len(first["sigma_krasner"]) == len(set(first["sigma_krasner"])) == sigma_distinct
     assert len(first["delta_count"]) == len(set(first["delta_count"])) == delta_distinct
+    gcds = first["gcd_p_power_minus_one"]
+    assert len(gcds) == len(set(gcds)) == GCD_DISTINCT[argv]
 
     # the memo lives with the invocation's profile: a second run starts cold
     for seen in calls.values():

@@ -13,7 +13,7 @@ from padicount.oracles import (
     lemma_check,
     subgroups,
 )
-from padicount.profiles import CyclicBaseProfile
+from padicount.profiles import BaseFieldProfile, CyclotomicDatum, qp_profile
 
 
 def test_abelian_group_basics():
@@ -57,15 +57,13 @@ def test_pi_count_r_independence():
 
 
 def test_dual_group_shape_for_q2():
-    F = CyclicBaseProfile(2, 1, 1, 1)
-    Ghat = dual_group(F, 2)
+    Ghat = dual_group(qp_profile(2, 2), 2)
     # C_2 x C_z x C_2 x C_2 with the prime-to-2 slot degenerate
     assert Ghat.factors == (2, 1, 2, 2)
 
 
 def test_dual_cyclic_subgroup_count_q2():
-    F = CyclicBaseProfile(2, 1, 1, 1)
-    Ghat = dual_group(F, 2)
+    Ghat = dual_group(qp_profile(2, 2), 2)
     by_meet = dual_cyclic_subgroup_count(Ghat, 2)
     assert by_meet[2] == 1  # only B itself
     assert by_meet[1] == 6  # the ramified quadratics
@@ -73,8 +71,10 @@ def test_dual_cyclic_subgroup_count_q2():
 
 
 def test_dual_cyclic_subgroup_count_trivial():
-    for F in (CyclicBaseProfile(2, 1, 1, 1), CyclicBaseProfile(3, 2, 1, 1)):
-        Ghat = dual_group(F, 1)
+    # Q_2, and Q_3(zeta_3): (p, n0, f0, xi) = (3, 2, 1, 1)
+    q3_zeta3 = BaseFieldProfile(3, 2, 1, (CyclotomicDatum(1, 1, 1), CyclotomicDatum(2, 3, 1)))
+    for K in (qp_profile(2, 2), q3_zeta3):
+        Ghat = dual_group(K, 1)
         assert dual_cyclic_subgroup_count(Ghat, 1)[1] == 1
 
 
@@ -85,16 +85,16 @@ def test_dual_cyclic_subgroup_count_checks_distinguished_factor():
 
 
 def test_dual_oracle_matches_formulas_small():
-    for p, xi_choices in ((2, (1,)), (3, (0, 1))):
-        for xi in xi_choices:
-            F = CyclicBaseProfile(p, 1, 1, xi)
-            for d in range(1, 9):
-                Ghat = dual_group(F, d)
-                by_meet = dual_cyclic_subgroup_count(Ghat, d)
-                per_f = {f: by_meet[f] for _, f in arith.divisor_pairs(d)}
-                for e, f in arith.divisor_pairs(d):
-                    assert cyclic_count_ef(F, e, f) == per_f[f], (p, xi, e, f)
-                assert sum(per_f.values()) == cyclic_count_total(F, d)
+    # (p, n0, f0) = (p, 1, 1) with xi = 1 for p = 2 and xi in {0, 1} for p = 3
+    xi_one = BaseFieldProfile(3, 1, 1, (CyclotomicDatum(1, 1, 1), CyclotomicDatum(2, 6, 1)))
+    for K in (qp_profile(2, 2), qp_profile(3, 1), xi_one):
+        for d in range(1, 9):
+            Ghat = dual_group(K, d)
+            by_meet = dual_cyclic_subgroup_count(Ghat, d)
+            per_f = {f: by_meet[f] for _, f in arith.divisor_pairs(d)}
+            for e, f in arith.divisor_pairs(d):
+                assert cyclic_count_ef(K, e, f) == per_f[f], (K.p, K.xi, e, f)
+            assert sum(per_f.values()) == cyclic_count_total(K, d)
 
 
 def test_group_table_rejects_junk():

@@ -1,18 +1,20 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_memo import valid_profiles
 
 from padicount import profiles
+from padicount.arith import divisor_pairs
+from padicount.counting import cyclic_count_ef, cyclic_count_total
 from padicount.errors import DomainError, ProfileTooShortError
 from padicount.profiles import (
     BaseFieldProfile,
-    CyclicBaseProfile,
     CyclotomicDatum,
-    cyclic_profile_of,
     load_profile,
     qp_profile,
     validate,
-    xi_of,
 )
 
 
@@ -48,29 +50,29 @@ def test_level_lookup():
         prof.level(3)
 
 
-def test_xi_of_examples():
-    assert xi_of(qp_profile(2, 2)) == 1
-    assert xi_of(qp_profile(3, 1)) == 0
+def test_xi_examples():
+    assert qp_profile(2, 2).xi == 1
+    assert qp_profile(3, 1).xi == 0
     custom = BaseFieldProfile(
         2, 2, 1,
         (CyclotomicDatum(1, 1, 1), CyclotomicDatum(2, 1, 1), CyclotomicDatum(3, 2, 1)),
     )
-    assert xi_of(custom) == 2
+    assert custom.xi == 2
 
 
-def test_xi_of_needs_one_level_past_answer():
+def test_xi_needs_one_level_past_answer():
     with pytest.raises(ProfileTooShortError):
-        xi_of(qp_profile(2, 1))  # level 1 trivial, nothing after it
+        qp_profile(2, 1).xi  # level 1 trivial, nothing after it
     with pytest.raises(ProfileTooShortError):
-        xi_of(qp_profile(3, 0))
+        qp_profile(3, 0).xi
 
 
-def test_xi_of_qp_families():
+def test_xi_qp_families():
     for L in range(2, 6):
-        assert xi_of(qp_profile(2, L)) == 1
+        assert qp_profile(2, L).xi == 1
     for p in (3, 5, 7, 11):
         for L in range(1, 4):
-            assert xi_of(qp_profile(p, L)) == 0
+            assert qp_profile(p, L).xi == 0
 
 
 def test_validate_accepts_qp_profiles():
@@ -108,18 +110,27 @@ def test_divisibility_monotone_on_valid_profiles():
             assert b % a == 0
 
 
-def test_cyclic_profile_of_q2():
-    assert cyclic_profile_of(qp_profile(2, 2)) == CyclicBaseProfile(2, 1, 1, 1)
-    assert cyclic_profile_of(qp_profile(3, 1)) == CyclicBaseProfile(3, 1, 1, 0)
+@settings(max_examples=60, deadline=None)
+@given(K=valid_profiles(), d=st.integers(1, 12))
+def test_xi_and_the_cyclic_counts_on_any_valid_profile(K, d):
+    trivial = [datum.i for datum in K.cyclotomic if datum.e * datum.f == 1]
+    if len(trivial) == K.depth:  # no nontrivial level bounds xi
+        counts = (lambda: K.xi, lambda: cyclic_count_total(K, d), lambda: cyclic_count_ef(K, d, 1))
+        for count in counts:
+            with pytest.raises(ProfileTooShortError):
+                count()
+        return
+    assert K.xi == max(trivial, default=0)
+    if K.p == 2:  # level 1 of a valid 2-adic tower is trivial: -1 lies in K
+        assert K.xi >= 1
+    cells = sum(cyclic_count_ef(K, e, f) for e, f in divisor_pairs(d))
+    assert cyclic_count_total(K, d) == cells
 
 
-def test_cyclic_base_profile_invariants():
-    with pytest.raises(DomainError):
-        CyclicBaseProfile(3, 3, 2, 0)  # f_abs does not divide m
-    with pytest.raises(DomainError):
-        CyclicBaseProfile(2, 1, 1, 0)  # p = 2 forces xi >= 1
-    with pytest.raises(DomainError):
-        CyclicBaseProfile(4, 1, 1, 1)  # composite p
+def test_cyclic_inputs_of_qp():
+    # the cyclic counts read (p, n0, f0, xi) straight off the profile
+    for K, want in ((qp_profile(2, 2), (2, 1, 1, 1)), (qp_profile(3, 1), (3, 1, 1, 0))):
+        assert (K.p, K.n0, K.f0, K.xi) == want
 
 
 def test_load_profile_roundtrip(tmp_path):

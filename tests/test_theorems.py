@@ -3,7 +3,7 @@ import pytest
 from padicount import arith, counting, theorems
 from padicount.counting import cyclic_count_ef, krasner_count
 from padicount.errors import ConsistencyError, DomainError, MagnitudeError, ProfileTooShortError
-from padicount.profiles import BaseFieldProfile, CyclicBaseProfile, CyclotomicDatum, qp_profile
+from padicount.profiles import BaseFieldProfile, CyclotomicDatum, qp_profile
 from padicount.theorems import (
     MAX_TAME_SUMMANDS,
     iso_count_ef,
@@ -159,8 +159,8 @@ def test_total_equals_sum_over_ef_cells():
 def test_prime_degree_chain_identity():
     # at prime degree q, every tower is trivial or cyclic of degree q, so
     # classes = (krasner + phi(q) * cyclic) / q
-    for p, xi in ((2, 1), (3, 0), (5, 0)):
-        F = CyclicBaseProfile(p, 1, 1, xi)
+    for p in (2, 3, 5):
+        F = qp_profile(p, 2)  # xi = 1 for p = 2, else 0
         for q in (2, 3, 5):
             K = qp_profile(p, arith.p_valuation(q, p).s)
             for e, f in arith.divisor_pairs(q):
@@ -199,13 +199,13 @@ def _unramified_quadratic_over_q2():
 
 
 def test_nontrivial_base_fields_frozen_values():
-    from padicount.profiles import cyclic_profile_of, validate
+    from padicount.profiles import validate
 
     K1 = _ramified_quadratic_over_q3()
     K2 = _unramified_quadratic_over_q2()
     assert validate(K1) == [] and validate(K2) == []
-    assert cyclic_profile_of(K1) == CyclicBaseProfile(3, 2, 1, 0)
-    assert cyclic_profile_of(K2) == CyclicBaseProfile(2, 2, 2, 1)
+    assert (K1.p, K1.n0, K1.f0, K1.xi) == (3, 2, 1, 0)
+    assert (K2.p, K2.n0, K2.f0, K2.xi) == (2, 2, 2, 1)
     # Kummer oracle: |K^x / squares| - 1 quadratic extensions, all Galois
     assert iso_count_total(K1, 2) == 3
     assert iso_count_total(K2, 2) == 15
@@ -218,14 +218,11 @@ def test_nontrivial_base_fields_frozen_values():
 
 
 def test_nontrivial_base_fields_cross_checks():
-    from padicount.profiles import cyclic_profile_of
-
     for K in (_ramified_quadratic_over_q3(), _unramified_quadratic_over_q2()):
-        F = cyclic_profile_of(K)
         for q in (2, 3, 5):
             for e, f in arith.divisor_pairs(q):
                 fields = krasner_count(K, e, f)
-                cyclic = cyclic_count_ef(F, e, f)
+                cyclic = cyclic_count_ef(K, e, f)
                 expected, rem = divmod(fields + (q - 1) * cyclic, q)
                 assert rem == 0
                 assert iso_count_ef(K, e, f) == expected, (K.p, e, f)
@@ -250,4 +247,4 @@ def test_division_guards_fire_on_corrupted_inputs(monkeypatch):
 def test_cyclic_division_guard_fires(monkeypatch):
     monkeypatch.setattr(counting, "pi_count", lambda p, m, s, xi: 3)
     with pytest.raises(ConsistencyError):
-        counting.cyclic_count_ef(CyclicBaseProfile(3, 1, 1, 0), 3, 1)
+        counting.cyclic_count_ef(qp_profile(3, 1), 3, 1)
