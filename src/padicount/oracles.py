@@ -8,8 +8,13 @@ Two substrates:
 * arbitrary finite groups given by a Cayley table (full subgroup-lattice
   enumeration and the chain-count identity for conjugacy classes).
 
-Everything proceeds by exhaustive enumeration; caps keep the worst
-cases bounded and raise MagnitudeError when exceeded.
+Everything proceeds by exhaustive enumeration, and no count here uses a
+closed form from the paper.  Each enumeration visits each object once:
+the order histogram combines the cyclic factors one at a time, each
+cyclic subgroup of the dual group is built from one generator, and the
+subgroup lattice joins with each cyclic subgroup of prime-power order,
+not with each element.  Caps keep the worst cases bounded and raise
+MagnitudeError when exceeded.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations, product, starmap
+from itertools import permutations, product
 
 from . import arith
 from .errors import ConsistencyError, DomainError, MagnitudeError
@@ -62,18 +67,32 @@ class AbelianGroup:
         return order
 
     def order_histogram(self) -> Counter:
-        """order -> element count, by iterating every element of the group."""
+        """order -> element count.
+
+        An element's order is the lcm of its coordinate orders, so the
+        histogram of a product is built one cyclic factor at a time: each
+        pair (order a with n_a elements so far, order b with n_b
+        coordinates in the next factor) adds n_a * n_b to lcm(a, b).
+        This counts every element once without visiting each one.
+        """
         if self._histogram is None:
-            per_coord = [[f // math.gcd(c, f) for c in range(f)] for f in self.factors]
-            self._histogram = Counter(starmap(math.lcm, product(*per_coord)))
+            hist = Counter({1: 1})
+            for f in self.factors:
+                coord = Counter(f // math.gcd(c, f) for c in range(f))
+                combined = Counter()
+                for a, n_a in hist.items():
+                    for b, n_b in coord.items():
+                        combined[math.lcm(a, b)] += n_a * n_b
+                hist = combined
+            self._histogram = hist
         return self._histogram
 
 
 def element_order_count(G: AbelianGroup, u: int) -> int:
     """Number of elements of G with order exactly u.
 
-    Computed by iterating all elements, each order being the lcm of the
-    coordinate orders.
+    Read from G.order_histogram(), which counts the elements by their
+    coordinate orders, factor by factor.
     """
     if u < 1:
         raise DomainError("element order must be >= 1")
@@ -99,29 +118,27 @@ def dual_cyclic_subgroup_count(Ghat: AbelianGroup, d: int) -> Counter:
     """Cyclic subgroups H of Ghat of order d, counted by |H intersect B|.
 
     B is the distinguished first factor, which must be C_d, embedded
-    coordinate-wise.  Enumerates every element of order d once, forms the
-    generated subgroup as a canonical element set, deduplicates, and maps
-    each intersection order f to the number of subgroups H meeting B in
-    a subgroup of order f.
+    coordinate-wise.  Enumerates the elements of order d.  The first one
+    met in each cyclic subgroup H builds H as its multiples k*x, and
+    marks the other generators of H (k prime to d) as done, so each H is
+    built once.  Maps each intersection order f to the number of
+    subgroups H meeting B in a subgroup of order f.
     """
     if d < 1:
         raise DomainError("d must be >= 1")
     if Ghat.factors[:1] != (d,):
         raise DomainError(f"distinguished first factor must be C_{d}, factors are {Ghat.factors}")
-    seen = set()
+    done = set()
     by_meet = Counter()
     for x in Ghat.elements():
-        if Ghat.element_order(x) != d:
+        if x in done or Ghat.element_order(x) != d:
             continue
         members = []
         cur = Ghat.identity()
         for _ in range(d):
             members.append(cur)
             cur = Ghat.add(cur, x)
-        H = frozenset(members)
-        if H in seen:
-            continue
-        seen.add(H)
+        done.update(m for k, m in enumerate(members) if math.gcd(k, d) == 1)
         by_meet[sum(1 for m in members if not any(m[1:]))] += 1
     return by_meet
 
@@ -131,6 +148,11 @@ class GroupTable:
 
     Construction verifies the group axioms outright: an identity exists,
     every row and column is a permutation, and the law is associative.
+    Associativity is checked by Light's test: (a*b)*c = a*(b*c) for all
+    a, c and for b in a generating set only.  The elements b that pass
+    form a submagma, so they are the whole table once the generators
+    pass.  The generating set is built greedily, closing under products
+    alone, since inverses are not known to exist yet.
     """
 
     def __init__(self, table, name: str = ""):
@@ -156,11 +178,11 @@ class GroupTable:
                 raise DomainError(f"row {x} is not a permutation")
             if {rows[y][x] for y in range(order)} != everything:
                 raise DomainError(f"column {x} is not a permutation")
-        for a in range(order):
-            ra = rows[a]
-            for b in range(order):
+        for b in _magma_generators(rows, identity):
+            rb = rows[b]
+            for a in range(order):
+                ra = rows[a]
                 rab = rows[ra[b]]
-                rb = rows[b]
                 for c in range(order):
                     if rab[c] != ra[rb[c]]:
                         raise DomainError(f"table is not associative at ({a}, {b}, {c})")
@@ -197,6 +219,35 @@ class GroupTable:
         return f"GroupTable({self.name}, order={self.order})"
 
 
+def _close(rows, els: set, g: int) -> set:
+    """Add g to els, which is closed under the table's product, and close
+    it again under products on both sides."""
+    els.add(g)
+    frontier = [g]
+    while frontier:
+        x = frontier.pop()
+        row = rows[x]
+        for y in tuple(els):
+            for z in (row[y], rows[y][x]):
+                if z not in els:
+                    els.add(z)
+                    frontier.append(z)
+    return els
+
+
+def _magma_generators(rows, identity: int) -> list[int]:
+    """A set that generates the table under its product alone: each
+    element not yet reached joins the set, and the reached set is closed
+    again."""
+    reached = {identity}
+    generators = []
+    for g in range(len(rows)):
+        if g not in reached:
+            generators.append(g)
+            _close(rows, reached, g)
+    return generators
+
+
 def _cyclic_members(G: GroupTable, g: int) -> frozenset:
     members = [G.identity]
     x = g
@@ -206,51 +257,49 @@ def _cyclic_members(G: GroupTable, g: int) -> frozenset:
     return frozenset(members)
 
 
-def _join_with_element(G: GroupTable, H: frozenset, g: int, cyc_g: frozenset) -> frozenset:
+def _join_with_element(G: GroupTable, H: frozenset, g: int) -> frozenset:
     """The subgroup generated by H and g (H already a subgroup)."""
     table = G.table
     if G.is_abelian():
-        # <H, g> = {h * g^t}: products commute, so cosets of H by powers of g
-        out = set()
-        for t in cyc_g:
+        # <H, g> = {g^t * h}: products commute, so it is the union of the
+        # cosets g^t H for t below the first power of g that lies in H
+        out = set(H)
+        t = g
+        while t not in H:
             row = table[t]
             out.update(row[h] for h in H)
+            t = table[t][g]
         return frozenset(out)
-    els = set(H)
-    els.add(g)
-    frontier = [g]
-    while frontier:
-        x = frontier.pop()
-        row = table[x]
-        for y in tuple(els):
-            for z in (row[y], table[y][x]):
-                if z not in els:
-                    els.add(z)
-                    frontier.append(z)
-    return frozenset(els)
+    return frozenset(_close(table, set(H), g))
 
 
 def subgroups(G: GroupTable, cap: int = DEFAULT_TABLE_CAP) -> list[tuple[int, ...]]:
     """Every subgroup of G, each as a sorted tuple of element indices.
 
     Works by closing generator sets: starting from the trivial subgroup,
-    every known subgroup is joined with each cyclic subgroup (one new
-    generator at a time) until no new subgroup appears.  Every subgroup
-    is a join of cyclic ones, so the fixed point is complete.
+    every known subgroup H is joined with each distinct cyclic subgroup
+    of prime-power order not already in H (one new generator at a time)
+    until no new subgroup appears.  Every element is a product of
+    commuting powers of itself of prime-power order, so every subgroup
+    is a join of such cyclic ones, and the fixed point is complete.
     """
     if G.order > cap:
         raise MagnitudeError(f"group order {G.order} exceeds cap {cap}")
     if G._subgroups is None:
-        cyc = [_cyclic_members(G, g) for g in range(G.order)]
+        generators = {}
+        for g in range(G.order):
+            C = _cyclic_members(G, g)
+            if C not in generators and len(arith.prime_factors(len(C))) == 1:
+                generators[C] = g
         trivial = frozenset([G.identity])
         found = {trivial}
         work = [trivial]
         while work:
             H = work.pop()
-            for g in range(G.order):
+            for g in generators.values():
                 if g in H:
                     continue
-                J = _join_with_element(G, H, g, cyc[g])
+                J = _join_with_element(G, H, g)
                 if J not in found:
                     found.add(J)
                     work.append(J)
@@ -321,20 +370,23 @@ def lemma_check(G: GroupTable, n: int, cap: int = DEFAULT_TABLE_CAP) -> LemmaRep
     target = G.order // n
     index_n = [frozenset(S) for S in subs if len(S) == target]
 
-    seen = set()
-    lhs = 0
-    for H in index_n:
-        if H in seen:
-            continue
-        lhs += 1
-        for g in range(G.order):
-            seen.add(frozenset(G.conjugate(g, x) for x in H))
+    abelian = G.is_abelian()
+    if abelian:  # every subgroup is its own conjugacy class
+        lhs = len(index_n)
+    else:
+        seen = set()
+        lhs = 0
+        for H in index_n:
+            if H in seen:
+                continue
+            lhs += 1
+            for g in range(G.order):
+                seen.add(frozenset(G.conjugate(g, x) for x in H))
 
     by_size: dict[int, list[frozenset]] = {}
     for S in subs:
         by_size.setdefault(len(S), []).append(frozenset(S))
 
-    abelian = G.is_abelian()
     chain_counts: dict[int, int] = {}
     for d in arith.divisors(n):
         count = 0

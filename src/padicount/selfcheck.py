@@ -99,7 +99,8 @@ def abelian_factor_lists(bound: int) -> list[tuple[int, ...]]:
 
 
 def lemma_group_zoo(max_table_order: int, small: bool = False) -> list[oracles.GroupTable]:
-    """Cayley tables for the chain-count suite, filtered by the order cap."""
+    """Cayley tables for the chain-count suite, each built only when its
+    order is within the cap."""
     cyclic_max = 10 if small else 24
     abelian_max = 16 if small else 48
     dihedral_max = 6 if small else 12
@@ -112,11 +113,11 @@ def lemma_group_zoo(max_table_order: int, small: bool = False) -> list[oracles.G
     for n in range(3, dihedral_max + 1):
         if 2 * n <= max_table_order:
             groups.append(oracles.builtin_group("dihedral", n))
-    named = [oracles.builtin_group("quaternion8"), oracles.builtin_group("symmetric", 3)]
+    named = [(8, "quaternion8"), (6, "symmetric", 3)]
     if not small:
-        named.append(oracles.builtin_group("symmetric", 4))
-    named.append(oracles.builtin_group("alternating", 4))
-    groups.extend(g for g in named if g.order <= max_table_order)
+        named.append((24, "symmetric", 4))
+    named.append((12, "alternating", 4))
+    groups.extend(oracles.builtin_group(*spec) for order, *spec in named if order <= max_table_order)
     return groups
 
 

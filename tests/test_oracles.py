@@ -1,6 +1,9 @@
+from collections import Counter
+from itertools import combinations
+
 import pytest
 
-from padicount import arith, oracles
+from padicount import arith, oracles, selfcheck
 from padicount.counting import cyclic_count_ef, cyclic_count_total, pi_count, psi_count
 from padicount.errors import DomainError, MagnitudeError
 from padicount.oracles import (
@@ -213,3 +216,154 @@ def test_lemma_check_nonabelian_zoo():
         G = builtin_group(name, *params)
         for n in arith.divisors(G.order):
             assert lemma_check(G, n).equal, (G.name, n)
+
+
+def _reduced_latin_squares(n):
+    """Every n x n Latin square on 0..n-1 whose first row and column are
+    0, 1, ..., n-1, so that 0 is a two-sided identity."""
+    rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    columns = [{rows[i][j] for i in range(n) if rows[i][j] is not None} for j in range(n)]
+
+    def fill(cell):
+        if cell == n * n:
+            yield [row[:] for row in rows]
+            return
+        i, j = divmod(cell, n)
+        if rows[i][j] is not None:
+            yield from fill(cell + 1)
+            return
+        for x in range(n):
+            if x in rows[i] or x in columns[j]:
+                continue
+            rows[i][j] = x
+            columns[j].add(x)
+            yield from fill(cell + 1)
+            rows[i][j] = None
+            columns[j].discard(x)
+
+    yield from fill(n)
+
+
+def _associative(rows):
+    n = len(rows)
+    return all(
+        rows[rows[a][b]][c] == rows[a][rows[b][c]]
+        for a in range(n) for b in range(n) for c in range(n)
+    )
+
+
+def test_group_table_accepts_exactly_the_associative_latin_squares():
+    squares, accepted = [], []
+    for n in range(1, 7):
+        total = kept = 0
+        for rows in _reduced_latin_squares(n):
+            total += 1
+            try:
+                GroupTable(rows)
+            except DomainError:
+                assert not _associative(rows), rows
+            else:
+                assert _associative(rows), rows
+                kept += 1
+        squares.append(total)
+        accepted.append(kept)
+    assert squares == [1, 1, 1, 4, 56, 9408]
+    assert accepted == [1, 1, 1, 4, 6, 80]
+
+
+def _closed_subsets(G):
+    """Every subset holding the identity and closed under the table, found
+    by trying all subsets: in a finite group these are the subgroups."""
+    others = [x for x in range(G.order) if x != G.identity]
+    out = []
+    for k in range(len(others) + 1):
+        for chosen in combinations(others, k):
+            S = {G.identity, *chosen}
+            if all(G.mul(a, b) in S for a in S for b in S):
+                out.append(tuple(sorted(S)))
+    return sorted(out, key=lambda t: (len(t), t))
+
+
+def test_subgroups_equal_the_closed_subsets_on_the_small_zoo():
+    small = [G for G in selfcheck.lemma_group_zoo(48) if G.order <= 12]
+    assert len(small) == 24
+    for G in small:
+        assert subgroups(G) == _closed_subsets(G), G.name
+
+
+FULL_ZOO_LATTICE_SIZES = {
+    "cyclic(1)": 1, "cyclic(2)": 2, "cyclic(3)": 2, "cyclic(4)": 3, "cyclic(5)": 2,
+    "cyclic(6)": 4, "cyclic(7)": 2, "cyclic(8)": 4, "cyclic(9)": 3, "cyclic(10)": 4,
+    "cyclic(11)": 2, "cyclic(12)": 6, "cyclic(13)": 2, "cyclic(14)": 4, "cyclic(15)": 4,
+    "cyclic(16)": 5, "cyclic(17)": 2, "cyclic(18)": 6, "cyclic(19)": 2, "cyclic(20)": 6,
+    "cyclic(21)": 4, "cyclic(22)": 4, "cyclic(23)": 2, "cyclic(24)": 8,
+    "abelian(2,2)": 5, "abelian(3,3)": 6, "abelian(4,2)": 8, "abelian(4,4)": 15,
+    "abelian(5,5)": 8, "abelian(8,2)": 11, "abelian(8,4)": 22, "abelian(9,3)": 10,
+    "abelian(16,2)": 14, "abelian(2,2,2)": 16, "abelian(3,2,2)": 10, "abelian(3,3,2)": 12,
+    "abelian(3,3,3)": 28, "abelian(4,2,2)": 27, "abelian(4,3,2)": 16, "abelian(4,3,3)": 18,
+    "abelian(4,4,2)": 54, "abelian(4,4,3)": 30, "abelian(5,2,2)": 10, "abelian(5,3,3)": 12,
+    "abelian(5,4,2)": 16, "abelian(7,2,2)": 10, "abelian(8,2,2)": 38, "abelian(8,3,2)": 22,
+    "abelian(9,2,2)": 15, "abelian(11,2,2)": 10, "abelian(2,2,2,2)": 67,
+    "abelian(3,2,2,2)": 32, "abelian(3,3,2,2)": 30, "abelian(4,2,2,2)": 118,
+    "abelian(4,3,2,2)": 54, "abelian(5,2,2,2)": 32, "abelian(2,2,2,2,2)": 374,
+    "abelian(3,2,2,2,2)": 134,
+    "dihedral(3)": 6, "dihedral(4)": 10, "dihedral(5)": 8, "dihedral(6)": 16,
+    "dihedral(7)": 10, "dihedral(8)": 19, "dihedral(9)": 16, "dihedral(10)": 22,
+    "dihedral(11)": 14, "dihedral(12)": 34,
+    "quaternion8": 6, "symmetric(3)": 6, "symmetric(4)": 30, "alternating(4)": 10,
+}
+
+
+def test_full_zoo_lattice_sizes():
+    sizes = {G.name: len(subgroups(G)) for G in selfcheck.lemma_group_zoo(48)}
+    assert sizes == FULL_ZOO_LATTICE_SIZES
+    assert sum(sizes.values()) == 1575
+
+
+def _pi_oracle_groups():
+    for p in (2, 3):
+        for m in range(1, 4):
+            for r in range(1, 4):
+                for xi in range(0, 4):
+                    yield AbelianGroup((p**r,) * m + (p ** min(xi, r),), cap=10**6)
+
+
+def _psi_oracle_groups():
+    for u in range(1, 31):
+        for v in range(1, 31):
+            yield AbelianGroup((u, v))
+
+
+def test_order_histogram_equals_the_per_element_count():
+    for G in [*_pi_oracle_groups(), *_psi_oracle_groups()]:
+        want = Counter(G.element_order(x) for x in G.elements())
+        assert G.order_histogram() == want, G.factors
+
+
+def _cyclic_subgroups_by_dedupe(Ghat, d):
+    """Each element of order d builds its cyclic subgroup, and equal
+    subgroups are merged as element sets."""
+    seen = set()
+    by_meet = Counter()
+    for x in Ghat.elements():
+        if Ghat.element_order(x) != d:
+            continue
+        members = []
+        cur = Ghat.identity()
+        for _ in range(d):
+            members.append(cur)
+            cur = Ghat.add(cur, x)
+        H = frozenset(members)
+        if H not in seen:
+            seen.add(H)
+            by_meet[sum(1 for m in members if not any(m[1:]))] += 1
+    return by_meet
+
+
+def test_dual_cyclic_subgroup_count_equals_the_dedupe_enumeration():
+    for K in selfcheck._cyclic_profiles():
+        for d in range(1, 13):
+            Ghat = dual_group(K, d, cap=10**6)
+            assert dual_cyclic_subgroup_count(Ghat, d) == _cyclic_subgroups_by_dedupe(Ghat, d), (
+                K.p, K.n0, K.f0, K.xi, d,
+            )

@@ -1,4 +1,5 @@
-from padicount import counting, selfcheck
+from padicount import counting, oracles, selfcheck
+from padicount.cli import main
 
 
 def test_small_grid_passes():
@@ -84,3 +85,24 @@ def test_psi_oracle_skips_groups_past_the_abelian_cap():
     capped = results["psi-oracle"]
     assert capped.ok
     assert 0 < capped.checks < 144  # 144 = 12 x 12 groups C_u x C_v uncapped
+
+
+def test_full_grid_check_counts():
+    results = selfcheck.run_selfcheck(grid="full")
+    assert all(r.ok for r in results), [r.name for r in results if not r.ok]
+    assert [r.checks for r in results] == [373, 216, 900, 198, 315, 216, 144, 24, 214, 10]
+
+
+def test_table_order_cap_is_applied_before_building(monkeypatch, capsys):
+    built = []
+    real_init = oracles.GroupTable.__init__
+
+    def counting_init(self, table, name=""):
+        built.append(len(table))
+        real_init(self, table, name)
+
+    monkeypatch.setattr(oracles.GroupTable, "__init__", counting_init)
+    assert main(["selfcheck", "--grid", "small", "--max-table-order", "6"]) == 0
+    capsys.readouterr()
+    # cyclic(1..6), abelian(2,2), dihedral(3), symmetric(3)
+    assert sorted(built) == [1, 2, 3, 4, 4, 5, 6, 6, 6]
