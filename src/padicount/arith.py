@@ -8,7 +8,8 @@ longer than a fixed bound; an input past it raises MagnitudeError:
 * factoring is trial division up to TRIAL_BOUND (10^6) with a primality
   shortcut for the cofactor, so every n below 10^12 factors, and so does
   any n below MR_BOUND all of whose prime factors but the largest are at
-  most 10^6;
+  most 10^6; divisor lists are built from the factorisation, under the
+  same bound;
 * multiplicative orders come from the factorisation of phi(modulus), and
   divisibility questions about p^F - 1 are answered through them or by
   modular reduction, so huge powers are never materialized.
@@ -153,19 +154,12 @@ def p_valuation(n: int, p: int) -> PValuation:
 
 
 def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    if n < 1:
-        raise DomainError("divisors: n must be >= 1")
-    small = []
-    large = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    """All positive divisors of n, ascending, built from its factorisation,
+    so n is refused exactly where prime_factors refuses it."""
+    out = [1]
+    for q in prime_factors(n):
+        out = [d * q**k for k in range(p_valuation(n, q).s + 1) for d in out]
+    return sorted(out)
 
 
 def divisor_pairs(n: int) -> list[tuple[int, int]]:

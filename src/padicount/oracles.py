@@ -6,7 +6,9 @@ Two substrates:
   stored as coordinate tuples (element-order and cyclic-subgroup
   enumeration for the unit-group counts);
 * arbitrary finite groups given by a Cayley table (full subgroup-lattice
-  enumeration and the chain-count identity for conjugacy classes).
+  enumeration and the chain-count identity for conjugacy classes); the
+  constructors cyclic, abelian, dihedral, quaternion8, symmetric and
+  alternating build named, verified tables.
 
 Everything proceeds by exhaustive enumeration, and no count here uses a
 closed form from the paper.  Each enumeration visits each object once:
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from . import arith
 from .errors import ConsistencyError, DomainError, MagnitudeError
@@ -86,17 +88,6 @@ class AbelianGroup:
                 hist = combined
             self._histogram = hist
         return self._histogram
-
-
-def element_order_count(G: AbelianGroup, u: int) -> int:
-    """Number of elements of G with order exactly u.
-
-    Read from G.order_histogram(), which counts the elements by their
-    coordinate orders, factor by factor.
-    """
-    if u < 1:
-        raise DomainError("element order must be >= 1")
-    return G.order_histogram().get(u, 0)
 
 
 def dual_group(K: BaseFieldProfile, d: int, cap: int = DEFAULT_ABELIAN_CAP) -> AbelianGroup:
@@ -409,21 +400,32 @@ def lemma_check(G: GroupTable, n: int, cap: int = DEFAULT_TABLE_CAP) -> LemmaRep
     return LemmaReport(n=n, lhs=lhs, rhs=rhs, chain_counts=chain_counts, equal=lhs == rhs)
 
 
-def _table_from_elements(elements, mul) -> list[list[int]]:
+def _table_from_elements(elements, mul, name: str) -> GroupTable:
     index = {x: i for i, x in enumerate(elements)}
-    return [[index[mul(a, b)] for b in elements] for a in elements]
+    return GroupTable([[index[mul(a, b)] for b in elements] for a in elements], name=name)
 
 
-def _abelian_table(factors) -> list[list[int]]:
+def _product_table(factors, name: str) -> GroupTable:
     elements = list(product(*(range(f) for f in factors)))
 
     def mul(a, b):
         return tuple((x + y) % f for x, y, f in zip(a, b, factors))
 
-    return _table_from_elements(elements, mul)
+    return _table_from_elements(elements, mul, name)
 
 
-def _dihedral_table(n: int) -> list[list[int]]:
+def cyclic(n: int) -> GroupTable:
+    """C_n."""
+    return _product_table((n,), f"cyclic({n})")
+
+
+def abelian(*factors: int) -> GroupTable:
+    """C_{f1} x C_{f2} x ..."""
+    return _product_table(factors, f"abelian({','.join(map(str, factors))})")
+
+
+def dihedral(n: int) -> GroupTable:
+    """The dihedral group of order 2n."""
     # elements r^i s^b, encoded as (i, b); s r s = r^-1
     elements = [(i, b) for b in range(2) for i in range(n)]
 
@@ -433,7 +435,7 @@ def _dihedral_table(n: int) -> list[list[int]]:
         i = (i1 - i2) % n if b1 else (i1 + i2) % n
         return (i, b1 ^ b2)
 
-    return _table_from_elements(elements, mul)
+    return _table_from_elements(elements, mul, f"dihedral({n})")
 
 
 _QUATERNION_UNITS = {
@@ -445,7 +447,8 @@ _QUATERNION_UNITS = {
 }
 
 
-def _quaternion_table() -> list[list[int]]:
+def quaternion8() -> GroupTable:
+    """The quaternion group {+-1, +-i, +-j, +-k}."""
     elements = [(u, s) for u in range(4) for s in range(2)]
 
     def mul(a, b):
@@ -453,68 +456,26 @@ def _quaternion_table() -> list[list[int]]:
         sign, u3 = _QUATERNION_UNITS[(u1, u2)]
         return (u3, s1 ^ s2 ^ sign)
 
-    return _table_from_elements(elements, mul)
+    return _table_from_elements(elements, mul, "quaternion8")
 
 
-def _perm_parity(perm) -> int:
-    inversions = sum(
-        1 for a in range(len(perm)) for b in range(a + 1, len(perm)) if perm[a] > perm[b]
-    )
-    return inversions % 2
-
-
-def _permutation_table(k: int, even_only: bool = False) -> list[list[int]]:
-    elements = [p for p in permutations(range(k)) if not (even_only and _perm_parity(p))]
+def _permutation_table(k: int, name: str, even_only: bool = False) -> GroupTable:
+    elements = [
+        p for p in permutations(range(k))
+        if not even_only or sum(a > b for a, b in combinations(p, 2)) % 2 == 0
+    ]
 
     def mul(a, b):
         return tuple(a[b[i]] for i in range(k))
 
-    return _table_from_elements(elements, mul)
+    return _table_from_elements(elements, mul, name)
 
 
-def builtin_group(name: str, *params: int) -> GroupTable:
-    """Construct a named, verified Cayley table.
+def symmetric(k: int) -> GroupTable:
+    """S_k, on k! elements."""
+    return _permutation_table(k, f"symmetric({k})")
 
-    Known constructions: cyclic(n), abelian(f1, f2, ...), dihedral(n)
-    of order 2n, quaternion8, symmetric(k) for k <= 4, alternating(4).
-    """
 
-    def expect(count):
-        if len(params) != count:
-            raise DomainError(f"{name} takes {count} parameter(s), got {len(params)}")
-
-    if name == "cyclic":
-        expect(1)
-        (n,) = params
-        if n < 1:
-            raise DomainError("cyclic order must be >= 1")
-        return GroupTable(_abelian_table((n,)), name=f"cyclic({n})")
-    if name == "abelian":
-        if not params:
-            raise DomainError("abelian needs at least one factor")
-        if any(f < 1 for f in params):
-            raise DomainError("abelian factors must be >= 1")
-        label = ",".join(str(f) for f in params)
-        return GroupTable(_abelian_table(params), name=f"abelian({label})")
-    if name == "dihedral":
-        expect(1)
-        (n,) = params
-        if n < 1:
-            raise DomainError("dihedral parameter must be >= 1")
-        return GroupTable(_dihedral_table(n), name=f"dihedral({n})")
-    if name == "quaternion8":
-        expect(0)
-        return GroupTable(_quaternion_table(), name="quaternion8")
-    if name == "symmetric":
-        expect(1)
-        (k,) = params
-        if not 1 <= k <= 4:
-            raise DomainError("symmetric(k) supported for 1 <= k <= 4")
-        return GroupTable(_permutation_table(k), name=f"symmetric({k})")
-    if name == "alternating":
-        expect(1)
-        (k,) = params
-        if k != 4:
-            raise DomainError("alternating(k) supported for k = 4 only")
-        return GroupTable(_permutation_table(k, even_only=True), name="alternating(4)")
-    raise DomainError(f"unknown builtin group {name!r}")
+def alternating(k: int) -> GroupTable:
+    """A_k, the even permutations of S_k."""
+    return _permutation_table(k, f"alternating({k})", even_only=True)

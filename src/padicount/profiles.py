@@ -151,6 +151,12 @@ def validate(profile: BaseFieldProfile) -> list[str]:
     if profile.f0 < 1:
         problems.append(f"f0 = {profile.f0} must be >= 1")
 
+    p, e0 = profile.p, profile.e0
+    # both tower rules bound level i by phi(p^i) = p^(i-1)*(p - 1); they read
+    # residues and valuations, never p^(i-1) itself, so no level costs more
+    s0 = r0 = None
+    if p >= 2 and e0 >= 1:
+        s0, r0 = arith.p_valuation(e0, p).s, e0 % (p - 1)
     prev_e, prev_f = 1, 1
     for pos, datum in enumerate(profile.cyclotomic, start=1):
         if datum.i != pos:
@@ -167,13 +173,16 @@ def validate(profile: BaseFieldProfile) -> list[str]:
             problems.append(
                 f"level {datum.i}: f_{datum.i - 1} = {prev_f} does not divide f_{datum.i} = {datum.f}"
             )
-        if profile.p >= 2:
-            units = profile.p ** (datum.i - 1) * (profile.p - 1)
-            if units % (datum.e * datum.f):
-                problems.append(
-                    f"level {datum.i}: n^({datum.i}) = {datum.e * datum.f} "
-                    f"does not divide |(Z/p^{datum.i})^*| = {units}"
-                )
+        degree = datum.e * datum.f
+        if p >= 2 and pow(p, datum.i - 1, degree) * (p - 1) % degree:
+            problems.append(
+                f"level {datum.i}: e_{datum.i}*f_{datum.i} does not divide |(Z/p^{datum.i})^*|"
+            )
+        # Q_p(zeta_{p^i}) lies in K(zeta_{p^i}), and ramification indices multiply
+        if s0 is not None and (
+            s0 + arith.p_valuation(datum.e, p).s < datum.i - 1 or r0 * datum.e % (p - 1)
+        ):
+            problems.append(f"level {datum.i}: phi(p^{datum.i}) does not divide e0*e_{datum.i}")
         prev_e, prev_f = datum.e, datum.f
     return problems
 
@@ -198,7 +207,7 @@ def load_profile(source) -> BaseFieldProfile:
         with open(source, encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError, deep nesting
                 raise DomainError(f"malformed profile JSON: {exc}") from exc
     else:
         raw = source

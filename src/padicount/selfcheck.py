@@ -77,16 +77,9 @@ def abelian_factor_lists(bound: int) -> list[tuple[int, ...]]:
     out = []
     for n in range(4, bound + 1):
         primes = arith.prime_factors(n)
-        exps = []
-        rest = n
-        for p in primes:
-            a = 0
-            while rest % p == 0:
-                rest //= p
-                a += 1
-            exps.append(a)
         shapes = [()]
-        for p, a in zip(primes, exps):
+        for p in primes:
+            a = arith.p_valuation(n, p).s
             shapes = [
                 shape + tuple(p**part for part in partition)
                 for shape in shapes
@@ -104,20 +97,17 @@ def lemma_group_zoo(max_table_order: int, small: bool = False) -> list[oracles.G
     cyclic_max = 10 if small else 24
     abelian_max = 16 if small else 48
     dihedral_max = 6 if small else 12
-    groups = []
-    for n in range(1, cyclic_max + 1):
-        if n <= max_table_order:
-            groups.append(oracles.builtin_group("cyclic", n))
-    for factors in abelian_factor_lists(min(abelian_max, max_table_order)):
-        groups.append(oracles.builtin_group("abelian", *factors))
-    for n in range(3, dihedral_max + 1):
-        if 2 * n <= max_table_order:
-            groups.append(oracles.builtin_group("dihedral", n))
-    named = [(8, "quaternion8"), (6, "symmetric", 3)]
+    groups = [oracles.cyclic(n) for n in range(1, min(cyclic_max, max_table_order) + 1)]
+    groups += [
+        oracles.abelian(*factors)
+        for factors in abelian_factor_lists(min(abelian_max, max_table_order))
+    ]
+    groups += [oracles.dihedral(n) for n in range(3, dihedral_max + 1) if 2 * n <= max_table_order]
+    named = [(8, oracles.quaternion8, ()), (6, oracles.symmetric, (3,))]
     if not small:
-        named.append((24, "symmetric", 4))
-    named.append((12, "alternating", 4))
-    groups.extend(oracles.builtin_group(*spec) for order, *spec in named if order <= max_table_order)
+        named.append((24, oracles.symmetric, (4,)))
+    named.append((12, oracles.alternating, (4,)))
+    groups += [build(*args) for order, build, args in named if order <= max_table_order]
     return groups
 
 
@@ -178,7 +168,7 @@ def psi_oracle_suite(
 
             def check(u=u, v=v):
                 got = counting.psi_count(u, v)
-                want = oracles.element_order_count(oracles.AbelianGroup((u, v)), u)
+                want = oracles.AbelianGroup((u, v)).order_histogram().get(u, 0)
                 return got == want, (
                     f"psi_count({u},{v}) = {got} but enumeration of C_{u} x C_{v} finds {want}"
                 )
@@ -218,16 +208,16 @@ def delta_telescoping_suite() -> SuiteResult:
 
 
 def _cyclic_profiles() -> list[BaseFieldProfile]:
-    """Base fields with n0 <= 2, f0 <= 2 and xi <= 1 (xi = 1 when p = 2),
-    through level 2: level i is trivial for i <= xi, else totally
-    ramified of degree phi(p^i)."""
+    """Nine base fields with n0 <= 2 and xi <= 1, through level 2: level i
+    is trivial for i <= xi, else totally ramified of degree phi(p^i).
+    Every tower obeys phi(p^i) | e0*e_i, so xi = 1 needs p = 2 or e0 = 2."""
+    shapes = ((1, 1), (2, 1), (1, 2))
     return [
         BaseFieldProfile(p, e0, f0, [
             CyclotomicDatum(i, 1 if i <= xi else p ** (i - 1) * (p - 1), 1) for i in (1, 2)
         ])
-        for p in (2, 3)
-        for e0, f0 in ((1, 1), (2, 1), (1, 2))
-        for xi in ((1,) if p == 2 else (0, 1))
+        for p, xi, bases in ((2, 1, shapes), (3, 0, shapes), (3, 1, ((2, 1),)), (5, 0, shapes[::2]))
+        for e0, f0 in bases
     ]
 
 

@@ -10,9 +10,10 @@ Three evaluators:
 
 A BaseFieldProfile is validated when it is built, so the evaluators take
 p and the tower on trust and re-check neither.  The cells of a table
-share most of their terms, so the evaluators fetch sigma_krasner,
-delta_count, psi_count, totients and gcds through the profile's memo
-(BaseFieldProfile._once) and read the magnitude limit once per call.
+share most of their terms, so the evaluators fetch divisor lists,
+sigma_krasner, delta_count, psi_count, totients and gcds through the
+profile's memo (BaseFieldProfile._once) and read the magnitude limit
+once per call.
 Each evaluator sums integer terms and divides once at the end (by f,
 respectively n); a remainder is impossible for correct code and raises
 ConsistencyError rather than being rounded.  The *_terms variants also
@@ -96,9 +97,9 @@ def iso_count_ef_terms(K: BaseFieldProfile, e: int, f: int) -> tuple[int, list[T
             continue
         n_i = e_i * f_i
         f_splits = [
-            (f1, f2, once(arith.euler_phi, f2)) for f1, f2 in arith.divisor_pairs(f // f_i)
+            (f1, f2, once(arith.euler_phi, f2)) for f1, f2 in once(arith.divisor_pairs, f // f_i)
         ]
-        for e1, e2 in arith.divisor_pairs(e // e_i):
+        for e1, e2 in once(arith.divisor_pairs, e // e_i):
             s1, _ = arith.p_valuation(e1, p)
             s2, h2 = arith.p_valuation(e2, p)
             weight = once(arith.euler_phi, h2)
@@ -152,9 +153,9 @@ def iso_count_total_terms(K: BaseFieldProfile, n: int) -> tuple[int, list[TermTo
         if n % n_i:
             continue
         rest = n // n_i
-        for d in arith.divisors(rest):
+        for d, _ in once(arith.divisor_pairs, rest):
             r, k = arith.p_valuation(d, p)
-            for e1, f1 in arith.divisor_pairs(rest // d):
+            for e1, f1 in once(arith.divisor_pairs, rest // d):
                 s1, _ = arith.p_valuation(e1, p)
                 n1 = n0 * n_i * e1 * f1
                 g = once(arith.gcd_p_power_minus_one, k, p, K.f0 * f_i * f1)

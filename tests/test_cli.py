@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 import sympy
@@ -133,6 +134,28 @@ def test_worst_case_probes_finish_with_their_values(capsys, argv, value):
     assert (code, out.strip()) == (0, value)
 
 
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        ("count iso-ef --qp 3 --e 10000000000000061 --f 1", "1"),
+        ("count tame --qp 3 --e 2 --f 10000000000000061", "2"),
+        ("count iso-total --qp 3 --n 10000000000000061", "2"),
+    ],
+)
+def test_divisor_lists_of_a_large_prime_come_from_its_factorisation(capsys, argv, value):
+    # a square-root scan for the divisors took 12 to 27 s on these
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert (code, out.strip()) == (0, value)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_divisor_lists_obey_the_factoring_bound(capsys):
+    code, out, err = run_cli(capsys, "count", "iso-ef", "--qp", "3", "--e", "1000036000099", "--f", "1")
+    assert (code, out) == (3, "")
+    assert "no prime factor up to" in err
+
+
 def test_factoring_past_the_trial_bound_exits_3(capsys):
     d = str(1_000_000_007 * 1_000_000_009)
     code, out, err = run_cli(capsys, "count", "cyclic-total", "--qp", "2", "--d", d)
@@ -253,6 +276,37 @@ def test_malformed_profile_json_exit_code(capsys, tmp_path):
     code, out, err = run_cli(capsys, "count", "iso-ef", "--profile", str(path), "--e", "1", "--f", "1")
     assert (code, out) == (2, "")
     assert "malformed profile JSON" in err
+
+
+def test_deeply_nested_profile_json_exits_2(capsys, tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    code, out, err = run_cli(capsys, "count", "iso-ef", "--profile", str(path), "--e", "1", "--f", "1")
+    assert (code, out) == (2, "")
+    assert "malformed profile JSON" in err
+
+
+def test_a_tower_no_field_has_exits_2(capsys, tmp_path):
+    # level 1 puts zeta_3 in Q_3 itself, but Q_3(zeta_3) is ramified over
+    # Q_3: phi(3) = 2 does not divide e0*e_1 = 1
+    tower = [{"i": 1, "e": 1, "f": 1}, {"i": 2, "e": 6, "f": 1}]
+    path = tmp_path / "impossible.json"
+    path.write_text(json.dumps({"p": 3, "e0": 1, "f0": 1, "cyclotomic": tower}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "count", "cyclic-total", "--profile", str(path), "--d", "3")
+    assert (code, out) == (2, "")
+    assert "phi(p^1) does not divide e0*e_1" in err
+
+
+def test_a_deep_failing_level_is_reported_without_printing_p_to_its_depth(capsys, tmp_path):
+    # p^1000 has 11,000 digits, past the limit on converting an int to text
+    tower = [{"i": i, "e": 1, "f": 1} for i in range(1, 1001)]
+    tower.append({"i": 1001, "e": 1_000_003, "f": 1})
+    path = tmp_path / "deep.json"
+    data = {"p": 100_000_000_003, "e0": 1, "f0": 1, "cyclotomic": tower}
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_cli(capsys, "count", "iso-ef", "--profile", str(path), "--e", "1", "--f", "1")
+    assert (code, out) == (2, "")
+    assert "level 1001: e_1001*f_1001 does not divide |(Z/p^1001)^*|" in err
 
 
 def test_coerced_profile_fields_exit_code(capsys, tmp_path):

@@ -162,8 +162,8 @@ def test_cyclic_count_total_examples():
 
 
 def test_cyclic_decomposition_small():
-    # (p, n0, f0, xi) = (3, 2, 2, 1) as well
-    K = BaseFieldProfile(3, 1, 2, (CyclotomicDatum(1, 1, 1), CyclotomicDatum(2, 6, 1)))
+    # Q_3(zeta_3) as well: (p, n0, f0, xi) = (3, 2, 1, 1)
+    K = BaseFieldProfile(3, 2, 1, (CyclotomicDatum(1, 1, 1), CyclotomicDatum(2, 3, 1)))
     for F in (Q2, Q3, K):
         for d in range(1, 13):
             from padicount.arith import divisor_pairs

@@ -1,6 +1,7 @@
 """The profile's memo: each closed-form value is computed once per profile,
 and sharing it changes no answer."""
 
+import math
 import threading
 
 import pytest
@@ -71,6 +72,18 @@ def test_table_computes_each_closed_form_once(
     assert calls == first
 
 
+def test_table_lists_the_divisors_of_each_argument_once_in_the_evaluators(capsys, monkeypatch):
+    # the table's own loops take divisor_pairs(n) twice for each n <= 90;
+    # the evaluators fetch each list through the memo (2710 calls before it)
+    real = arith.divisors
+    calls = []
+    monkeypatch.setattr(arith, "divisors", lambda n: calls.append(n) or real(n))
+    assert main("table --qp 2 --n-max 90".split()) == 0
+    capsys.readouterr()
+    assert sorted(set(calls)) == list(range(1, 91))
+    assert len(calls) == 2 * 90 + 90
+
+
 def test_a_lower_bit_limit_still_raises_on_a_warm_profile(monkeypatch):
     K = qp_profile(2, 5)
     expected = (
@@ -128,10 +141,14 @@ def _divisors(n):
 
 @st.composite
 def valid_profiles(draw):
-    """Any profile that passes validation, with p <= 7 and depth <= 2."""
+    """Any profile that passes validation, with p <= 7 and depth <= 2.
+
+    e0 is 1, 2 or 3 times the least value for which phi(p^i) | e0*e_i
+    holds at every level."""
     p = draw(st.sampled_from((2, 3, 5, 7)))
     levels = []
     prev_e = prev_f = 1
+    e0_step = 1
     for i in range(1, draw(st.integers(0, 2)) + 1):
         units = p ** (i - 1) * (p - 1)
         e = draw(st.sampled_from(
@@ -140,7 +157,9 @@ def valid_profiles(draw):
         f = draw(st.sampled_from([d for d in _divisors(units // e) if d % prev_f == 0]))
         levels.append(CyclotomicDatum(i, e, f))
         prev_e, prev_f = e, f
-    return BaseFieldProfile(p, draw(st.integers(1, 3)), draw(st.integers(1, 2)), tuple(levels))
+        e0_step = math.lcm(e0_step, units // math.gcd(units, e))
+    e0 = e0_step * draw(st.integers(1, 3))
+    return BaseFieldProfile(p, e0, draw(st.integers(1, 2)), tuple(levels))
 
 
 def _within_depth(K, n):

@@ -9,12 +9,15 @@ from padicount.errors import DomainError, MagnitudeError
 from padicount.oracles import (
     AbelianGroup,
     GroupTable,
-    builtin_group,
+    alternating,
+    cyclic,
+    dihedral,
     dual_cyclic_subgroup_count,
     dual_group,
-    element_order_count,
     lemma_check,
+    quaternion8,
     subgroups,
+    symmetric,
 )
 from padicount.profiles import BaseFieldProfile, CyclotomicDatum, qp_profile
 
@@ -35,16 +38,16 @@ def test_abelian_group_cap():
 
 
 def test_element_order_count_examples():
-    assert element_order_count(AbelianGroup([2, 2]), 2) == 3
+    assert AbelianGroup([2, 2]).order_histogram().get(2, 0) == 3
     for n in range(1, 13):
-        assert element_order_count(AbelianGroup([n]), n) == arith.euler_phi(n)
-    assert element_order_count(AbelianGroup([4, 2]), 4) == 4
+        assert AbelianGroup([n]).order_histogram().get(n, 0) == arith.euler_phi(n)
+    assert AbelianGroup([4, 2]).order_histogram().get(4, 0) == 4
 
 
 def test_element_order_count_matches_psi():
     for u in range(1, 16):
         for v in range(1, 16):
-            assert element_order_count(AbelianGroup([u, v]), u) == psi_count(u, v)
+            assert AbelianGroup([u, v]).order_histogram().get(u, 0) == psi_count(u, v)
 
 
 def test_pi_count_r_independence():
@@ -56,7 +59,7 @@ def test_pi_count_r_independence():
                         if r == 0:
                             continue
                         G = AbelianGroup((p**r,) * m + (p ** min(xi, r),))
-                        assert element_order_count(G, p**s) == pi_count(p, m, s, xi)
+                        assert G.order_histogram().get(p**s, 0) == pi_count(p, m, s, xi)
 
 
 def test_dual_group_shape_for_q2():
@@ -88,9 +91,9 @@ def test_dual_cyclic_subgroup_count_checks_distinguished_factor():
 
 
 def test_dual_oracle_matches_formulas_small():
-    # (p, n0, f0) = (p, 1, 1) with xi = 1 for p = 2 and xi in {0, 1} for p = 3
-    xi_one = BaseFieldProfile(3, 1, 1, (CyclotomicDatum(1, 1, 1), CyclotomicDatum(2, 6, 1)))
-    for K in (qp_profile(2, 2), qp_profile(3, 1), xi_one):
+    # Q_2 and Q_3, with xi = 1 and 0, and Q_3(zeta_3): (p, n0, f0, xi) = (3, 2, 1, 1)
+    q3_zeta3 = BaseFieldProfile(3, 2, 1, (CyclotomicDatum(1, 1, 1), CyclotomicDatum(2, 3, 1)))
+    for K in (qp_profile(2, 2), qp_profile(3, 1), q3_zeta3):
         for d in range(1, 9):
             Ghat = dual_group(K, d)
             by_meet = dual_cyclic_subgroup_count(Ghat, d)
@@ -118,58 +121,54 @@ def test_group_table_rejects_junk():
 
 
 def test_builtin_cyclic_orders():
-    G = builtin_group("cyclic", 4)
+    G = cyclic(4)
     assert sorted(G.element_order(x) for x in range(4)) == [1, 2, 4, 4]
 
 
 def test_builtin_dihedral():
-    G = builtin_group("dihedral", 4)
+    G = dihedral(4)
     assert G.order == 8
     assert not G.is_abelian()
     assert len(subgroups(G)) == 10
 
 
 def test_builtin_symmetric_and_alternating():
-    S3 = builtin_group("symmetric", 3)
+    S3 = symmetric(3)
     assert S3.order == 6
     assert not S3.is_abelian()
     assert sorted(S3.element_order(x) for x in range(6)) == [1, 2, 2, 2, 3, 3]
-    A4 = builtin_group("alternating", 4)
+    A4 = alternating(4)
     assert A4.order == 12
     assert len(subgroups(A4)) == 10
 
 
 def test_builtin_quaternion():
-    Q8 = builtin_group("quaternion8")
+    Q8 = quaternion8()
     assert Q8.order == 8
     assert sorted(Q8.element_order(x) for x in range(8)) == [1, 2, 4, 4, 4, 4, 4, 4]
     assert len(subgroups(Q8)) == 6
 
 
-def test_builtin_rejects_unknown():
-    with pytest.raises(DomainError):
-        builtin_group("sporadic", 1)
-    with pytest.raises(DomainError):
-        builtin_group("symmetric", 5)
-    with pytest.raises(DomainError):
-        builtin_group("alternating", 5)
+def test_constructors_refuse_an_empty_table():
+    for build in (cyclic, dihedral):
+        with pytest.raises(DomainError, match="non-empty"):
+            build(0)
 
 
 def test_subgroups_examples():
-    assert len(subgroups(builtin_group("cyclic", 6))) == 4
-    assert len(subgroups(builtin_group("symmetric", 3))) == 6
-    assert len(subgroups(builtin_group("cyclic", 1))) == 1
+    assert len(subgroups(cyclic(6))) == 4
+    assert len(subgroups(symmetric(3))) == 6
+    assert len(subgroups(cyclic(1))) == 1
 
 
 def test_subgroups_cap():
-    G = builtin_group("cyclic", 30)
+    G = cyclic(30)
     with pytest.raises(MagnitudeError):
         subgroups(G, cap=24)
 
 
 def test_subgroups_closed_under_join_and_conjugation():
-    for name, params in (("symmetric", (3,)), ("dihedral", (4,)), ("alternating", (4,)), ("quaternion8", ())):
-        G = builtin_group(name, *params)
+    for G in (symmetric(3), dihedral(4), alternating(4), quaternion8()):
         subs = {frozenset(S) for S in subgroups(G)}
         for A in subs:
             for g in range(G.order):
@@ -190,7 +189,7 @@ def test_subgroups_closed_under_join_and_conjugation():
 
 
 def test_lemma_check_s3():
-    S3 = builtin_group("symmetric", 3)
+    S3 = symmetric(3)
     report = lemma_check(S3, 2)
     assert (report.lhs, report.rhs, report.equal) == (1, 1, True)
     assert report.chain_counts == {1: 1, 2: 1}
@@ -201,19 +200,18 @@ def test_lemma_check_s3():
 
 
 def test_lemma_check_index_one():
-    for name, params in (("cyclic", (8,)), ("dihedral", (5,)), ("symmetric", (4,))):
-        report = lemma_check(builtin_group(name, *params), 1)
+    for G in (cyclic(8), dihedral(5), symmetric(4)):
+        report = lemma_check(G, 1)
         assert report.lhs == report.rhs == 1
 
 
 def test_lemma_check_rejects_bad_index():
     with pytest.raises(DomainError):
-        lemma_check(builtin_group("cyclic", 6), 4)
+        lemma_check(cyclic(6), 4)
 
 
 def test_lemma_check_nonabelian_zoo():
-    for name, params in (("dihedral", (6,)), ("quaternion8", ()), ("alternating", (4,))):
-        G = builtin_group(name, *params)
+    for G in (dihedral(6), quaternion8(), alternating(4)):
         for n in arith.divisors(G.order):
             assert lemma_check(G, n).equal, (G.name, n)
 
