@@ -149,7 +149,7 @@ def _cmd_table(args) -> int:
 
     if degree_mode:
         total_keys = range(1, args.n_max + 1)
-        cell_keys = [pair for n in total_keys for pair in arith.divisor_pairs(n)]
+        cell_keys = [pair for n in total_keys for pair in profile._once(arith.divisor_pairs, n)]
     else:
         total_keys = ()
         cell_keys = [(e, f) for e in range(1, args.e_max + 1) for f in range(1, args.f_max + 1)]
@@ -163,7 +163,7 @@ def _cmd_table(args) -> int:
     for n in total_keys:
         # the total route stays independent of the cells it is checked against
         from_total = theorems.iso_count_total(profile, n)
-        from_cells = sum(classes[e, f] for e, f in arith.divisor_pairs(n))
+        from_cells = sum(classes[e, f] for e, f in profile._once(arith.divisor_pairs, n))
         if from_total != from_cells:
             raise ConsistencyError(
                 f"degree {n}: total route gives {from_total}, (e,f) cells give {from_cells}"
@@ -275,6 +275,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        counting.magnitude_bits()  # a malformed limit is refused whatever the command computes
         return args.handler(args)
     except ConsistencyError as exc:
         print(f"error: internal consistency failure: {exc}", file=sys.stderr)

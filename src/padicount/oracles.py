@@ -15,8 +15,10 @@ closed form from the paper.  Each enumeration visits each object once:
 the order histogram combines the cyclic factors one at a time, each
 cyclic subgroup of the dual group is built from one generator, and the
 subgroup lattice joins with each cyclic subgroup of prime-power order,
-not with each element.  Caps keep the worst cases bounded and raise
-MagnitudeError when exceeded.
+not with each element.  One coset walk, _join, closes every set in a
+table: the generators for the associativity test, element orders,
+cyclic subgroups and lattice joins.  Caps keep the worst cases bounded
+and raise MagnitudeError when exceeded.
 """
 
 from __future__ import annotations
@@ -142,8 +144,8 @@ class GroupTable:
     Associativity is checked by Light's test: (a*b)*c = a*(b*c) for all
     a, c and for b in a generating set only.  The elements b that pass
     form a submagma, so they are the whole table once the generators
-    pass.  The generating set is built greedily, closing under products
-    alone, since inverses are not known to exist yet.
+    pass.  The generating set is built greedily by the coset walk, which
+    forms products alone, since inverses are not known to exist yet.
     """
 
     def __init__(self, table, name: str = ""):
@@ -199,69 +201,46 @@ class GroupTable:
         return self._abelian
 
     def element_order(self, x: int) -> int:
-        order = 1
-        cur = x
-        while cur != self.identity:
-            cur = self.table[cur][x]
-            order += 1
-        return order
+        return len(_join(self.table, (self.identity,), x))
 
     def __repr__(self):
         return f"GroupTable({self.name}, order={self.order})"
 
 
-def _close(rows, els: set, g: int) -> set:
-    """Add g to els, which is closed under the table's product, and close
-    it again under products on both sides."""
-    els.add(g)
-    frontier = [g]
-    while frontier:
-        x = frontier.pop()
-        row = rows[x]
-        for y in tuple(els):
-            for z in (row[y], rows[y][x]):
-                if z not in els:
-                    els.add(z)
-                    frontier.append(z)
-    return els
+def _join(table, H, g) -> frozenset:
+    """The subgroup generated by the subgroup H (holding the identity) and g.
+
+    Walks left cosets: each element reached is multiplied by g on the
+    right, and a product y outside the set brings in its whole coset yH.
+    The set stays a union of left cosets of H, closed under right
+    multiplication by H; once it is closed under g as well it is <H, g>:
+    two lookups per element, abelian or not.  On a table not yet known
+    to be associative each element reached is still a product of H and
+    g; cosets may then overlap, but each one brings a new element, so
+    the to-do list stays below (order + 1) * |H| entries.
+    """
+    joined = set(H)
+    todo = list(H)
+    for y in todo:
+        z = table[y][g]
+        if z not in joined:
+            row = table[z]
+            coset = [row[h] for h in H]
+            joined.update(coset)
+            todo.extend(coset)
+    return frozenset(joined)
 
 
 def _magma_generators(rows, identity: int) -> list[int]:
     """A set that generates the table under its product alone: each
-    element not yet reached joins the set, and the reached set is closed
-    again."""
-    reached = {identity}
+    element not yet reached joins it, and the walk extends the reached set."""
+    reached = frozenset([identity])
     generators = []
     for g in range(len(rows)):
         if g not in reached:
             generators.append(g)
-            _close(rows, reached, g)
+            reached = _join(rows, reached, g)
     return generators
-
-
-def _cyclic_members(G: GroupTable, g: int) -> frozenset:
-    members = [G.identity]
-    x = g
-    while x != G.identity:
-        members.append(x)
-        x = G.table[x][g]
-    return frozenset(members)
-
-
-def _join_with_element(G: GroupTable, H: frozenset, g: int) -> frozenset:
-    """The subgroup generated by H and g (H already a subgroup)."""
-    table = G.table
-    if G.is_abelian():
-        # <H, g> = {g^t * h}: products commute, so it is the union of the
-        # cosets g^t H for t below the first power of g that lies in H
-        out = set(H)
-        t = g
-        while t not in H:
-            row = table[t]
-            out.update(row[h] for h in H)
-            t = table[t][g]
-        return frozenset(out)
-    return frozenset(_close(table, set(H), g))
 
 
 def subgroups(G: GroupTable, cap: int = DEFAULT_TABLE_CAP) -> list[tuple[int, ...]]:
@@ -279,7 +258,7 @@ def subgroups(G: GroupTable, cap: int = DEFAULT_TABLE_CAP) -> list[tuple[int, ..
     if G._subgroups is None:
         generators = {}
         for g in range(G.order):
-            C = _cyclic_members(G, g)
+            C = _join(G.table, (G.identity,), g)
             if C not in generators and len(arith.prime_factors(len(C))) == 1:
                 generators[C] = g
         trivial = frozenset([G.identity])
@@ -290,7 +269,7 @@ def subgroups(G: GroupTable, cap: int = DEFAULT_TABLE_CAP) -> list[tuple[int, ..
             for g in generators.values():
                 if g in H:
                     continue
-                J = _join_with_element(G, H, g)
+                J = _join(G.table, H, g)
                 if J not in found:
                     found.add(J)
                     work.append(J)
@@ -328,16 +307,11 @@ def _is_normal_in(G: GroupTable, H: frozenset, J) -> bool:
 
 
 def _quotient_has_coset_of_order(G: GroupTable, H: frozenset, J, d: int) -> bool:
-    """Whether J/H (H normal in J) contains a coset of order exactly d."""
-    if d == 1:
-        return True
+    """Whether J/H (H normal in J) contains a coset of order exactly d:
+    some jH whose t-th power first lies in H at t = d."""
     table = G.table
     for j in J:
-        if j in H:
-            continue
-        # order of the coset jH: smallest t with j^t in H
-        t = 1
-        x = j
+        x, t = j, 1
         while x not in H:
             x = table[x][j]
             t += 1

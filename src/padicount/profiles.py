@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import arith
@@ -44,9 +46,10 @@ class BaseFieldProfile:
     """A base field: (p, e0, f0) and its cyclotomic tower, levels 1..depth.
 
     Level 0 is implicitly the trivial datum (1, 1).  Construction runs
-    validate() and raises DomainError listing every violation, so each
-    instance describes a field: p is prime, e0, f0 >= 1, and the tower
-    satisfies the level invariants.
+    validate() and raises DomainError naming the first 10 violations of
+    each kind (a kind is a message with its numbers removed) and how many
+    more there are, so each instance describes a field: p is prime,
+    e0, f0 >= 1, and the tower satisfies the level invariants.
 
     The private _memo takes no part in construction, equality, hashing
     or repr.
@@ -62,7 +65,16 @@ class BaseFieldProfile:
         object.__setattr__(self, "cyclotomic", tuple(self.cyclotomic))
         problems = validate(self)
         if problems:
-            raise DomainError("invalid profile: " + "; ".join(problems))
+            # name 10 of each kind; a kind is a message with its numbers removed
+            seen, shown = Counter(), []
+            for problem in problems:
+                kind = re.sub(r"\d+", "", problem)
+                seen[kind] += 1
+                if seen[kind] <= 10:
+                    shown.append(problem)
+            more = len(problems) - len(shown)
+            tail = f"; and {more} more" if more else ""
+            raise DomainError("invalid profile: " + "; ".join(shown) + tail)
 
     def _once(self, compute, *args, bits=None):
         """compute(*args), computed at most once per key while this profile lives.

@@ -409,3 +409,25 @@ def test_selfcheck_refuses_a_cap_below_one(capsys, flag, cap):
     code, out, err = run_cli(capsys, "selfcheck", "--grid", "small", flag, cap)
     assert (code, out) == (2, "")
     assert err == f"error: {flag} must be >= 1\n"
+
+
+@pytest.mark.parametrize("limit", ["abc", "0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "count iso-ef --qp 3 --e 2 --f 1",
+        "count iso-total --qp 3 --n 4",
+        "count krasner --qp 2 --e 2 --f 1",
+        "count cyclic-ef --qp 2 --e 1 --f 1",
+        "count cyclic-total --qp 3 --d 5",
+        "count tame --qp 5 --e 2 --f 1",
+        "table --qp 2 --n-max 4",
+        "selfcheck --grid small",
+    ],
+)
+def test_every_command_refuses_a_malformed_bit_limit(capsys, monkeypatch, argv, limit):
+    # the limit is checked at the boundary, not only when a power happens to be computed
+    monkeypatch.setenv(counting.MAX_BITS_ENV, limit)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err == f"error: {counting.MAX_BITS_ENV} must be a positive integer, got {limit!r}\n"

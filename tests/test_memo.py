@@ -73,15 +73,15 @@ def test_table_computes_each_closed_form_once(
 
 
 def test_table_lists_the_divisors_of_each_argument_once_in_the_evaluators(capsys, monkeypatch):
-    # the table's own loops take divisor_pairs(n) twice for each n <= 90;
-    # the evaluators fetch each list through the memo (2710 calls before it)
+    # the table's loops and the evaluators fetch each list through the
+    # profile's memo (2710 calls before the memo, 270 before the table used it)
     real = arith.divisors
     calls = []
     monkeypatch.setattr(arith, "divisors", lambda n: calls.append(n) or real(n))
     assert main("table --qp 2 --n-max 90".split()) == 0
     capsys.readouterr()
     assert sorted(set(calls)) == list(range(1, 91))
-    assert len(calls) == 2 * 90 + 90
+    assert len(calls) == 90
 
 
 def test_a_lower_bit_limit_still_raises_on_a_warm_profile(monkeypatch):

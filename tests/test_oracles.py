@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from itertools import combinations
 
@@ -316,6 +317,50 @@ def test_full_zoo_lattice_sizes():
     sizes = {G.name: len(subgroups(G)) for G in selfcheck.lemma_group_zoo(48)}
     assert sizes == FULL_ZOO_LATTICE_SIZES
     assert sum(sizes.values()) == 1575
+
+
+# sha256 over repr((name, table, subgroups)) of each zoo group in turn,
+# recorded before the lattice joins became one coset walk
+FULL_ZOO_DIGEST = "b8b2a324969eaa515bf412f19e766e5752ad097ccd12de5f3c7ba7abaa34a0f6"
+
+
+def test_full_zoo_names_tables_and_lattices_are_pinned():
+    digest = hashlib.sha256()
+    zoo = selfcheck.lemma_group_zoo(48)
+    for G in zoo:
+        digest.update(repr((G.name, G.table, subgroups(G))).encode())
+    assert len(zoo) == 72
+    assert digest.hexdigest() == FULL_ZOO_DIGEST
+
+
+def _closure(G, generators):
+    """Products of pairs, added until none is new."""
+    S = {G.identity, *generators}
+    while True:
+        grown = S | {G.mul(a, b) for a in S for b in S}
+        if grown == S:
+            return frozenset(S)
+        S = grown
+
+
+def _power_loop_order(G, x):
+    order, cur = 1, x
+    while cur != G.identity:
+        order, cur = order + 1, G.mul(cur, x)
+    return order
+
+
+def test_the_coset_walk_matches_brute_force_on_the_nonabelian_zoo():
+    groups = [G for G in selfcheck.lemma_group_zoo(24) if not G.is_abelian()]
+    assert len(groups) == 14
+    for G in groups:
+        for x in range(G.order):
+            assert G.element_order(x) == _power_loop_order(G, x), (G.name, x)
+        for S in subgroups(G):
+            for g in range(G.order):
+                assert oracles._join(G.table, frozenset(S), g) == _closure(G, {*S, g}), (
+                    G.name, S, g,
+                )
 
 
 def _pi_oracle_groups():

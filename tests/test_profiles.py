@@ -1,6 +1,7 @@
 import json
 import re
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -128,6 +129,21 @@ def test_a_deep_tower_validates_without_forming_p_to_each_level():
     start = time.perf_counter()
     BaseFieldProfile(p, e0, 1, levels)
     assert time.perf_counter() - start < 2.0
+
+
+def test_a_refused_deep_tower_names_ten_violations_of_each_kind():
+    # every trivial level over p = 100000000003 with e0 = 1 breaks phi(p^i) | e0*e_i;
+    # listing all 4000 once made a 200 KB message
+    p = 100_000_000_003
+    levels = tuple(CyclotomicDatum(i, 1, 1) for i in range(1, 4001))
+    with pytest.raises(DomainError) as caught:
+        BaseFieldProfile(p, 1, 1, levels)
+    message = str(caught.value)
+    assert len(message) < 2048
+    assert "level 1:" in message
+    assert "level 10:" in message and "level 11:" not in message
+    assert message.endswith("; and 3990 more")
+    assert len(validate(SimpleNamespace(p=p, e0=1, f0=1, cyclotomic=levels))) == 4000
 
 
 def test_divisibility_monotone_on_valid_profiles():
