@@ -12,7 +12,11 @@ longer than a fixed bound; an input past it raises MagnitudeError:
   same bound;
 * multiplicative orders come from the factorisation of phi(modulus), and
   divisibility questions about p^F - 1 are answered through them or by
-  modular reduction, so huge powers are never materialized.
+  modular reduction, so huge powers are never materialized;
+* valuations divide in rounds, by p, p^2, p^4, ..., so a huge power of p
+  costs a few long divisions, not one per factor;
+* exact_quotient is the one checked division: a remainder raises
+  ConsistencyError.
 
 No helper here checks that its p is prime: p comes from a base-field
 profile, which checks that once, when it is built.  A helper refuses
@@ -24,7 +28,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DomainError, MagnitudeError
+from .errors import ConsistencyError, DomainError, MagnitudeError
 
 # Sorenson and Webster (Math. Comp. 86, 2017): no composite below MR_BOUND
 # is a strong pseudoprime to all of the first 13 prime bases.
@@ -138,19 +142,32 @@ def euler_phi(n: int) -> int:
 def p_valuation(n: int, p: int) -> PValuation:
     """Largest s with p^s | n, together with the cofactor h = n / p^s.
 
-    Well defined for any p >= 2, prime or not; p < 2 would never stop
-    dividing and is refused.
+    Divides in rounds by p, p^2, p^4, ... while each divides, then starts
+    again from p, so s costs O(log(s)^2) divisions; when p does not
+    divide n it costs one modulo.  Well defined for any p >= 2, prime or
+    not; p < 2 would never stop dividing and is refused.
     """
     if n < 1:
         raise DomainError("p_valuation: n must be >= 1")
     if p < 2:
         raise DomainError(f"p_valuation: p = {p} must be >= 2")
-    s = 0
-    h = n
+    s, h = 0, n
     while h % p == 0:
-        h //= p
-        s += 1
+        power, k = p, 1
+        while h % power == 0:
+            h //= power
+            s += k
+            power, k = power * power, 2 * k
     return PValuation(s, h)
+
+
+def exact_quotient(total: int, divisor: int, where: str) -> int:
+    """total // divisor, for a division the formulas make exact; a
+    remainder means the implementation itself is wrong."""
+    q, rem = divmod(total, divisor)
+    if rem:
+        raise ConsistencyError(f"{where}: {total} is not divisible by {divisor}")
+    return q
 
 
 def divisors(n: int) -> list[int]:

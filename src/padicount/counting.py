@@ -3,7 +3,7 @@
 All arithmetic is exact; no floating point is used anywhere.  Powers pass
 through a configurable magnitude guard that turns runaway inputs into a
 clean MagnitudeError instead of exhausting memory.  Every division these
-formulas perform is checked for exactness; a remainder means the
+formulas perform goes through arith.exact_quotient; a remainder means the
 implementation itself is wrong, so it raises ConsistencyError.
 """
 
@@ -13,7 +13,7 @@ import math
 import os
 
 from . import arith
-from .errors import ConsistencyError, DomainError, MagnitudeError
+from .errors import DomainError, MagnitudeError
 from .profiles import BaseFieldProfile
 
 DEFAULT_MAX_BITS = 1 << 20
@@ -132,10 +132,7 @@ def psi_count(u: int, v: int) -> int:
         else:
             num *= ell * ell - 1
             den *= ell * ell
-    q, r = divmod(num, den)
-    if r:
-        raise ConsistencyError(f"psi_count({u}, {v}) is not an integer")
-    return q
+    return arith.exact_quotient(num, den, f"psi_count({u}, {v})")
 
 
 def cyclic_count_ef(K: BaseFieldProfile, e: int, f: int) -> int:
@@ -152,10 +149,7 @@ def cyclic_count_ef(K: BaseFieldProfile, e: int, f: int) -> int:
     if not arith.divides_p_power_minus_one(h, K.p, K.f0):
         return 0
     num = e * arith.euler_phi(h) * arith.euler_phi(f) * pi_count(K.p, K.n0, s, xi)
-    q, r = divmod(num, arith.euler_phi(e * f))
-    if r:
-        raise ConsistencyError(f"cyclic_count_ef({e}, {f}): division by phi({e * f}) inexact")
-    return q
+    return arith.exact_quotient(num, arith.euler_phi(e * f), f"cyclic_count_ef({e}, {f})")
 
 
 def cyclic_count_total(K: BaseFieldProfile, d: int) -> int:
@@ -172,7 +166,4 @@ def cyclic_count_total(K: BaseFieldProfile, d: int) -> int:
     r, k = arith.p_valuation(d, K.p)
     psi = psi_count(k, arith.gcd_p_power_minus_one(k, K.p, K.f0))
     num = psi * pi_count(K.p, K.n0 + 1, r, xi)
-    q, rem = divmod(num, arith.euler_phi(d))
-    if rem:
-        raise ConsistencyError(f"cyclic_count_total({d}): division by phi({d}) inexact")
-    return q
+    return arith.exact_quotient(num, arith.euler_phi(d), f"cyclic_count_total({d})")

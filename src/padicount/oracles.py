@@ -8,7 +8,8 @@ Two substrates:
 * arbitrary finite groups given by a Cayley table (full subgroup-lattice
   enumeration and the chain-count identity for conjugacy classes); the
   constructors cyclic, abelian, dihedral, quaternion8, symmetric and
-  alternating build named, verified tables.
+  alternating build named, verified tables, writing the index of each
+  product from a formula, or for permutations by lookup.
 
 Everything proceeds by exhaustive enumeration, and no count here uses a
 closed form from the paper.  Each enumeration visits each object once:
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from . import arith
-from .errors import ConsistencyError, DomainError, MagnitudeError
+from .errors import DomainError, MagnitudeError
 from .profiles import BaseFieldProfile
 
 DEFAULT_ABELIAN_CAP = 100_000
@@ -53,7 +54,6 @@ class AbelianGroup:
             raise MagnitudeError(f"group order {order} exceeds cap {cap}")
         self.factors = factors
         self.order = order
-        self._histogram = None
 
     def identity(self) -> tuple[int, ...]:
         return (0,) * len(self.factors)
@@ -79,17 +79,15 @@ class AbelianGroup:
         coordinates in the next factor) adds n_a * n_b to lcm(a, b).
         This counts every element once without visiting each one.
         """
-        if self._histogram is None:
-            hist = Counter({1: 1})
-            for f in self.factors:
-                coord = Counter(f // math.gcd(c, f) for c in range(f))
-                combined = Counter()
-                for a, n_a in hist.items():
-                    for b, n_b in coord.items():
-                        combined[math.lcm(a, b)] += n_a * n_b
-                hist = combined
-            self._histogram = hist
-        return self._histogram
+        hist = Counter({1: 1})
+        for f in self.factors:
+            coord = Counter(f // math.gcd(c, f) for c in range(f))
+            combined = Counter()
+            for a, n_a in hist.items():
+                for b, n_b in coord.items():
+                    combined[math.lcm(a, b)] += n_a * n_b
+            hist = combined
+        return hist
 
 
 def dual_group(K: BaseFieldProfile, d: int, cap: int = DEFAULT_ABELIAN_CAP) -> AbelianGroup:
@@ -366,26 +364,18 @@ def lemma_check(G: GroupTable, n: int, cap: int = DEFAULT_TABLE_CAP) -> LemmaRep
         chain_counts[d] = count
 
     weighted = sum(arith.euler_phi(d) * c for d, c in chain_counts.items())
-    rhs, rem = divmod(weighted, n)
-    if rem:
-        raise ConsistencyError(
-            f"chain-count sum {weighted} not divisible by n = {n} for {G.name}"
-        )
+    rhs = arith.exact_quotient(weighted, n, f"chain-count sum for {G.name}")
     return LemmaReport(n=n, lhs=lhs, rhs=rhs, chain_counts=chain_counts, equal=lhs == rhs)
 
 
-def _table_from_elements(elements, mul, name: str) -> GroupTable:
-    index = {x: i for i, x in enumerate(elements)}
-    return GroupTable([[index[mul(a, b)] for b in elements] for a in elements], name=name)
-
-
 def _product_table(factors, name: str) -> GroupTable:
-    elements = list(product(*(range(f) for f in factors)))
-
-    def mul(a, b):
-        return tuple((x + y) % f for x, y, f in zip(a, b, factors))
-
-    return _table_from_elements(elements, mul, name)
+    # (a, x) in (product so far) x C_f has index a*f + x: the order of itertools.product
+    table = [[0]]
+    for f in factors:
+        table = [
+            [t * f + (x + y) % f for t in row for y in range(f)] for row in table for x in range(f)
+        ]
+    return GroupTable(table, name=name)
 
 
 def cyclic(n: int) -> GroupTable:
@@ -400,16 +390,13 @@ def abelian(*factors: int) -> GroupTable:
 
 def dihedral(n: int) -> GroupTable:
     """The dihedral group of order 2n."""
-    # elements r^i s^b, encoded as (i, b); s r s = r^-1
-    elements = [(i, b) for b in range(2) for i in range(n)]
-
-    def mul(a, b):
-        i1, b1 = a
-        i2, b2 = b
-        i = (i1 - i2) % n if b1 else (i1 + i2) % n
-        return (i, b1 ^ b2)
-
-    return _table_from_elements(elements, mul, f"dihedral({n})")
+    # r^i s^b has index b*n + i; s r s = r^-1
+    rows = [
+        [(b1 ^ b2) * n + (i1 - i2 if b1 else i1 + i2) % n for b2 in range(2) for i2 in range(n)]
+        for b1 in range(2)
+        for i1 in range(n)
+    ]
+    return GroupTable(rows, name=f"dihedral({n})")
 
 
 _QUATERNION_UNITS = {
@@ -423,14 +410,14 @@ _QUATERNION_UNITS = {
 
 def quaternion8() -> GroupTable:
     """The quaternion group {+-1, +-i, +-j, +-k}."""
-    elements = [(u, s) for u in range(4) for s in range(2)]
-
-    def mul(a, b):
-        (u1, s1), (u2, s2) = a, b
-        sign, u3 = _QUATERNION_UNITS[(u1, u2)]
-        return (u3, s1 ^ s2 ^ sign)
-
-    return _table_from_elements(elements, mul, "quaternion8")
+    # (-1)^s * unit u has index 2u + s, and a sign flips the low bit
+    units = {key: 2 * u3 + sign for key, (sign, u3) in _QUATERNION_UNITS.items()}
+    rows = [
+        [units[u1, u2] ^ s1 ^ s2 for u2 in range(4) for s2 in range(2)]
+        for u1 in range(4)
+        for s1 in range(2)
+    ]
+    return GroupTable(rows, name="quaternion8")
 
 
 def _permutation_table(k: int, name: str, even_only: bool = False) -> GroupTable:
@@ -438,11 +425,10 @@ def _permutation_table(k: int, name: str, even_only: bool = False) -> GroupTable
         p for p in permutations(range(k))
         if not even_only or sum(a > b for a, b in combinations(p, 2)) % 2 == 0
     ]
-
-    def mul(a, b):
-        return tuple(a[b[i]] for i in range(k))
-
-    return _table_from_elements(elements, mul, name)
+    index = {p: i for i, p in enumerate(elements)}
+    # a * b is the composite i -> a[b[i]]
+    rows = [[index[tuple(a[i] for i in b)] for b in elements] for a in elements]
+    return GroupTable(rows, name=name)
 
 
 def symmetric(k: int) -> GroupTable:

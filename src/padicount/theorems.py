@@ -15,12 +15,13 @@ sigma_krasner, delta_count, psi_count, totients and gcds through the
 profile's memo (BaseFieldProfile._once) and read the magnitude limit
 once per call.
 Each evaluator sums integer terms and divides once at the end (by f,
-respectively n); a remainder is impossible for correct code and raises
-ConsistencyError rather than being rounded.  The *_terms variants also
-return the individual summands in a fixed iteration order (ascending
-level, then ascending divisors) for breakdown output; the tame variant
-builds its per-i summands only when asked, and at most MAX_TAME_SUMMANDS
-of them.
+respectively n; iso_count_ef also divides each level-i term by e_i)
+through arith.exact_quotient: a remainder is impossible for correct code
+and raises ConsistencyError rather than being rounded.  The *_terms
+variants also return the individual summands in a fixed iteration order
+(ascending level, then ascending divisors) for breakdown output; the
+tame variant builds its per-i summands only when asked, and at most
+MAX_TAME_SUMMANDS of them.
 """
 
 from __future__ import annotations
@@ -65,13 +66,6 @@ class TermTame(NamedTuple):
     term: int
 
 
-def _divide_exactly(total: int, divisor: int, where: str) -> int:
-    q, rem = divmod(total, divisor)
-    if rem:
-        raise ConsistencyError(f"{where}: sum {total} not divisible by {divisor}")
-    return q
-
-
 def iso_count_ef_terms(K: BaseFieldProfile, e: int, f: int) -> tuple[int, list[TermEF]]:
     """Class count for ramification e and inertia f, with its summands.
 
@@ -110,16 +104,11 @@ def iso_count_ef_terms(K: BaseFieldProfile, e: int, f: int) -> tuple[int, list[T
                 term = weight * phi_f2 * once(counting.sigma_krasner, p, n1, s1, bits=bits)
                 # validity makes e_i divide p^{i-1}(p-1), which divides
                 # delta_count(p, ., s2, i) for i >= 1; e_0 = 1
-                term, rem = divmod(
-                    term * once(counting.delta_count, p, n1, s2, i, bits=bits), e_i
-                )
-                if rem:
-                    raise ConsistencyError(
-                        f"iso_count_ef(e={e}, f={f}): level-{i} term not divisible by {e_i}"
-                    )
+                delta = once(counting.delta_count, p, n1, s2, i, bits=bits)
+                term = arith.exact_quotient(term * delta, e_i, "iso_count_ef: level term by e_i")
                 total += term
                 terms.append(TermEF(i, e1, f1, e2, f2, term))
-    return _divide_exactly(total, f, f"iso_count_ef(e={e}, f={f})"), terms
+    return arith.exact_quotient(total, f, f"iso_count_ef(e={e}, f={f})"), terms
 
 
 def iso_count_ef(K: BaseFieldProfile, e: int, f: int) -> int:
@@ -167,7 +156,7 @@ def iso_count_total_terms(K: BaseFieldProfile, n: int) -> tuple[int, list[TermTo
                 )
                 total += term
                 terms.append(TermTotal(i, d, e1, f1, term))
-    return _divide_exactly(total, n, f"iso_count_total(n={n})"), terms
+    return arith.exact_quotient(total, n, f"iso_count_total(n={n})"), terms
 
 
 def iso_count_total(K: BaseFieldProfile, n: int) -> int:
@@ -214,7 +203,7 @@ def tame_iso_count_terms(
             raise ConsistencyError(
                 f"tame_iso_count(e={e}, f={f}): divisor-sum {total} != gcd-sum {alt}"
             )
-    return _divide_exactly(total, f, f"tame_iso_count(e={e}, f={f})"), terms
+    return arith.exact_quotient(total, f, f"tame_iso_count(e={e}, f={f})"), terms
 
 
 def tame_iso_count(K: BaseFieldProfile, e: int, f: int, cross_check: bool = False) -> int:

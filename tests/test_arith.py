@@ -5,7 +5,7 @@ import pytest
 import sympy
 
 from padicount import arith
-from padicount.errors import DomainError, MagnitudeError
+from padicount.errors import ConsistencyError, DomainError, MagnitudeError
 
 
 def test_euler_phi_examples():
@@ -47,6 +47,33 @@ def test_p_valuation_refuses_p_below_two():
     with pytest.raises(DomainError):
         arith.p_valuation(0, 2)
     assert arith.p_valuation(12, 4) == (1, 3)
+
+
+def _valuation_one_factor_at_a_time(n, p):
+    s = 0
+    while n % p == 0:
+        n //= p
+        s += 1
+    return s, n
+
+
+def test_p_valuation_in_rounds_equals_dividing_one_factor_at_a_time():
+    for p in (2, 3, 4, 6, 100000000003):
+        # cofactors p does not divide; 2 shares a factor with p = 4 and p = 6
+        for cofactor in (c for c in (2, p + 1) if c % p):
+            for k in (0, 1, 2, 3, 7, 64, 1000, 4097):
+                n = p**k * cofactor
+                assert arith.p_valuation(n, p) == _valuation_one_factor_at_a_time(n, p), (
+                    p, cofactor, k,
+                )
+                assert arith.p_valuation(n, p) == (k, cofactor)
+
+
+def test_exact_quotient_divides_or_names_the_remainder():
+    assert arith.exact_quotient(12, 4, "here") == 3
+    assert arith.exact_quotient(-12, 4, "here") == -3
+    with pytest.raises(ConsistencyError, match="here: 13 is not divisible by 4"):
+        arith.exact_quotient(13, 4, "here")
 
 
 def test_divisor_pairs_examples():

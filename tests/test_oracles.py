@@ -1,6 +1,7 @@
 import hashlib
+import math
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -410,3 +411,52 @@ def test_dual_cyclic_subgroup_count_equals_the_dedupe_enumeration():
             assert dual_cyclic_subgroup_count(Ghat, d) == _cyclic_subgroups_by_dedupe(Ghat, d), (
                 K.p, K.n0, K.f0, K.xi, d,
             )
+
+
+def _table_order_histogram(G):
+    return Counter(G.element_order(x) for x in range(G.order))
+
+
+def test_cyclic_and_abelian_tables_have_the_order_histogram_of_their_factors():
+    for n in range(1, 41):
+        assert _table_order_histogram(cyclic(n)) == AbelianGroup((n,)).order_histogram(), n
+    for factors in selfcheck.abelian_factor_lists(64):
+        G = oracles.abelian(*factors)
+        assert _table_order_histogram(G) == AbelianGroup(factors).order_histogram(), factors
+
+
+def test_dihedral_tables_have_phi_d_rotations_of_order_d_and_n_reflections():
+    for n in range(1, 21):
+        want = Counter({d: arith.euler_phi(d) for d in arith.divisors(n)})
+        want[2] += n
+        assert _table_order_histogram(dihedral(n)) == want, n
+
+
+def test_quaternion_table_has_one_involution_and_six_elements_of_order_four():
+    assert _table_order_histogram(quaternion8()) == Counter({1: 1, 2: 1, 4: 6})
+
+
+def _cycle_lengths(perm):
+    lengths, seen = [], set()
+    for start in range(len(perm)):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i = perm[i]
+            length += 1
+        if length:
+            lengths.append(length)
+    return lengths
+
+
+def test_permutation_tables_have_the_orders_of_their_cycle_types():
+    for k in range(1, 6):
+        cycle_types = [_cycle_lengths(perm) for perm in permutations(range(k))]
+        # a permutation is even when k minus its number of cycles is even
+        for build, even_only in ((symmetric, False), (alternating, True)):
+            want = Counter(
+                math.lcm(*lengths)
+                for lengths in cycle_types
+                if not even_only or (k - len(lengths)) % 2 == 0
+            )
+            assert _table_order_histogram(build(k)) == want, (build.__name__, k)
