@@ -16,7 +16,8 @@ longer than a fixed bound; an input past it raises MagnitudeError:
 * valuations divide in rounds, by p, p^2, p^4, ..., so a huge power of p
   costs a few long divisions, not one per factor;
 * exact_quotient is the one checked division: a remainder raises
-  ConsistencyError.
+  ConsistencyError;
+* parse_decimal is the one reader of integer inputs: ASCII -?[0-9]+ only.
 
 No helper here checks that its p is prime: p comes from a base-field
 profile, which checks that once, when it is built.  A helper refuses
@@ -26,6 +27,7 @@ only a p for which its own loop would not end.
 from __future__ import annotations
 
 import math
+import re
 from typing import NamedTuple
 
 from .errors import ConsistencyError, DomainError, MagnitudeError
@@ -168,6 +170,20 @@ def exact_quotient(total: int, divisor: int, where: str) -> int:
     if rem:
         raise ConsistencyError(f"{where}: {total} is not divisible by {divisor}")
     return q
+
+
+def parse_decimal(text: str) -> int | None:
+    """The integer written as ASCII -?[0-9]+ in text, else None.
+
+    int() alone also takes "1_0", " 1" and non-ASCII digits, and raises
+    ValueError past sys.get_int_max_str_digits() digits; both give None.
+    """
+    if not re.fullmatch("-?[0-9]+", text):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
 
 
 def divisors(n: int) -> list[int]:

@@ -24,13 +24,13 @@ from .selfcheck import (
 
 
 class Kind(NamedTuple):
-    """One count kind: its parameters, the Q_p depth it needs, how to
-    evaluate it, and whether it has summands to print."""
+    """One count kind: its parameters, the Q_p depth it needs, how to evaluate
+    it and, for a kind with summands to print, how to evaluate it with them."""
 
     params: tuple[str, ...]
     depth: Callable[[int, argparse.Namespace], int]
-    evaluate: Callable[[BaseFieldProfile, argparse.Namespace], tuple[int, list | None]]
-    breakdown: bool = False
+    evaluate: Callable[[BaseFieldProfile, argparse.Namespace], int]
+    breakdown: Callable[[BaseFieldProfile, argparse.Namespace], tuple[int, list]] | None = None
 
 
 def _cyclic_depth(p, args):
@@ -38,40 +38,41 @@ def _cyclic_depth(p, args):
 
 
 # Evaluators are looked up on their modules at call time, never bound here.
+# Summands are built only when --breakdown prints them.
 KINDS = {
     "iso-ef": Kind(
         ("e", "f"),
         lambda p, a: arith.p_valuation(a.e, p).s,
+        lambda K, a: theorems.iso_count_ef(K, a.e, a.f),
         lambda K, a: theorems.iso_count_ef_terms(K, a.e, a.f),
-        breakdown=True,
     ),
     "iso-total": Kind(
         ("n",),
         lambda p, a: arith.p_valuation(a.n, p).s,
+        lambda K, a: theorems.iso_count_total(K, a.n),
         lambda K, a: theorems.iso_count_total_terms(K, a.n),
-        breakdown=True,
     ),
     "krasner": Kind(
         ("e", "f"),
         lambda p, a: 0,
-        lambda K, a: (counting.krasner_count(K, a.e, a.f), None),
+        lambda K, a: counting.krasner_count(K, a.e, a.f),
     ),
     "cyclic-ef": Kind(
         ("e", "f"),
         _cyclic_depth,
-        lambda K, a: (counting.cyclic_count_ef(K, a.e, a.f), None),
+        lambda K, a: counting.cyclic_count_ef(K, a.e, a.f),
     ),
     "cyclic-total": Kind(
         ("d",),
         _cyclic_depth,
-        lambda K, a: (counting.cyclic_count_total(K, a.d), None),
+        lambda K, a: counting.cyclic_count_total(K, a.d),
     ),
     # the per-i summands come from the cross-check, run only when printed
     "tame": Kind(
         ("e", "f"),
         lambda p, a: 0,
-        lambda K, a: theorems.tame_iso_count_terms(K, a.e, a.f, cross_check=a.breakdown),
-        breakdown=True,
+        lambda K, a: theorems.tame_iso_count(K, a.e, a.f),
+        lambda K, a: theorems.tame_iso_count_terms(K, a.e, a.f, cross_check=True),
     ),
 }
 
@@ -79,6 +80,14 @@ KINDS = {
 def to_json(payload) -> str:
     """Canonical JSON: fixed key order, two-space indent, no floats anywhere."""
     return json.dumps(payload, indent=2)
+
+
+def _integer(text: str) -> int:
+    """An integer option, read by arith.parse_decimal and never coerced."""
+    value = arith.parse_decimal(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
 
 
 def _positive(name, value):
@@ -107,16 +116,17 @@ def _cmd_count(args) -> int:
         if name not in kind.params and value is not None:
             raise DomainError(f"kind {args.kind} does not take --{name}")
         _positive(name, value)
-    if args.breakdown and not kind.breakdown:
+    if args.breakdown and kind.breakdown is None:
         raise DomainError(f"--breakdown is not available for kind {args.kind}")
 
     depth = 0 if args.qp is None else kind.depth(args.qp, args)
-    value, terms = kind.evaluate(_field_for(args, depth), args)
+    K = _field_for(args, depth)
+    value, terms = kind.breakdown(K, args) if args.breakdown else (kind.evaluate(K, args), [])
 
     query = {"kind": args.kind, **_field_echo(args)}
     for name in kind.params:
         query[name] = getattr(args, name)
-    records = [{**t._asdict(), "term": str(t.term)} for t in terms] if args.breakdown else []
+    records = [{**t._asdict(), "term": str(t.term)} for t in terms]
 
     if args.json:
         payload = {"query": query, "value": str(value)}
@@ -234,25 +244,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_field_source(p):
         group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--qp", type=int, metavar="P", help="use the base field Q_p")
+        group.add_argument("--qp", type=_integer, metavar="P", help="use the base field Q_p")
         group.add_argument("--profile", metavar="PATH", help="JSON base-field profile")
 
     count = sub.add_parser("count", help="compute a single count")
     count.add_argument("kind", choices=KINDS)
     add_field_source(count)
-    count.add_argument("--e", type=int, help="ramification index")
-    count.add_argument("--f", type=int, help="inertia degree")
-    count.add_argument("--n", type=int, help="degree (iso-total)")
-    count.add_argument("--d", type=int, help="degree (cyclic-total)")
+    count.add_argument("--e", type=_integer, help="ramification index")
+    count.add_argument("--f", type=_integer, help="inertia degree")
+    count.add_argument("--n", type=_integer, help="degree (iso-total)")
+    count.add_argument("--d", type=_integer, help="degree (cyclic-total)")
     count.add_argument("--breakdown", action="store_true", help="also print the summands")
     count.add_argument("--json", action="store_true", help="machine-readable output")
     count.set_defaults(handler=_cmd_count)
 
     table = sub.add_parser("table", help="tabulate counts over a parameter range")
     add_field_source(table)
-    table.add_argument("--n-max", type=int, help="all (e, f) with e*f <= this degree")
-    table.add_argument("--e-max", type=int, help="rectangle mode: e upper bound")
-    table.add_argument("--f-max", type=int, help="rectangle mode: f upper bound")
+    table.add_argument("--n-max", type=_integer, help="all (e, f) with e*f <= this degree")
+    table.add_argument("--e-max", type=_integer, help="rectangle mode: e upper bound")
+    table.add_argument("--f-max", type=_integer, help="rectangle mode: f upper bound")
     table.add_argument("--format", choices=("json", "csv"), default="csv")
     table.add_argument("--out", metavar="PATH", help="write to a file instead of stdout")
     table.set_defaults(handler=_cmd_table)
@@ -260,11 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
     selfcheck = sub.add_parser("selfcheck", help="run the oracle and consistency suites")
     selfcheck.add_argument("--grid", choices=("small", "full"), default="full")
     selfcheck.add_argument(
-        "--max-abelian-order", type=int, default=DEFAULT_MAX_ABELIAN_ORDER,
+        "--max-abelian-order", type=_integer, default=DEFAULT_MAX_ABELIAN_ORDER,
         help="skip enumeration groups larger than this",
     )
     selfcheck.add_argument(
-        "--max-table-order", type=int, default=DEFAULT_MAX_TABLE_ORDER,
+        "--max-table-order", type=_integer, default=DEFAULT_MAX_TABLE_ORDER,
         help="skip Cayley tables larger than this",
     )
     selfcheck.set_defaults(handler=_cmd_selfcheck)

@@ -1,10 +1,12 @@
 """Closed-form counts: Krasner extension counts and cyclic-extension counts.
 
 All arithmetic is exact; no floating point is used anywhere.  Powers pass
-through a configurable magnitude guard that turns runaway inputs into a
-clean MagnitudeError instead of exhausting memory.  Every division these
-formulas perform goes through arith.exact_quotient; a remainder means the
-implementation itself is wrong, so it raises ConsistencyError.
+through a magnitude guard that turns runaway inputs into a clean
+MagnitudeError instead of exhausting memory; sigma_krasner and delta_count
+take its limit as bits, read from PADICOUNT_MAX_BITS only when not given,
+and pi_count reads it itself.  Every division goes through
+arith.exact_quotient; a remainder means the implementation itself is
+wrong, so it raises ConsistencyError.
 """
 
 from __future__ import annotations
@@ -25,27 +27,22 @@ def magnitude_bits() -> int:
     raw = os.environ.get(MAX_BITS_ENV)
     if raw is None:
         return DEFAULT_MAX_BITS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise DomainError(f"{MAX_BITS_ENV} must be a positive integer, got {raw!r}") from None
-    if value < 1:
+    value = arith.parse_decimal(raw)
+    if value is None or value < 1:
         raise DomainError(f"{MAX_BITS_ENV} must be a positive integer, got {raw!r}")
     return value
 
 
-def guarded_power(base: int, exponent: int) -> int:
-    """base ** exponent, refused once the result would pass the bit guard."""
+def guarded_power(base: int, exponent: int, bits: int) -> int:
+    """base ** exponent, refused once the result would pass bits bits."""
     if exponent < 0:
         raise DomainError(f"guarded_power: exponent {exponent} must be >= 0")
-    if base >= 2 and exponent * math.log2(base) > magnitude_bits():
-        raise MagnitudeError(
-            f"{base}^{exponent} exceeds the magnitude limit of {magnitude_bits()} bits"
-        )
+    if base >= 2 and exponent * math.log2(base) > bits:
+        raise MagnitudeError(f"{base}^{exponent} exceeds the magnitude limit of {bits} bits")
     return base**exponent
 
 
-def sigma_krasner(p: int, N: int, s: int) -> int:
+def sigma_krasner(p: int, N: int, s: int, bits: int | None = None) -> int:
     """The ramified part of the Krasner count.
 
     sum_{i=0}^{s} p^i * (p^{eps(i)*N} - p^{eps(i-1)*N}), where eps(0) = 0,
@@ -63,11 +60,12 @@ def sigma_krasner(p: int, N: int, s: int) -> int:
         raise DomainError(f"sigma_krasner: p = {p} must be >= 2")
     if N % p**s:
         raise DomainError(f"sigma_krasner: p^s = {p**s} must divide N = {N}")
+    bits = magnitude_bits() if bits is None else bits
     total = 0
     prev = 0
     for i in range(s + 1):
         exponent = (N // p**i) * ((p**i - 1) // (p - 1))
-        cur = guarded_power(p, exponent)
+        cur = guarded_power(p, exponent, bits)
         total += p**i * (cur - prev)
         prev = cur
     return total
@@ -81,7 +79,7 @@ def krasner_count(K: BaseFieldProfile, e: int, f: int) -> int:
     if e < 1 or f < 1:
         raise DomainError("krasner_count: e and f must be >= 1")
     s, _ = arith.p_valuation(e, K.p)
-    return e * K._once(sigma_krasner, K.p, K.n0 * e * f, s, bits=magnitude_bits())
+    return e * K._once(sigma_krasner, K.p, K.n0 * e * f, s, magnitude_bits())
 
 
 def pi_count(p: int, m: int, s: int, xi: int) -> int:
@@ -92,25 +90,28 @@ def pi_count(p: int, m: int, s: int, xi: int) -> int:
     """
     if s == 0:
         return 1
-    return guarded_power(p, m * s + min(xi, s)) - guarded_power(p, m * (s - 1) + min(xi, s - 1))
+    bits = magnitude_bits()
+    lo, hi = m * (s - 1) + min(xi, s - 1), m * s + min(xi, s)
+    return guarded_power(p, hi, bits) - guarded_power(p, lo, bits)
 
 
-def delta_count(p: int, m: int, s: int, i: int) -> int:
+def delta_count(p: int, m: int, s: int, i: int, bits: int | None = None) -> int:
     """Layered difference of pi_count in its last argument.
 
     Equals pi_count(p, m, s, 0) for i = 0 and
     pi_count(p, m, s, i) - pi_count(p, m, s, i-1) for i > 0, as a closed
     form: the main term plus one correction layer per cyclotomic level.
     """
+    bits = magnitude_bits() if bits is None else bits
     if i > s:
         return 0
     if s == 0:
         return 1
     if i == 0:
-        return (guarded_power(p, m) - 1) * guarded_power(p, m * (s - 1))
+        return (guarded_power(p, m, bits) - 1) * guarded_power(p, m * (s - 1), bits)
     if i < s:
-        return (p - 1) * (guarded_power(p, m) - 1) * guarded_power(p, m * (s - 1) + i - 1)
-    return (p - 1) * guarded_power(p, m * s + s - 1)
+        return (p - 1) * (guarded_power(p, m, bits) - 1) * guarded_power(p, m * (s - 1) + i - 1, bits)
+    return (p - 1) * guarded_power(p, m * s + s - 1, bits)
 
 
 def psi_count(u: int, v: int) -> int:

@@ -76,17 +76,17 @@ class BaseFieldProfile:
             tail = f"; and {more} more" if more else ""
             raise DomainError("invalid profile: " + "; ".join(shown) + tail)
 
-    def _once(self, compute, *args, bits=None):
+    def _once(self, compute, *args):
         """compute(*args), computed at most once per key while this profile lives.
 
-        The key is compute itself, its argument tuple and bits, the
-        magnitude limit a guarded value was computed under, so a tighter
-        limit misses and raises again.  Every stored value is a
+        The key is compute itself and its argument tuple.  A guarded
+        closed form takes the magnitude limit as an argument, so a
+        tighter limit misses and raises again.  Every stored value is a
         deterministic function of its key, so threads may share the
         profile: a race at worst computes the same value twice.  A call
         that raises stores nothing.
         """
-        key = (compute, args, bits)
+        key = (compute, args)
         memo = self._memo
         try:
             return memo[key]

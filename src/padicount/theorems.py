@@ -9,19 +9,19 @@ Three evaluators:
   not divide e.
 
 A BaseFieldProfile is validated when it is built, so the evaluators take
-p and the tower on trust and re-check neither.  The cells of a table
-share most of their terms, so the evaluators fetch divisor lists,
-sigma_krasner, delta_count, psi_count, totients and gcds through the
-profile's memo (BaseFieldProfile._once) and read the magnitude limit
-once per call.
-Each evaluator sums integer terms and divides once at the end (by f,
-respectively n; iso_count_ef also divides each level-i term by e_i)
-through arith.exact_quotient: a remainder is impossible for correct code
-and raises ConsistencyError rather than being rounded.  The *_terms
-variants also return the individual summands in a fixed iteration order
-(ascending level, then ascending divisors) for breakdown output; the
-tame variant builds its per-i summands only when asked, and at most
-MAX_TAME_SUMMANDS of them.
+p and the tower on trust and re-check neither.  The first two each run
+one private summation: it reads the magnitude limit once and passes it
+down, and takes the divisor pairs of n with their p-valuations,
+prime-to-p parts and totients from one entry per (n, p) in the profile's
+memo, which a table's cells share, so a summand costs only its memo
+lookups (the divisibility test or the gcd, sigma_krasner, delta_count).
+Terms are summed and divided once at the end (by f, respectively n;
+iso_count_ef divides each level-i term by e_i > 1) through
+arith.exact_quotient: a remainder means a bug and raises ConsistencyError
+rather than being rounded.  The *_terms variants pass the summation a
+list for the summands, in a fixed order (ascending level, then ascending
+divisors); the tame variant builds its per-i summands only when asked,
+and at most MAX_TAME_SUMMANDS of them.
 """
 
 from __future__ import annotations
@@ -66,55 +66,100 @@ class TermTame(NamedTuple):
     term: int
 
 
+def _splits(n: int, p: int, once) -> list[tuple[int, int, int, int, int, int, int]]:
+    """Rows (d1, d2, v_p(d1), v_p(d2), h2, phi(h2), phi(d2)), n = d1*d2 ascending
+    in d1 and h2 the prime-to-p part of d2.  Fetched as once(_splits, n, p, once),
+    so n is listed through the memo; the key refers back to the profile, a cycle
+    that the garbage collector frees."""
+    rows = []
+    for d1, d2 in once(arith.divisor_pairs, n):
+        s2, h2 = arith.p_valuation(d2, p)
+        phis = arith.euler_phi(h2), arith.euler_phi(d2)
+        rows.append((d1, d2, arith.p_valuation(d1, p).s, s2, h2, *phis))
+    return rows
+
+
+def _sum_ef(K: BaseFieldProfile, e: int, f: int, terms: list | None = None) -> int:
+    """iso_count_ef; each summand is also appended to terms when given."""
+    if e < 1 or f < 1:
+        raise DomainError("iso_count_ef: e and f must be >= 1")
+    p, n0, f0, once = K.p, K.n0, K.f0, K._once
+    s, _ = arith.p_valuation(e, p)
+    K.level(s)  # hard requirement up front, never silently padded
+    bits = counting.magnitude_bits()
+    sigma, delta = counting.sigma_krasner, counting.delta_count
+    divides = arith.divides_p_power_minus_one
+    total = 0
+    for i in range(s + 1):
+        e_i, f_i = K.level(i)
+        if e % e_i or f % f_i:
+            continue
+        f_rows = once(_splits, f // f_i, p, once)
+        for e1, e2, s1, s2, h2, phi_h2, _ in once(_splits, e // e_i, p, once):
+            for f1, f2, _, _, _, _, phi_f2 in f_rows:
+                if not once(divides, h2, p, f0 * f_i * f1):
+                    continue
+                n1 = n0 * e_i * f_i * e1 * f1
+                term = once(sigma, p, n1, s1, bits) * once(delta, p, n1, s2, i, bits)
+                term *= phi_h2 * phi_f2
+                if e_i != 1:
+                    # validity makes e_i divide p^{i-1}(p-1), which divides
+                    # delta_count(p, ., s2, i) for i >= 1
+                    term = arith.exact_quotient(term, e_i, "iso_count_ef: level term by e_i")
+                total += term
+                if terms is not None:
+                    terms.append(TermEF(i, e1, f1, e2, f2, term))
+    return arith.exact_quotient(total, f, f"iso_count_ef(e={e}, f={f})")
+
+
 def iso_count_ef_terms(K: BaseFieldProfile, e: int, f: int) -> tuple[int, list[TermEF]]:
     """Class count for ramification e and inertia f, with its summands.
 
     Sums over levels 0 <= i <= v_p(e) and splittings e = e1*e2*e_i,
-    f = f1*f2*f_i subject to the prime-to-p part of e2 dividing
+    f = f1*f2*f_i subject to the prime-to-p part h2 of e2 dividing
     p^{f0*f_i*f1} - 1.  Each term is the integer
     phi(h2)*phi(f2)/e_i * sigma_krasner(p, N1, v_p(e1)) * delta_count(p, N1, v_p(e2), i)
     with N1 = n0*e_i*f_i*e1*f1.  The profile must cover levels
     0..v_p(e).
     """
-    if e < 1 or f < 1:
-        raise DomainError("iso_count_ef: e and f must be >= 1")
-    p = K.p
-    s, _ = arith.p_valuation(e, p)
-    K.level(s)  # hard requirement up front, never silently padded
-    n0, once = K.n0, K._once
-    bits = counting.magnitude_bits()
-    total = 0
     terms: list[TermEF] = []
-    for i in range(s + 1):
-        e_i, f_i = K.level(i)
-        if e % e_i or f % f_i:
-            continue
-        n_i = e_i * f_i
-        f_splits = [
-            (f1, f2, once(arith.euler_phi, f2)) for f1, f2 in once(arith.divisor_pairs, f // f_i)
-        ]
-        for e1, e2 in once(arith.divisor_pairs, e // e_i):
-            s1, _ = arith.p_valuation(e1, p)
-            s2, h2 = arith.p_valuation(e2, p)
-            weight = once(arith.euler_phi, h2)
-            for f1, f2, phi_f2 in f_splits:
-                if not once(arith.divides_p_power_minus_one, h2, p, K.f0 * f_i * f1):
-                    continue
-                n1 = n0 * n_i * e1 * f1
-                term = weight * phi_f2 * once(counting.sigma_krasner, p, n1, s1, bits=bits)
-                # validity makes e_i divide p^{i-1}(p-1), which divides
-                # delta_count(p, ., s2, i) for i >= 1; e_0 = 1
-                delta = once(counting.delta_count, p, n1, s2, i, bits=bits)
-                term = arith.exact_quotient(term * delta, e_i, "iso_count_ef: level term by e_i")
-                total += term
-                terms.append(TermEF(i, e1, f1, e2, f2, term))
-    return arith.exact_quotient(total, f, f"iso_count_ef(e={e}, f={f})"), terms
+    return _sum_ef(K, e, f, terms), terms
 
 
 def iso_count_ef(K: BaseFieldProfile, e: int, f: int) -> int:
     """Number of isomorphism classes of extensions of K with ramification e
     and inertia f."""
-    return iso_count_ef_terms(K, e, f)[0]
+    return _sum_ef(K, e, f)
+
+
+def _sum_total(K: BaseFieldProfile, n: int, terms: list | None = None) -> int:
+    """iso_count_total; each summand is also appended to terms when given."""
+    if n < 1:
+        raise DomainError("iso_count_total: n must be >= 1")
+    p, n0, f0, once = K.p, K.n0, K.f0, K._once
+    t, _ = arith.p_valuation(n, p)
+    K.level(t)
+    bits = counting.magnitude_bits()
+    gcd, psi = arith.gcd_p_power_minus_one, counting.psi_count
+    sigma, delta = counting.sigma_krasner, counting.delta_count
+    total = 0
+    for i in range(t + 1):
+        e_i, f_i = K.level(i)
+        n_i = e_i * f_i
+        if n % n_i:
+            continue
+        rest = n // n_i
+        # d = p^r * k runs over the cofactors d2, which ascend when read backwards
+        for _, d, _, r, k, _, _ in reversed(once(_splits, rest, p, once)):
+            for e1, f1, s1, _, _, _, _ in once(_splits, rest // d, p, once):
+                n1 = n0 * n_i * e1 * f1
+                psi_k = once(psi, k, once(gcd, k, p, f0 * f_i * f1))
+                term = once(sigma, p, n1, s1, bits) * once(delta, p, n1 + 1, r, i, bits)
+                term *= e1 * psi_k
+                total += term
+                if terms is not None:
+                    terms.append(TermTotal(i, d, e1, f1, term))
+    return arith.exact_quotient(total, n, f"iso_count_total(n={n})")
 
 
 def iso_count_total_terms(K: BaseFieldProfile, n: int) -> tuple[int, list[TermTotal]]:
@@ -127,41 +172,13 @@ def iso_count_total_terms(K: BaseFieldProfile, n: int) -> tuple[int, list[TermTo
     and N1 = n0*n_i*e1*f1; psi is evaluated at gcd(k, p^{f0*f_i*f1} - 1),
     on which alone it depends.  The profile must cover levels 0..v_p(n).
     """
-    if n < 1:
-        raise DomainError("iso_count_total: n must be >= 1")
-    p = K.p
-    t, _ = arith.p_valuation(n, p)
-    K.level(t)
-    n0, once = K.n0, K._once
-    bits = counting.magnitude_bits()
-    total = 0
     terms: list[TermTotal] = []
-    for i in range(t + 1):
-        e_i, f_i = K.level(i)
-        n_i = e_i * f_i
-        if n % n_i:
-            continue
-        rest = n // n_i
-        for d, _ in once(arith.divisor_pairs, rest):
-            r, k = arith.p_valuation(d, p)
-            for e1, f1 in once(arith.divisor_pairs, rest // d):
-                s1, _ = arith.p_valuation(e1, p)
-                n1 = n0 * n_i * e1 * f1
-                g = once(arith.gcd_p_power_minus_one, k, p, K.f0 * f_i * f1)
-                term = (
-                    e1
-                    * once(counting.psi_count, k, g)
-                    * once(counting.sigma_krasner, p, n1, s1, bits=bits)
-                    * once(counting.delta_count, p, n1 + 1, r, i, bits=bits)
-                )
-                total += term
-                terms.append(TermTotal(i, d, e1, f1, term))
-    return arith.exact_quotient(total, n, f"iso_count_total(n={n})"), terms
+    return _sum_total(K, n, terms), terms
 
 
 def iso_count_total(K: BaseFieldProfile, n: int) -> int:
     """Number of isomorphism classes of extensions of K of degree n."""
-    return iso_count_total_terms(K, n)[0]
+    return _sum_total(K, n)
 
 
 def tame_iso_count_terms(

@@ -129,8 +129,8 @@ def test_criterion_6_exactness_guards(monkeypatch):
 
         real_delta = counting.delta_count
 
-        def corrupted(p, m, s, i):
-            value = real_delta(p, m, s, i)
+        def corrupted(p, m, s, i, bits=None):
+            value = real_delta(p, m, s, i, bits)
             return value + 1 if (p, m, s, i) == (2, 1, 1, 1) else value
 
         monkeypatch.setattr(counting, "delta_count", corrupted)

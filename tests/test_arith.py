@@ -76,6 +76,12 @@ def test_exact_quotient_divides_or_names_the_remainder():
         arith.exact_quotient(13, 4, "here")
 
 
+def test_parse_decimal_reads_ascii_digits_only():
+    assert [arith.parse_decimal(t) for t in ("0", "42", "-7", "007")] == [0, 42, -7, 7]
+    for text in ("", "-", "+4", " 1", "1 ", "1_0", "2.0", "\uff12", "\u0663", "1\n", "9" * 5000):
+        assert arith.parse_decimal(text) is None
+
+
 def test_divisor_pairs_examples():
     assert arith.divisor_pairs(1) == [(1, 1)]
     assert arith.divisor_pairs(6) == [(1, 6), (2, 3), (3, 2), (6, 1)]

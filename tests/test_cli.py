@@ -386,8 +386,8 @@ def test_selfcheck_small(capsys):
 def test_selfcheck_fault_injection(capsys, monkeypatch):
     real = counting.delta_count
 
-    def corrupted(p, m, s, i):
-        value = real(p, m, s, i)
+    def corrupted(p, m, s, i, bits=None):
+        value = real(p, m, s, i, bits)
         return value + 1 if (p, m, s, i) == (2, 1, 1, 1) else value
 
     monkeypatch.setattr(counting, "delta_count", corrupted)
@@ -431,3 +431,40 @@ def test_every_command_refuses_a_malformed_bit_limit(capsys, monkeypatch, argv, 
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, out) == (2, "")
     assert err == f"error: {counting.MAX_BITS_ENV} must be a positive integer, got {limit!r}\n"
+
+
+# "9" * 5000 is past int()'s default limit of 4300 digits, where it raises ValueError
+@pytest.mark.parametrize("limit", [" 1_000 ", "1_000", "+64", "\uff16\uff14", "64\n", "9" * 5000])
+def test_a_bit_limit_that_int_would_coerce_is_refused(capsys, monkeypatch, limit):
+    monkeypatch.setenv(counting.MAX_BITS_ENV, limit)
+    code, out, err = run_cli(capsys, "count", "krasner", "--qp", "2", "--e", "2", "--f", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: {counting.MAX_BITS_ENV} must be a positive integer, got {limit!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        ("count iso-ef --qp 3 --e {} --f 1", "1_0"),
+        ("count iso-ef --qp 3 --e 3 --f {}", " 1"),
+        ("count krasner --qp {} --e 1 --f 1", "\uff12"),
+        ("count iso-total --qp 2 --n {}", "+4"),
+        ("count cyclic-total --qp 2 --d {}", "\u0663"),
+        ("table --qp 2 --n-max {}", "4 "),
+        ("table --qp 3 --e-max 2 --f-max {}", "2.0"),
+        ("selfcheck --grid small --max-table-order {}", "1_0"),
+        ("count iso-ef --qp 3 --e {} --f 1", "9" * 5000),
+    ],
+)
+def test_integer_options_take_ascii_digits_only(capsys, argv, bad):
+    # int() alone would run each of these as the number it resembles
+    with pytest.raises(SystemExit) as refused:
+        main([bad if word == "{}" else word for word in argv.split()])
+    captured = capsys.readouterr()
+    assert (refused.value.code, captured.out) == (2, "")
+    assert f"invalid int value: {bad!r}" in captured.err
+
+
+def test_a_negative_option_keeps_its_range_message(capsys):
+    code, out, err = run_cli(capsys, "count", "iso-ef", "--qp", "3", "--e", "-3", "--f", "1")
+    assert (code, out, err) == (2, "", "error: --e must be >= 1\n")

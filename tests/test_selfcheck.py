@@ -23,8 +23,8 @@ def test_small_grid_passes():
 def test_corrupted_delta_is_caught(monkeypatch):
     real = counting.delta_count
 
-    def corrupted(p, m, s, i):
-        value = real(p, m, s, i)
+    def corrupted(p, m, s, i, bits=None):
+        value = real(p, m, s, i, bits)
         return value + 1 if (p, m, s, i) == (2, 1, 1, 1) else value
 
     monkeypatch.setattr(counting, "delta_count", corrupted)
@@ -50,7 +50,7 @@ def test_corrupted_pi_is_caught(monkeypatch):
 
 def test_corrupted_sigma_breaks_golden_values(monkeypatch):
     real = counting.sigma_krasner
-    monkeypatch.setattr(counting, "sigma_krasner", lambda p, N, s: real(p, N, s) + p)
+    monkeypatch.setattr(counting, "sigma_krasner", lambda p, N, s, bits=None: real(p, N, s, bits) + p)
     results = {r.name: r for r in selfcheck.run_selfcheck(grid="small")}
     assert not results["golden"].ok
 

@@ -1,9 +1,13 @@
+from pathlib import Path
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from padicount import arith, counting, theorems
 from padicount.counting import cyclic_count_ef, krasner_count
 from padicount.errors import ConsistencyError, DomainError, MagnitudeError, ProfileTooShortError
-from padicount.profiles import BaseFieldProfile, CyclotomicDatum, qp_profile
+from padicount.profiles import BaseFieldProfile, CyclotomicDatum, load_profile, qp_profile
 from padicount.theorems import (
     MAX_TAME_SUMMANDS,
     iso_count_ef,
@@ -248,3 +252,32 @@ def test_cyclic_division_guard_fires(monkeypatch):
     monkeypatch.setattr(counting, "pi_count", lambda p, m, s, xi: 3)
     with pytest.raises(ConsistencyError):
         counting.cyclic_count_ef(qp_profile(3, 1), 3, 1)
+
+
+PROFILE_FILES = ("ramified_quadratic_q3.json", "unramified_quadratic_q2.json")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data(), e=st.integers(1, 36), f=st.integers(1, 36), n=st.integers(1, 36))
+def test_value_only_and_breakdown_paths_agree(data, e, f, n):
+    source = data.draw(st.sampled_from((2, 3, 5) + PROFILE_FILES))
+    if source in PROFILE_FILES:
+        K = load_profile(Path(__file__).resolve().parent / "data" / source)
+    else:
+        need = max(arith.p_valuation(m, source).s for m in (e, n))
+        K = qp_profile(source, need + data.draw(st.integers(0, 1)))
+    assume(max(arith.p_valuation(m, K.p).s for m in (e, n)) <= K.depth)
+
+    # value-only on a cold profile, then the breakdown on the now warm one
+    cold = (iso_count_ef(K, e, f), iso_count_total(K, n))
+    value, terms = iso_count_ef_terms(K, e, f)
+    total, total_terms = iso_count_total_terms(K, n)
+    assert (value, total) == cold
+    assert value * f == sum(t.term for t in terms)
+    assert total * n == sum(t.term for t in total_terms)
+    assert (iso_count_ef(K, e, f), iso_count_total(K, n)) == cold
+
+    # the breakdown on a cold profile gives the same summands
+    fresh = BaseFieldProfile(K.p, K.e0, K.f0, K.cyclotomic)
+    assert iso_count_ef_terms(fresh, e, f) == (value, terms)
+    assert iso_count_total_terms(fresh, n) == (total, total_terms)
