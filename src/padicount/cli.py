@@ -13,14 +13,10 @@ import json
 import sys
 from typing import Callable, NamedTuple
 
-from . import arith, counting, theorems
+from . import arith, counting, oracles, theorems
 from .errors import ConsistencyError, DomainError, MagnitudeError
 from .profiles import BaseFieldProfile, load_profile, qp_profile
-from .selfcheck import (
-    DEFAULT_MAX_ABELIAN_ORDER,
-    DEFAULT_MAX_TABLE_ORDER,
-    run_selfcheck,
-)
+from .selfcheck import DEFAULT_MAX_ABELIAN_ORDER, run_selfcheck
 
 
 class Kind(NamedTuple):
@@ -211,7 +207,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
-    # a cap below 1 empties suites, which would then report a pass
+    # run_selfcheck refuses a cap below 1 as well; checking here names the flag
     _positive("max-abelian-order", args.max_abelian_order)
     _positive("max-table-order", args.max_table_order)
     results = run_selfcheck(
@@ -274,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip enumeration groups larger than this",
     )
     selfcheck.add_argument(
-        "--max-table-order", type=_integer, default=DEFAULT_MAX_TABLE_ORDER,
+        "--max-table-order", type=_integer, default=oracles.DEFAULT_TABLE_CAP,
         help="skip Cayley tables larger than this",
     )
     selfcheck.set_defaults(handler=_cmd_selfcheck)

@@ -15,10 +15,12 @@ brute-force oracle or a cross-formula identity:
 * golden: frozen hand-derived values.
 
 The suites run on a "full" grid (the acceptance grid) or a reduced
-"small" grid.  Failures carry a printable counterexample; an internal
-exactness violation (ConsistencyError) raised while evaluating a check
-is itself recorded as a failure, so a corrupted build still produces an
-orderly failing report instead of a crash.
+"small" grid.  Each check is written in place as one guarded block,
+``with result: ... result.record(passed, message)``, and failures carry
+a printable counterexample.  An internal exactness violation
+(ConsistencyError) raised inside the block is recorded by the guard as
+that check's failure and the suite goes on, so a corrupted build still
+produces an orderly failing report instead of a crash.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .errors import ConsistencyError, DomainError, MagnitudeError
 from .profiles import BaseFieldProfile, CyclotomicDatum, qp_profile
 
 DEFAULT_MAX_ABELIAN_ORDER = 1_000_000
-DEFAULT_MAX_TABLE_ORDER = 48
 
 
 @dataclass
@@ -51,14 +52,15 @@ class SuiteResult:
             if len(self.failures) < 5:
                 self.failures.append(message)
 
-    def run(self, fn) -> None:
-        """Run one check.  fn returns (passed, message); message may be ""
-        on success.  A ConsistencyError inside fn is a failed check."""
-        try:
-            passed, message = fn()
-        except ConsistencyError as exc:
-            passed, message = False, f"internal exactness violation: {exc}"
-        self.record(passed, message)
+    def __enter__(self) -> SuiteResult:
+        return self
+
+    def __exit__(self, kind, exc, traceback) -> bool:
+        """A ConsistencyError inside a check's block is that check's failure."""
+        if isinstance(exc, ConsistencyError):
+            self.record(False, f"internal exactness violation: {exc}")
+            return True
+        return False
 
 
 def _partitions(k: int):
@@ -111,19 +113,16 @@ def lemma_group_zoo(max_table_order: int, small: bool = False) -> list[oracles.G
     return groups
 
 
-def lemma_suite(max_table_order: int = DEFAULT_MAX_TABLE_ORDER, small: bool = False) -> SuiteResult:
+def lemma_suite(max_table_order: int = oracles.DEFAULT_TABLE_CAP, small: bool = False) -> SuiteResult:
     result = SuiteResult("lemma")
     for G in lemma_group_zoo(max_table_order, small=small):
         for n in arith.divisors(G.order):
-
-            def check(G=G, n=n):
+            with result:
                 report = oracles.lemma_check(G, n, cap=max_table_order)
-                return report.equal, (
+                result.record(report.equal, (
                     f"chain-count identity fails for {G.name}, n={n}: "
                     f"classes={report.lhs}, weighted chains/n={report.rhs}"
-                )
-
-            result.run(check)
+                ))
     return result
 
 
@@ -143,16 +142,13 @@ def pi_oracle_suite(
                     )
                     hist = G.order_histogram()
                     for s in range(0, r + 1):
-
-                        def check(p=p, m=m, s=s, xi=xi, r=r, hist=hist):
+                        with result:
                             got = counting.pi_count(p, m, s, xi)
                             want = hist.get(p**s, 0)
-                            return got == want, (
+                            result.record(got == want, (
                                 f"pi_count({p},{m},{s},{xi}) = {got} but enumeration "
                                 f"with r={r} finds {want}"
-                            )
-
-                        result.run(check)
+                            ))
     return result
 
 
@@ -165,15 +161,13 @@ def psi_oracle_suite(
         for v in range(1, bound + 1):
             if u * v > max_abelian_order:
                 continue
-
-            def check(u=u, v=v):
+            with result:
                 got = counting.psi_count(u, v)
-                want = oracles.AbelianGroup((u, v)).order_histogram().get(u, 0)
-                return got == want, (
+                G = oracles.AbelianGroup((u, v), cap=max_abelian_order)
+                want = G.order_histogram().get(u, 0)
+                result.record(got == want, (
                     f"psi_count({u},{v}) = {got} but enumeration of C_{u} x C_{v} finds {want}"
-                )
-
-            result.run(check)
+                ))
     return result
 
 
@@ -183,27 +177,21 @@ def delta_telescoping_suite() -> SuiteResult:
         for m in range(1, 4):
             for s in range(0, 4):
                 for j in range(0, s + 1):
-
-                    def check(p=p, m=m, s=s, j=j):
+                    with result:
                         partial = sum(counting.delta_count(p, m, s, i) for i in range(j + 1))
                         want = counting.pi_count(p, m, s, j)
-                        return partial == want, (
+                        result.record(partial == want, (
                             f"delta rows (p={p},m={m},s={s}) sum to {partial} "
                             f"through i={j}, pi gives {want}"
-                        )
-
-                    result.run(check)
+                        ))
                 for xi in range(s, s + 3):
-
-                    def check(p=p, m=m, s=s, xi=xi):
+                    with result:
                         full = sum(counting.delta_count(p, m, s, i) for i in range(s + 1))
                         want = counting.pi_count(p, m, s, xi)
-                        return full == want, (
+                        result.record(full == want, (
                             f"delta rows (p={p},m={m},s={s}) sum to {full}, "
                             f"pi with xi={xi} gives {want}"
-                        )
-
-                    result.run(check)
+                        ))
     return result
 
 
@@ -234,15 +222,12 @@ def dual_oracle_suite(
                 continue
             by_meet = oracles.dual_cyclic_subgroup_count(Ghat, d)
             for e, f in arith.divisor_pairs(d):
-
-                def check(K=K, e=e, f=f, want=by_meet[f]):
-                    got = counting.cyclic_count_ef(K, e, f)
-                    return got == want, (
+                with result:
+                    got, want = counting.cyclic_count_ef(K, e, f), by_meet[f]
+                    result.record(got == want, (
                         f"cyclic_count_ef(p={K.p},n0={K.n0},f0={K.f0},xi={K.xi}; "
                         f"e={e},f={f}) = {got} but subgroup enumeration finds {want}"
-                    )
-
-                result.run(check)
+                    ))
     return result
 
 
@@ -251,17 +236,14 @@ def cyclic_decomposition_suite(small: bool = False) -> SuiteResult:
     d_max = 12 if small else 24
     for K in _cyclic_profiles():
         for d in range(1, d_max + 1):
-
-            def check(K=K, d=d):
+            with result:
                 parts = sum(counting.cyclic_count_ef(K, e, f) for e, f in arith.divisor_pairs(d))
                 total = counting.cyclic_count_total(K, d)
-                return parts == total, (
+                result.record(parts == total, (
                     f"sum of cyclic_count_ef over ef={d} is {parts}, "
                     f"cyclic_count_total gives {total} "
                     f"(p={K.p},n0={K.n0},f0={K.f0},xi={K.xi})"
-                )
-
-            result.run(check)
+                ))
     return result
 
 
@@ -289,30 +271,24 @@ def _degree_grid(small: bool):
 def remark_equivalence_suite(small: bool = False) -> SuiteResult:
     result = SuiteResult("remark-equivalence")
     for K, e, f in _tame_grid(small):
-
-        def check(K=K, e=e, f=f):
+        with result:
             tame = theorems.tame_iso_count(K, e, f, cross_check=True)
             general = theorems.iso_count_ef(K, e, f)
-            return tame == general, (
+            result.record(tame == general, (
                 f"tame_iso_count(Q_{K.p},e={e},f={f}) = {tame} but iso_count_ef gives {general}"
-            )
-
-        result.run(check)
+            ))
     return result
 
 
 def theorem_consistency_suite(small: bool = False) -> SuiteResult:
     result = SuiteResult("theorem-consistency")
     for K, n in _degree_grid(small):
-
-        def check(K=K, n=n):
+        with result:
             total = theorems.iso_count_total(K, n)
             parts = sum(theorems.iso_count_ef(K, e, f) for e, f in arith.divisor_pairs(n))
-            return total == parts, (
+            result.record(total == parts, (
                 f"iso_count_total(Q_{K.p},n={n}) = {total} but the (e,f) cells sum to {parts}"
-            )
-
-        result.run(check)
+            ))
     return result
 
 
@@ -320,16 +296,13 @@ def sandwich_suite(small: bool = False) -> SuiteResult:
     result = SuiteResult("sandwich")
     cells = [(K, e, f) for K, n in _degree_grid(small) for e, f in arith.divisor_pairs(n)]
     for K, e, f in cells + list(_tame_grid(small)):
-
-        def check(K=K, e=e, f=f):
+        with result:
             classes = theorems.iso_count_ef(K, e, f)
             fields = counting.krasner_count(K, e, f)
-            return classes <= fields <= e * f * classes, (
+            result.record(classes <= fields <= e * f * classes, (
                 f"sandwich fails over Q_{K.p} at (e={e},f={f}): "
                 f"classes={classes}, fields={fields}"
-            )
-
-        result.run(check)
+            ))
     return result
 
 
@@ -348,23 +321,23 @@ def golden_suite() -> SuiteResult:
         ("C(Q_3,d=3)", lambda: counting.cyclic_count_total(qp_profile(3, 1), 3), 4),
     ]
     for label, compute, want in cases:
-
-        def check(label=label, compute=compute, want=want):
+        with result:
             got = compute()
-            return got == want, f"{label} = {got}, expected {want}"
-
-        result.run(check)
+            result.record(got == want, f"{label} = {got}, expected {want}")
     return result
 
 
 def run_selfcheck(
     grid: str = "full",
     max_abelian_order: int = DEFAULT_MAX_ABELIAN_ORDER,
-    max_table_order: int = DEFAULT_MAX_TABLE_ORDER,
+    max_table_order: int = oracles.DEFAULT_TABLE_CAP,
 ) -> list[SuiteResult]:
-    """Run every suite and return the per-suite results."""
+    """Run every suite and return the per-suite results.  A cap below 1
+    would empty suites that then read as passing, so it is refused."""
     if grid not in ("small", "full"):
         raise DomainError(f"unknown grid {grid!r}, expected 'small' or 'full'")
+    if min(max_abelian_order, max_table_order) < 1:
+        raise DomainError("max_abelian_order and max_table_order must be >= 1")
     small = grid == "small"
     return [
         lemma_suite(max_table_order=max_table_order, small=small),

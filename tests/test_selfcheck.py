@@ -1,5 +1,8 @@
+import pytest
+
 from padicount import counting, oracles, selfcheck
 from padicount.cli import main
+from padicount.errors import ConsistencyError, DomainError
 
 
 def test_small_grid_passes():
@@ -106,3 +109,29 @@ def test_table_order_cap_is_applied_before_building(monkeypatch, capsys):
     capsys.readouterr()
     # cyclic(1..6), abelian(2,2), dihedral(3), symmetric(3)
     assert sorted(built) == [1, 2, 3, 4, 4, 5, 6, 6, 6]
+
+
+@pytest.mark.parametrize("caps", [{"max_abelian_order": 0}, {"max_table_order": -5}])
+def test_run_selfcheck_refuses_a_cap_below_one(caps):
+    # a cap below 1 would empty lemma and the three oracle suites, which would read as passing
+    with pytest.raises(DomainError, match=">= 1"):
+        selfcheck.run_selfcheck(grid="small", **caps)
+
+
+def test_an_internal_error_fails_one_check_and_the_suite_goes_on(monkeypatch, capsys):
+    real = counting.psi_count
+
+    def planted(u, v):
+        if (u, v) == (2, 2):
+            raise ConsistencyError("planted")
+        return real(u, v)
+
+    monkeypatch.setattr(counting, "psi_count", planted)
+    psi = selfcheck.psi_oracle_suite(small=True)
+    assert (psi.checks, psi.fail_count) == (144, 1)
+    assert psi.failures == ["internal exactness violation: planted"]
+
+    assert main(["selfcheck", "--grid", "small"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL (1 of 144)" in out
+    assert "first counterexample: internal exactness violation: planted" in out
