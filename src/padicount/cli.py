@@ -152,24 +152,26 @@ def _cmd_table(args) -> int:
         top = args.n_max if degree_mode else args.e_max
         depth = max(arith.p_valuation(m, args.qp).s for m in range(1, top + 1))
     profile = _field_for(args, depth)
+    bits = counting.magnitude_bits()  # once for the whole table
+    pairs = profile._memo[arith.divisor_pairs]
 
     if degree_mode:
         total_keys = range(1, args.n_max + 1)
-        cell_keys = [pair for n in total_keys for pair in profile._once(arith.divisor_pairs, n)]
+        cell_keys = [pair for n in total_keys for pair in pairs[n]]
     else:
         total_keys = ()
         cell_keys = [(e, f) for e in range(1, args.e_max + 1) for f in range(1, args.f_max + 1)]
     cells = []
     classes = {}
     for e, f in cell_keys:
-        fields = counting.krasner_count(profile, e, f)
-        classes[e, f] = theorems.iso_count_ef(profile, e, f)
+        fields = counting.krasner_count(profile, e, f, bits)
+        classes[e, f] = theorems.iso_count_ef(profile, e, f, bits)
         cells.append({"e": e, "f": f, "krasner": str(fields), "classes": str(classes[e, f])})
     totals = []
     for n in total_keys:
         # the total route stays independent of the cells it is checked against
-        from_total = theorems.iso_count_total(profile, n)
-        from_cells = sum(classes[e, f] for e, f in profile._once(arith.divisor_pairs, n))
+        from_total = theorems.iso_count_total(profile, n, bits)
+        from_cells = sum(classes[e, f] for e, f in pairs[n])
         if from_total != from_cells:
             raise ConsistencyError(
                 f"degree {n}: total route gives {from_total}, (e,f) cells give {from_cells}"

@@ -2,9 +2,11 @@
 
 All arithmetic is exact; no floating point is used anywhere.  Powers pass
 through a magnitude guard that turns runaway inputs into a clean
-MagnitudeError instead of exhausting memory; sigma_krasner and delta_count
-take its limit as bits, read from PADICOUNT_MAX_BITS only when not given,
-and pi_count reads it itself.  Every division goes through
+MagnitudeError instead of exhausting memory.  The guarded closed forms
+(sigma_krasner, delta_count, pi_count) and krasner_count take its limit
+as bits, read from PADICOUNT_MAX_BITS by magnitude_bits only when not
+given; the cyclic counts read it once and pass it to pi_count.  Every
+division goes through
 arith.exact_quotient; a remainder means the implementation itself is
 wrong, so it raises ConsistencyError.
 """
@@ -34,12 +36,20 @@ def magnitude_bits() -> int:
 
 
 def guarded_power(base: int, exponent: int, bits: int) -> int:
-    """base ** exponent, refused once the result would pass bits bits."""
+    """base ** exponent, refused when its bit-length would exceed bits.
+
+    Decided exactly, in integers: base >= 2^(b-1) with b its bit-length,
+    so (b-1)*exponent >= bits already means more than bits bits.  Below
+    that the power has fewer than 2*bits bits, and is computed and
+    measured.
+    """
     if exponent < 0:
         raise DomainError(f"guarded_power: exponent {exponent} must be >= 0")
-    if base >= 2 and exponent * math.log2(base) > bits:
-        raise MagnitudeError(f"{base}^{exponent} exceeds the magnitude limit of {bits} bits")
-    return base**exponent
+    if (base.bit_length() - 1) * exponent < bits:
+        value = base**exponent
+        if value.bit_length() <= bits:
+            return value
+    raise MagnitudeError(f"{base}^{exponent} exceeds the magnitude limit of {bits} bits")
 
 
 def sigma_krasner(p: int, N: int, s: int, bits: int | None = None) -> int:
@@ -71,7 +81,7 @@ def sigma_krasner(p: int, N: int, s: int, bits: int | None = None) -> int:
     return total
 
 
-def krasner_count(K: BaseFieldProfile, e: int, f: int) -> int:
+def krasner_count(K: BaseFieldProfile, e: int, f: int, bits: int | None = None) -> int:
     """Number of extensions of K with ramification e and inertia f in a
     fixed algebraic closure, fields counted individually rather than up to
     isomorphism: e * sigma_krasner(p, n0*e*f, v_p(e)), fetched through
@@ -79,10 +89,11 @@ def krasner_count(K: BaseFieldProfile, e: int, f: int) -> int:
     if e < 1 or f < 1:
         raise DomainError("krasner_count: e and f must be >= 1")
     s, _ = arith.p_valuation(e, K.p)
-    return e * K._once(sigma_krasner, K.p, K.n0 * e * f, s, magnitude_bits())
+    bits = magnitude_bits() if bits is None else bits
+    return e * K._memo[sigma_krasner][K.p, K.n0 * e * f, s, bits]
 
 
-def pi_count(p: int, m: int, s: int, xi: int) -> int:
+def pi_count(p: int, m: int, s: int, xi: int, bits: int | None = None) -> int:
     """Number of elements of order p^s in C_{p^r}^m x C_{p^{min(xi,r)}}.
 
     Independent of r as long as r >= s: 1 for s = 0, otherwise
@@ -90,7 +101,7 @@ def pi_count(p: int, m: int, s: int, xi: int) -> int:
     """
     if s == 0:
         return 1
-    bits = magnitude_bits()
+    bits = magnitude_bits() if bits is None else bits
     lo, hi = m * (s - 1) + min(xi, s - 1), m * s + min(xi, s)
     return guarded_power(p, hi, bits) - guarded_power(p, lo, bits)
 
@@ -146,10 +157,11 @@ def cyclic_count_ef(K: BaseFieldProfile, e: int, f: int) -> int:
     if e < 1 or f < 1:
         raise DomainError("cyclic_count_ef: e and f must be >= 1")
     xi = K.xi
+    bits = magnitude_bits()
     s, h = arith.p_valuation(e, K.p)
     if not arith.divides_p_power_minus_one(h, K.p, K.f0):
         return 0
-    num = e * arith.euler_phi(h) * arith.euler_phi(f) * pi_count(K.p, K.n0, s, xi)
+    num = e * arith.euler_phi(h) * arith.euler_phi(f) * pi_count(K.p, K.n0, s, xi, bits)
     return arith.exact_quotient(num, arith.euler_phi(e * f), f"cyclic_count_ef({e}, {f})")
 
 
@@ -164,7 +176,8 @@ def cyclic_count_total(K: BaseFieldProfile, d: int) -> int:
     if d < 1:
         raise DomainError("cyclic_count_total: d must be >= 1")
     xi = K.xi
+    bits = magnitude_bits()
     r, k = arith.p_valuation(d, K.p)
     psi = psi_count(k, arith.gcd_p_power_minus_one(k, K.p, K.f0))
-    num = psi * pi_count(K.p, K.n0 + 1, r, xi)
+    num = psi * pi_count(K.p, K.n0 + 1, r, xi, bits)
     return arith.exact_quotient(num, arith.euler_phi(d), f"cyclic_count_total({d})")

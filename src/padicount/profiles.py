@@ -17,7 +17,7 @@ A BaseFieldProfile is validated once, when it is built: an invalid one
 cannot exist, so the evaluators and the arithmetic they call never
 re-check p or the tower.  It also carries a private memo through which
 the evaluators compute each closed-form value once for as long as the
-profile lives (see BaseFieldProfile._once).
+profile lives (see _Memo).
 """
 
 from __future__ import annotations
@@ -30,6 +30,30 @@ from dataclasses import dataclass, field
 
 from . import arith
 from .errors import DomainError, ProfileTooShortError
+
+
+class _Memo(dict):
+    """compute(*args) stored under args, computed on the first lookup.
+
+    A hit is a plain subscript, memo[args]; a function of one argument
+    is keyed by that argument alone.  A guarded closed form takes the
+    magnitude limit as an argument, so a tighter limit misses and raises
+    again.  Every stored value is a deterministic function of its key,
+    so threads may share a memo: a race at worst computes the same value
+    twice.  A compute that raises stores nothing.  A memo is equal only
+    to itself and hashes by identity, so a compute may take its memo in
+    its key.
+    """
+
+    __slots__ = ("compute",)
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __missing__(self, args):
+        value = self[args] = self.compute(*args) if type(args) is tuple else self.compute(args)
+        return value
 
 
 @dataclass(frozen=True)
@@ -51,15 +75,18 @@ class BaseFieldProfile:
     more there are, so each instance describes a field: p is prime,
     e0, f0 >= 1, and the tower satisfies the level invariants.
 
-    The private _memo takes no part in construction, equality, hashing
-    or repr.
+    The private _memo maps each function to its own _Memo, so
+    K._memo[f][args] is f(*args), computed once while K lives.  It takes
+    no part in construction, equality, hashing or repr.
     """
 
     p: int
     e0: int
     f0: int
     cyclotomic: tuple[CyclotomicDatum, ...] = ()
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: _Memo = field(
+        default_factory=lambda: _Memo(_Memo), init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "cyclotomic", tuple(self.cyclotomic))
@@ -75,24 +102,6 @@ class BaseFieldProfile:
             more = len(problems) - len(shown)
             tail = f"; and {more} more" if more else ""
             raise DomainError("invalid profile: " + "; ".join(shown) + tail)
-
-    def _once(self, compute, *args):
-        """compute(*args), computed at most once per key while this profile lives.
-
-        The key is compute itself and its argument tuple.  A guarded
-        closed form takes the magnitude limit as an argument, so a
-        tighter limit misses and raises again.  Every stored value is a
-        deterministic function of its key, so threads may share the
-        profile: a race at worst computes the same value twice.  A call
-        that raises stores nothing.
-        """
-        key = (compute, args)
-        memo = self._memo
-        try:
-            return memo[key]
-        except KeyError:
-            value = memo[key] = compute(*args)
-            return value
 
     @property
     def n0(self) -> int:

@@ -10,11 +10,13 @@ Three evaluators:
 
 A BaseFieldProfile is validated when it is built, so the evaluators take
 p and the tower on trust and re-check neither.  The first two each run
-one private summation: it reads the magnitude limit once and passes it
-down, and takes the divisor pairs of n with their p-valuations,
+one private summation: it takes the magnitude limit from its caller, or
+reads it once, and passes it down; it fetches the memo's dict for each
+function once and takes the divisor pairs of n with their p-valuations,
 prime-to-p parts and totients from one entry per (n, p) in the profile's
 memo, which a table's cells share, so a summand costs only its memo
-lookups (the divisibility test or the gcd, sigma_krasner, delta_count).
+subscripts (the divisibility test, or the gcd and psi_count;
+sigma_krasner and delta_count).
 Terms are summed and divided once at the end (by f, respectively n;
 iso_count_ef divides each level-i term by e_i > 1) through
 arith.exact_quotient: a remainder means a bug and raises ConsistencyError
@@ -66,41 +68,43 @@ class TermTame(NamedTuple):
     term: int
 
 
-def _splits(n: int, p: int, once) -> list[tuple[int, int, int, int, int, int, int]]:
+def _splits(n: int, p: int, memo) -> list[tuple[int, int, int, int, int, int, int]]:
     """Rows (d1, d2, v_p(d1), v_p(d2), h2, phi(h2), phi(d2)), n = d1*d2 ascending
-    in d1 and h2 the prime-to-p part of d2.  Fetched as once(_splits, n, p, once),
-    so n is listed through the memo; the key refers back to the profile, a cycle
-    that the garbage collector frees."""
+    in d1 and h2 the prime-to-p part of d2.  Fetched as memo[_splits][n, p, memo],
+    so n is listed and the totients found through the profile's memo; the key
+    refers back to that memo, a cycle that the garbage collector frees."""
+    phi = memo[arith.euler_phi]
     rows = []
-    for d1, d2 in once(arith.divisor_pairs, n):
+    for d1, d2 in memo[arith.divisor_pairs][n]:
         s2, h2 = arith.p_valuation(d2, p)
-        phis = arith.euler_phi(h2), arith.euler_phi(d2)
-        rows.append((d1, d2, arith.p_valuation(d1, p).s, s2, h2, *phis))
+        rows.append((d1, d2, arith.p_valuation(d1, p).s, s2, h2, phi[h2], phi[d2]))
     return rows
 
 
-def _sum_ef(K: BaseFieldProfile, e: int, f: int, terms: list | None = None) -> int:
+def _sum_ef(
+    K: BaseFieldProfile, e: int, f: int, bits: int | None, terms: list | None = None
+) -> int:
     """iso_count_ef; each summand is also appended to terms when given."""
     if e < 1 or f < 1:
         raise DomainError("iso_count_ef: e and f must be >= 1")
-    p, n0, f0, once = K.p, K.n0, K.f0, K._once
+    p, n0, f0, memo = K.p, K.n0, K.f0, K._memo
     s, _ = arith.p_valuation(e, p)
     K.level(s)  # hard requirement up front, never silently padded
-    bits = counting.magnitude_bits()
-    sigma, delta = counting.sigma_krasner, counting.delta_count
-    divides = arith.divides_p_power_minus_one
+    bits = counting.magnitude_bits() if bits is None else bits
+    sigma, delta = memo[counting.sigma_krasner], memo[counting.delta_count]
+    divides, splits = memo[arith.divides_p_power_minus_one], memo[_splits]
     total = 0
     for i in range(s + 1):
         e_i, f_i = K.level(i)
         if e % e_i or f % f_i:
             continue
-        f_rows = once(_splits, f // f_i, p, once)
-        for e1, e2, s1, s2, h2, phi_h2, _ in once(_splits, e // e_i, p, once):
+        f_rows = splits[f // f_i, p, memo]
+        for e1, e2, s1, s2, h2, phi_h2, _ in splits[e // e_i, p, memo]:
             for f1, f2, _, _, _, _, phi_f2 in f_rows:
-                if not once(divides, h2, p, f0 * f_i * f1):
+                if not divides[h2, p, f0 * f_i * f1]:
                     continue
                 n1 = n0 * e_i * f_i * e1 * f1
-                term = once(sigma, p, n1, s1, bits) * once(delta, p, n1, s2, i, bits)
+                term = sigma[p, n1, s1, bits] * delta[p, n1, s2, i, bits]
                 term *= phi_h2 * phi_f2
                 if e_i != 1:
                     # validity makes e_i divide p^{i-1}(p-1), which divides
@@ -123,25 +127,29 @@ def iso_count_ef_terms(K: BaseFieldProfile, e: int, f: int) -> tuple[int, list[T
     0..v_p(e).
     """
     terms: list[TermEF] = []
-    return _sum_ef(K, e, f, terms), terms
+    return _sum_ef(K, e, f, None, terms), terms
 
 
-def iso_count_ef(K: BaseFieldProfile, e: int, f: int) -> int:
+def iso_count_ef(K: BaseFieldProfile, e: int, f: int, bits: int | None = None) -> int:
     """Number of isomorphism classes of extensions of K with ramification e
-    and inertia f."""
-    return _sum_ef(K, e, f)
+    and inertia f; bits is the magnitude limit, read from the environment
+    when not given."""
+    return _sum_ef(K, e, f, bits)
 
 
-def _sum_total(K: BaseFieldProfile, n: int, terms: list | None = None) -> int:
+def _sum_total(
+    K: BaseFieldProfile, n: int, bits: int | None, terms: list | None = None
+) -> int:
     """iso_count_total; each summand is also appended to terms when given."""
     if n < 1:
         raise DomainError("iso_count_total: n must be >= 1")
-    p, n0, f0, once = K.p, K.n0, K.f0, K._once
+    p, n0, f0, memo = K.p, K.n0, K.f0, K._memo
     t, _ = arith.p_valuation(n, p)
     K.level(t)
-    bits = counting.magnitude_bits()
-    gcd, psi = arith.gcd_p_power_minus_one, counting.psi_count
-    sigma, delta = counting.sigma_krasner, counting.delta_count
+    bits = counting.magnitude_bits() if bits is None else bits
+    gcd, psi = memo[arith.gcd_p_power_minus_one], memo[counting.psi_count]
+    sigma, delta = memo[counting.sigma_krasner], memo[counting.delta_count]
+    splits = memo[_splits]
     total = 0
     for i in range(t + 1):
         e_i, f_i = K.level(i)
@@ -150,11 +158,11 @@ def _sum_total(K: BaseFieldProfile, n: int, terms: list | None = None) -> int:
             continue
         rest = n // n_i
         # d = p^r * k runs over the cofactors d2, which ascend when read backwards
-        for _, d, _, r, k, _, _ in reversed(once(_splits, rest, p, once)):
-            for e1, f1, s1, _, _, _, _ in once(_splits, rest // d, p, once):
+        for _, d, _, r, k, _, _ in reversed(splits[rest, p, memo]):
+            for e1, f1, s1, _, _, _, _ in splits[rest // d, p, memo]:
                 n1 = n0 * n_i * e1 * f1
-                psi_k = once(psi, k, once(gcd, k, p, f0 * f_i * f1))
-                term = once(sigma, p, n1, s1, bits) * once(delta, p, n1 + 1, r, i, bits)
+                psi_k = psi[k, gcd[k, p, f0 * f_i * f1]]
+                term = sigma[p, n1, s1, bits] * delta[p, n1 + 1, r, i, bits]
                 term *= e1 * psi_k
                 total += term
                 if terms is not None:
@@ -173,12 +181,13 @@ def iso_count_total_terms(K: BaseFieldProfile, n: int) -> tuple[int, list[TermTo
     on which alone it depends.  The profile must cover levels 0..v_p(n).
     """
     terms: list[TermTotal] = []
-    return _sum_total(K, n, terms), terms
+    return _sum_total(K, n, None, terms), terms
 
 
-def iso_count_total(K: BaseFieldProfile, n: int) -> int:
-    """Number of isomorphism classes of extensions of K of degree n."""
-    return _sum_total(K, n)
+def iso_count_total(K: BaseFieldProfile, n: int, bits: int | None = None) -> int:
+    """Number of isomorphism classes of extensions of K of degree n; bits is
+    the magnitude limit, read from the environment when not given."""
+    return _sum_total(K, n, bits)
 
 
 def tame_iso_count_terms(

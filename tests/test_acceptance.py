@@ -119,7 +119,7 @@ def test_criterion_6_exactness_guards(monkeypatch):
             theorems.iso_count_ef(qp_profile(5, 0), 1, 2)
         monkeypatch.setattr(arith, "euler_phi", real_phi)
 
-        monkeypatch.setattr(counting, "pi_count", lambda p, m, s, xi: 3)
+        monkeypatch.setattr(counting, "pi_count", lambda p, m, s, xi, bits=None: 3)
         with pytest.raises(ConsistencyError):
             counting.cyclic_count_ef(qp_profile(3, 1), 3, 1)
         monkeypatch.undo()

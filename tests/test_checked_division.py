@@ -10,14 +10,19 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "padicount").glob("*.py"))
 
 
-def _divmod_uses(path):
-    """(function, line) of every use of the name divmod in one module."""
+def uses_of(path, names):
+    """(function, line) of every use of one of names in one module: as a
+    bare name, an attribute or an imported alias."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     uses = []
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Name) and child.id == "divmod":
+            if (
+                isinstance(child, ast.Name) and child.id in names
+                or isinstance(child, ast.Attribute) and child.attr in names
+                or isinstance(child, ast.alias) and child.name in names
+            ):
                 uses.append((function, child.lineno))
             if function is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, f"{path.stem}.{child.name}")
@@ -26,6 +31,10 @@ def _divmod_uses(path):
 
     visit(tree, None)
     return uses
+
+
+def _divmod_uses(path):
+    return uses_of(path, {"divmod"})
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)

@@ -59,6 +59,18 @@ def test_magnitude_guard_env_override(monkeypatch):
         counting.magnitude_bits()
 
 
+@pytest.mark.parametrize("base, exponent", [(2, 63), (3, 40), (2, 0), (1, 10**6), (0, 10**6)])
+def test_guarded_power_allows_a_result_of_exactly_the_limit(base, exponent):
+    assert counting.guarded_power(base, exponent, 64) == base**exponent
+
+
+@pytest.mark.parametrize("base, exponent", [(2, 64), (4, 32), (3, 41), (2, 10**18)])
+def test_guarded_power_refuses_a_result_one_bit_past_the_limit(base, exponent):
+    # 2^64 has 65 bits; a rule in floats let every exact power of 2 through
+    with pytest.raises(MagnitudeError):
+        counting.guarded_power(base, exponent, 64)
+
+
 def test_krasner_count_examples():
     for p in (2, 3, 5):
         for f in (1, 2, 3):

@@ -84,6 +84,37 @@ def test_table_lists_the_divisors_of_each_argument_once_in_the_evaluators(capsys
     assert len(calls) == 90
 
 
+def test_a_table_reads_the_bit_limit_once(capsys, monkeypatch):
+    real = counting.magnitude_bits
+    calls = []
+    monkeypatch.setattr(counting, "magnitude_bits", lambda: calls.append(1) or real())
+    assert main(["table", "--qp", "2", "--n-max", "30"]) == 0
+    capsys.readouterr()
+    # main's check of the limit, then one read for the whole table (253 when
+    # each cell read it in krasner_count and again in iso_count_ef)
+    assert len(calls) == 2
+
+
+def test_a_lookup_that_raises_stores_nothing_and_the_next_computes_again():
+    K = qp_profile(2, 0)
+    outcomes = [MagnitudeError("too large"), 7]
+
+    def compute(a, b):
+        outcome = outcomes.pop(0)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    memo = K._memo[compute]
+    with pytest.raises(MagnitudeError):
+        memo[1, 2]
+    assert (1, 2) not in memo
+    assert memo[1, 2] == 7
+    assert memo[1, 2] == 7 and outcomes == []
+    assert K._memo[compute] is memo
+    assert K._memo[arith.euler_phi][12] == 4  # one argument is its own key
+
+
 def test_a_lower_bit_limit_still_raises_on_a_warm_profile(monkeypatch):
     K = qp_profile(2, 5)
     expected = (

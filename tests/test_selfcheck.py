@@ -41,8 +41,8 @@ def test_corrupted_delta_is_caught(monkeypatch):
 def test_corrupted_pi_is_caught(monkeypatch):
     real = counting.pi_count
 
-    def corrupted(p, m, s, xi):
-        value = real(p, m, s, xi)
+    def corrupted(p, m, s, xi, bits=None):
+        value = real(p, m, s, xi, bits)
         return value + 1 if (p, s) == (3, 1) else value
 
     monkeypatch.setattr(counting, "pi_count", corrupted)

@@ -249,7 +249,7 @@ def test_division_guards_fire_on_corrupted_inputs(monkeypatch):
 
 
 def test_cyclic_division_guard_fires(monkeypatch):
-    monkeypatch.setattr(counting, "pi_count", lambda p, m, s, xi: 3)
+    monkeypatch.setattr(counting, "pi_count", lambda p, m, s, xi, bits=None: 3)
     with pytest.raises(ConsistencyError):
         counting.cyclic_count_ef(qp_profile(3, 1), 3, 1)
 
