@@ -2,9 +2,8 @@
 
 Two substrates:
 
-* finite abelian groups given by their cyclic factor orders, elements
-  stored as coordinate tuples (element-order and cyclic-subgroup
-  enumeration for the unit-group counts);
+* finite abelian groups given by their cyclic factor orders (element
+  orders and cyclic subgroups counted for the unit-group counts);
 * arbitrary finite groups given by a Cayley table (full subgroup-lattice
   enumeration and the chain-count identity for conjugacy classes); the
   constructors cyclic, abelian, dihedral, quaternion8, symmetric and
@@ -12,14 +11,16 @@ Two substrates:
   product from a formula, or for permutations by lookup.
 
 Everything proceeds by exhaustive enumeration, and no count here uses a
-closed form from the paper.  Each enumeration visits each object once:
-the order histogram combines the cyclic factors one at a time, each
-cyclic subgroup of the dual group is built from one generator, and the
-subgroup lattice joins with each cyclic subgroup of prime-power order,
-not with each element.  One coset walk, _join, closes every set in a
-table: the generators for the associativity test, element orders,
-cyclic subgroups and lattice joins.  Caps keep the worst cases bounded
-and raise MagnitudeError when exceeded.
+closed form from the paper.  The order histogram combines the cyclic
+factors one at a time.  The cyclic subgroups of the dual group are
+counted from two such histograms, one for the distinguished factor and
+one for the rest, without building a subgroup.  The subgroup lattice
+joins each subgroup with each cyclic subgroup of prime-power order, not
+with each element, and skips the generators that a join of prime index
+already covers.  One coset walk, _join, closes every set in a table: the
+generators for the associativity test, element orders, cyclic subgroups
+and lattice joins.  Caps keep the worst cases bounded and raise
+MagnitudeError when exceeded.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 
 from . import arith
 from .errors import DomainError, MagnitudeError
@@ -38,7 +39,7 @@ DEFAULT_TABLE_CAP = 48
 
 
 class AbelianGroup:
-    """Direct product of cyclic groups, elements stored as coordinate tuples.
+    """Direct product of cyclic groups, given by its factor orders.
 
     Factors of order 1 are allowed so that a product can keep the
     positional layout of a construction even when a slot degenerates
@@ -46,7 +47,9 @@ class AbelianGroup:
     """
 
     def __init__(self, factors, cap: int = DEFAULT_ABELIAN_CAP):
-        factors = tuple(int(f) for f in factors)
+        factors = tuple(factors)
+        if any(type(f) is not int for f in factors):
+            raise DomainError(f"cyclic factor orders must be integers, got {factors}")
         if any(f < 1 for f in factors):
             raise DomainError("cyclic factor orders must be >= 1")
         order = math.prod(factors)
@@ -54,21 +57,6 @@ class AbelianGroup:
             raise MagnitudeError(f"group order {order} exceeds cap {cap}")
         self.factors = factors
         self.order = order
-
-    def identity(self) -> tuple[int, ...]:
-        return (0,) * len(self.factors)
-
-    def elements(self):
-        return product(*(range(f) for f in self.factors))
-
-    def add(self, x, y):
-        return tuple((a + b) % f for a, b, f in zip(x, y, self.factors))
-
-    def element_order(self, x) -> int:
-        order = 1
-        for c, f in zip(x, self.factors):
-            order = math.lcm(order, f // math.gcd(c, f))
-        return order
 
     def order_histogram(self) -> Counter:
         """order -> element count.
@@ -109,29 +97,32 @@ def dual_cyclic_subgroup_count(Ghat: AbelianGroup, d: int) -> Counter:
     """Cyclic subgroups H of Ghat of order d, counted by |H intersect B|.
 
     B is the distinguished first factor, which must be C_d, embedded
-    coordinate-wise.  Enumerates the elements of order d.  The first one
-    met in each cyclic subgroup H builds H as its multiples k*x, and
-    marks the other generators of H (k prime to d) as done, so each H is
-    built once.  Maps each intersection order f to the number of
+    coordinate-wise.  Maps each intersection order f to the number of
     subgroups H meeting B in a subgroup of order f.
+
+    Counts without building a subgroup.  Write x = (x_B, x_rest) with
+    x_B of order a and x_rest of order b.  Then <x> has order lcm(a, b),
+    and k*x lies in B exactly when b | k, so |<x> intersect B| = d / b.
+    The (a, b) pairs come from two order histograms, C_d enumerated and
+    the rest combined factor by factor: each pair with lcm(a, b) = d
+    adds n_a * n_b elements of order d meeting B in order d / b.  Every
+    generator of <x> has the same (a, b), so each count divides exactly
+    by the number of generators of a cyclic group of order d, read off
+    the C_d histogram; a remainder raises ConsistencyError.
     """
     if d < 1:
         raise DomainError("d must be >= 1")
     if Ghat.factors[:1] != (d,):
         raise DomainError(f"distinguished first factor must be C_{d}, factors are {Ghat.factors}")
-    done = set()
-    by_meet = Counter()
-    for x in Ghat.elements():
-        if x in done or Ghat.element_order(x) != d:
-            continue
-        members = []
-        cur = Ghat.identity()
-        for _ in range(d):
-            members.append(cur)
-            cur = Ghat.add(cur, x)
-        done.update(m for k, m in enumerate(members) if math.gcd(k, d) == 1)
-        by_meet[sum(1 for m in members if not any(m[1:]))] += 1
-    return by_meet
+    first = Counter(d // math.gcd(c, d) for c in range(d))
+    rest = AbelianGroup(Ghat.factors[1:], cap=Ghat.order).order_histogram()
+    elements = Counter()
+    for a, n_a in first.items():
+        for b, n_b in rest.items():
+            if math.lcm(a, b) == d:
+                elements[d // b] += n_a * n_b
+    where = f"cyclic subgroups of order {d} in {Ghat.factors}"
+    return Counter({f: arith.exact_quotient(n, first[d], where) for f, n in elements.items()})
 
 
 class GroupTable:
@@ -153,7 +144,7 @@ class GroupTable:
         rows = [list(row) for row in table]
         if any(len(row) != order for row in rows):
             raise DomainError("group table must be square")
-        if any(not 0 <= x < order for row in rows for x in row):
+        if any(type(x) is not int or not 0 <= x < order for row in rows for x in row):
             raise DomainError("table entries must be element indices")
 
         identity = None
@@ -250,6 +241,11 @@ def subgroups(G: GroupTable, cap: int = DEFAULT_TABLE_CAP) -> list[tuple[int, ..
     until no new subgroup appears.  Every element is a product of
     commuting powers of itself of prime-power order, so every subgroup
     is a join of such cyclic ones, and the fixed point is complete.
+
+    A join J = <H, g> of prime index over H covers the rest of J: for g'
+    in J outside H, <H, g'> lies between H and J and is larger than H,
+    so by Lagrange it is J.  Such generators are skipped for this H, as
+    their join is already found, and the fixed point stays the same.
     """
     if G.order > cap:
         raise MagnitudeError(f"group order {G.order} exceeds cap {cap}")
@@ -259,15 +255,19 @@ def subgroups(G: GroupTable, cap: int = DEFAULT_TABLE_CAP) -> list[tuple[int, ..
             C = _join(G.table, (G.identity,), g)
             if C not in generators and len(arith.prime_factors(len(C))) == 1:
                 generators[C] = g
+        primes = set(arith.prime_factors(G.order))
         trivial = frozenset([G.identity])
         found = {trivial}
         work = [trivial]
         while work:
             H = work.pop()
+            covered = set(H)
             for g in generators.values():
-                if g in H:
+                if g in covered:
                     continue
                 J = _join(G.table, H, g)
+                if len(J) // len(H) in primes:
+                    covered |= J
                 if J not in found:
                     found.add(J)
                     work.append(J)

@@ -220,9 +220,12 @@ def dual_oracle_suite(
                 Ghat = oracles.dual_group(K, d, cap=max_abelian_order)
             except MagnitudeError:  # past the enumeration cap: skipped
                 continue
-            by_meet = oracles.dual_cyclic_subgroup_count(Ghat, d)
+            by_meet = None
             for e, f in arith.divisor_pairs(d):
                 with result:
+                    # counted inside the guard: a remainder fails each check of this (K, d)
+                    if by_meet is None:
+                        by_meet = oracles.dual_cyclic_subgroup_count(Ghat, d)
                     got, want = counting.cyclic_count_ef(K, e, f), by_meet[f]
                     result.record(got == want, (
                         f"cyclic_count_ef(p={K.p},n0={K.n0},f0={K.f0},xi={K.xi}; "

@@ -12,7 +12,8 @@ SOURCES = sorted((ROOT / "src" / "padicount").glob("*.py"))
 
 def uses_of(path, names):
     """(function, line) of every use of one of names in one module: as a
-    bare name, an attribute or an imported alias."""
+    bare name, an attribute, an imported alias or a part of an imported
+    module's dotted path."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     uses = []
 
@@ -21,7 +22,9 @@ def uses_of(path, names):
             if (
                 isinstance(child, ast.Name) and child.id in names
                 or isinstance(child, ast.Attribute) and child.attr in names
-                or isinstance(child, ast.alias) and child.name in names
+                or isinstance(child, ast.alias) and not names.isdisjoint(child.name.split("."))
+                or isinstance(child, ast.ImportFrom)
+                and not names.isdisjoint((child.module or "").split("."))
             ):
                 uses.append((function, child.lineno))
             if function is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):

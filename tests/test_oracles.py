@@ -1,7 +1,7 @@
 import hashlib
 import math
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -24,13 +24,35 @@ from padicount.oracles import (
 from padicount.profiles import BaseFieldProfile, CyclotomicDatum, qp_profile
 
 
+def _coordinate_order(x, factors):
+    """The order of the coordinate tuple x in the product of C_f over factors."""
+    return math.lcm(*(f // math.gcd(c, f) for c, f in zip(x, factors)))
+
+
 def test_abelian_group_basics():
     G = AbelianGroup([4, 2])
     assert G.order == 8
-    assert G.identity() == (0, 0)
-    assert G.element_order((1, 0)) == 4
-    assert G.element_order((2, 1)) == 2
+    assert next(product(range(4), range(2))) == (0, 0)
+    assert _coordinate_order((1, 0), G.factors) == 4
+    assert _coordinate_order((2, 1), G.factors) == 2
     assert sum(G.order_histogram().values()) == 8
+
+
+@pytest.mark.parametrize("factors", [[2.5], ["3"], [True, 2], [2, False], [4, 2.0]])
+def test_abelian_group_refuses_factors_that_are_not_integers(factors):
+    with pytest.raises(DomainError, match="integers"):
+        AbelianGroup(factors)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0.0, 1], [1, 0]],
+    [[0, 1.0], [1.0, 0]],
+    [[False, True], [True, False]],
+    [["0", "1"], ["1", "0"]],
+])
+def test_group_table_refuses_entries_that_are_not_integers(rows):
+    with pytest.raises(DomainError, match="element indices"):
+        GroupTable(rows)
 
 
 def test_abelian_group_cap():
@@ -161,6 +183,22 @@ def test_subgroups_examples():
     assert len(subgroups(cyclic(6))) == 4
     assert len(subgroups(symmetric(3))) == 6
     assert len(subgroups(cyclic(1))) == 1
+
+
+def test_the_lattice_walk_joins_each_covering_pair_once(monkeypatch):
+    # 16 cyclic builds, then one join per pair H < J of index 2: a join of
+    # prime index covers every other generator in J, which is skipped
+    G = oracles.abelian(2, 2, 2, 2)
+    calls = []
+    real = oracles._join
+
+    def counting_join(table, H, g):
+        calls.append(g)
+        return real(table, H, g)
+
+    monkeypatch.setattr(oracles, "_join", counting_join)
+    assert len(subgroups(G)) == 67
+    assert len(calls) == 16 + 1 * 15 + 15 * 7 + 35 * 3 + 15 * 1 == 256
 
 
 def test_subgroups_cap():
@@ -380,7 +418,8 @@ def _psi_oracle_groups():
 
 def test_order_histogram_equals_the_per_element_count():
     for G in [*_pi_oracle_groups(), *_psi_oracle_groups()]:
-        want = Counter(G.element_order(x) for x in G.elements())
+        coordinates = product(*(range(f) for f in G.factors))
+        want = Counter(_coordinate_order(x, G.factors) for x in coordinates)
         assert G.order_histogram() == want, G.factors
 
 
@@ -389,14 +428,10 @@ def _cyclic_subgroups_by_dedupe(Ghat, d):
     subgroups are merged as element sets."""
     seen = set()
     by_meet = Counter()
-    for x in Ghat.elements():
-        if Ghat.element_order(x) != d:
+    for x in product(*(range(f) for f in Ghat.factors)):
+        if _coordinate_order(x, Ghat.factors) != d:
             continue
-        members = []
-        cur = Ghat.identity()
-        for _ in range(d):
-            members.append(cur)
-            cur = Ghat.add(cur, x)
+        members = [tuple(k * c % f for c, f in zip(x, Ghat.factors)) for k in range(d)]
         H = frozenset(members)
         if H not in seen:
             seen.add(H)

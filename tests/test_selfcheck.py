@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from padicount import counting, oracles, selfcheck
@@ -135,3 +137,18 @@ def test_an_internal_error_fails_one_check_and_the_suite_goes_on(monkeypatch, ca
     out = capsys.readouterr().out
     assert "FAIL (1 of 144)" in out
     assert "first counterexample: internal exactness violation: planted" in out
+
+
+def test_a_remainder_in_the_dual_count_fails_its_checks_and_not_the_run(monkeypatch, capsys):
+    # one extra element of order 3 in every histogram: 3 elements of order 3
+    # do not split into cyclic subgroups of 2 generators each
+    real = oracles.AbelianGroup.order_histogram
+    monkeypatch.setattr(oracles.AbelianGroup, "order_histogram", lambda G: real(G) + Counter({3: 1}))
+    dual = selfcheck.dual_oracle_suite(small=True)
+    assert dual.checks == 180
+    assert dual.failures[0].startswith(
+        "internal exactness violation: cyclic subgroups of order 3 in (3, 1, 1, 1)"
+    )
+
+    assert main(["selfcheck", "--grid", "small"]) == 1
+    assert "dual-oracle" in capsys.readouterr().out
