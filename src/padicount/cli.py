@@ -1,9 +1,10 @@
 """Command-line interface: single counts, (e, f) tables, and the selfcheck suite.
 
 All counts are serialized as decimal strings in JSON so consumers without
-big integers stay safe; output bytes are fully deterministic.  Exit codes:
-0 success, 1 selfcheck failure, 2 precondition violation or malformed
-input, 3 magnitude or work limit, 4 internal consistency failure (a bug).
+big integers stay safe, and printed in full however many digits they
+have; output bytes are fully deterministic.  Exit codes: 0 success, 1
+selfcheck failure, 2 precondition violation or malformed input, 3
+magnitude or work limit, 4 internal consistency failure (a bug).
 """
 
 from __future__ import annotations
@@ -78,6 +79,17 @@ def to_json(payload) -> str:
     return json.dumps(payload, indent=2)
 
 
+def _digits(n: int) -> str:
+    """n in decimal, however many digits: str refuses more than
+    sys.get_int_max_str_digits(), decimal.Decimal converts exactly."""
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal  # imported only when needed: it slows every start-up
+
+        return str(Decimal(n))
+
+
 def _integer(text: str) -> int:
     """An integer option, read by arith.parse_decimal and never coerced."""
     value = arith.parse_decimal(text)
@@ -122,18 +134,27 @@ def _cmd_count(args) -> int:
     query = {"kind": args.kind, **_field_echo(args)}
     for name in kind.params:
         query[name] = getattr(args, name)
-    records = [{**t._asdict(), "term": str(t.term)} for t in terms]
+    records = [{**t._asdict(), "term": _digits(t.term)} for t in terms]
 
     if args.json:
-        payload = {"query": query, "value": str(value)}
+        payload = {"query": query, "value": _digits(value)}
         if args.breakdown:
             payload["breakdown"] = records
         print(to_json(payload))
     else:
         for record in records:
             print("  ".join(f"{key}={val}" for key, val in record.items()))
-        print(value)
+        print(_digits(value))
     return 0
+
+
+# One table row as to_json writes it inside its list, two levels deep.
+_JSON_CELL = (
+    '    {\n      "e": %d,\n      "f": %d,\n      "krasner": "%s",\n      "classes": "%s"\n    }'
+)
+_JSON_TOTAL = (
+    '    {\n      "n": %d,\n      "classes_total": "%s",\n      "classes_from_ef": "%s"\n    }'
+)
 
 
 def _cmd_table(args) -> int:
@@ -165,8 +186,8 @@ def _cmd_table(args) -> int:
     classes = {}
     for e, f in cell_keys:
         fields = counting.krasner_count(profile, e, f, bits)
-        classes[e, f] = theorems.iso_count_ef(profile, e, f, bits)
-        cells.append({"e": e, "f": f, "krasner": str(fields), "classes": str(classes[e, f])})
+        classes[e, f] = count = theorems.iso_count_ef(profile, e, f, bits)
+        cells.append((e, f, _digits(fields), _digits(count)))
     totals = []
     for n in total_keys:
         # the total route stays independent of the cells it is checked against
@@ -174,11 +195,10 @@ def _cmd_table(args) -> int:
         from_cells = sum(classes[e, f] for e, f in pairs[n])
         if from_total != from_cells:
             raise ConsistencyError(
-                f"degree {n}: total route gives {from_total}, (e,f) cells give {from_cells}"
+                f"degree {n}: total route gives {_digits(from_total)}, "
+                f"(e,f) cells give {_digits(from_cells)}"
             )
-        totals.append(
-            {"n": n, "classes_total": str(from_total), "classes_from_ef": str(from_cells)}
-        )
+        totals.append((n, _digits(from_total), _digits(from_cells)))
 
     if args.format == "json":
         query = {"command": "table", **_field_echo(args)}
@@ -187,17 +207,21 @@ def _cmd_table(args) -> int:
         else:
             query["e_max"] = args.e_max
             query["f_max"] = args.f_max
-        payload = {"query": query, "cells": cells}
+        # the bytes of to_json({"query": query, "cells": ..., "totals": ...}):
+        # the query goes through the encoder, and each row, whose keys are
+        # fixed and whose values are ints or digit strings, through its template
+        text = '{\n  "query": ' + to_json(query).replace("\n", "\n  ")
+        text += ',\n  "cells": [\n' + ",\n".join(_JSON_CELL % cell for cell in cells)
         if degree_mode:
-            payload["totals"] = totals
-        text = to_json(payload) + "\n"
+            text += '\n  ],\n  "totals": [\n' + ",\n".join(_JSON_TOTAL % t for t in totals)
+        text += "\n  ]\n}\n"
     else:
         lines = ["e,f,krasner,classes"]
-        lines += [f"{c['e']},{c['f']},{c['krasner']},{c['classes']}" for c in cells]
+        lines += ["%d,%d,%s,%s" % cell for cell in cells]
         if degree_mode:
             lines.append("")
             lines.append("n,classes_total,classes_from_ef")
-            lines += [f"{t['n']},{t['classes_total']},{t['classes_from_ef']}" for t in totals]
+            lines += ["%d,%s,%s" % total for total in totals]
         text = "\n".join(lines) + "\n"
 
     if args.out:

@@ -38,6 +38,11 @@ DEFAULT_ABELIAN_CAP = 100_000
 DEFAULT_TABLE_CAP = 48
 
 
+def _require_integers(*args) -> None:
+    if any(type(a) is not int for a in args):  # bool is a subclass of int
+        raise DomainError(f"group constructor arguments must be integers, got {args!r}")
+
+
 class AbelianGroup:
     """Direct product of cyclic groups, given by its factor orders.
 
@@ -48,8 +53,7 @@ class AbelianGroup:
 
     def __init__(self, factors, cap: int = DEFAULT_ABELIAN_CAP):
         factors = tuple(factors)
-        if any(type(f) is not int for f in factors):
-            raise DomainError(f"cyclic factor orders must be integers, got {factors}")
+        _require_integers(*factors)
         if any(f < 1 for f in factors):
             raise DomainError("cyclic factor orders must be >= 1")
         order = math.prod(factors)
@@ -369,6 +373,7 @@ def lemma_check(G: GroupTable, n: int, cap: int = DEFAULT_TABLE_CAP) -> LemmaRep
 
 
 def _product_table(factors, name: str) -> GroupTable:
+    _require_integers(*factors)
     # (a, x) in (product so far) x C_f has index a*f + x: the order of itertools.product
     table = [[0]]
     for f in factors:
@@ -390,6 +395,7 @@ def abelian(*factors: int) -> GroupTable:
 
 def dihedral(n: int) -> GroupTable:
     """The dihedral group of order 2n."""
+    _require_integers(n)
     # r^i s^b has index b*n + i; s r s = r^-1
     rows = [
         [(b1 ^ b2) * n + (i1 - i2 if b1 else i1 + i2) % n for b2 in range(2) for i2 in range(n)]
@@ -421,6 +427,7 @@ def quaternion8() -> GroupTable:
 
 
 def _permutation_table(k: int, name: str, even_only: bool = False) -> GroupTable:
+    _require_integers(k)
     elements = [
         p for p in permutations(range(k))
         if not even_only or sum(a > b for a, b in combinations(p, 2)) % 2 == 0

@@ -1,4 +1,7 @@
+import contextlib
 import json
+import re
+import sys
 import time
 
 import pytest
@@ -6,6 +9,7 @@ import sympy
 
 from padicount import arith, counting
 from padicount.cli import main
+from padicount.profiles import qp_profile
 
 
 def run_cli(capsys, *argv):
@@ -468,3 +472,48 @@ def test_integer_options_take_ascii_digits_only(capsys, argv, bad):
 def test_a_negative_option_keeps_its_range_message(capsys):
     code, out, err = run_cli(capsys, "count", "iso-ef", "--qp", "3", "--e", "-3", "--f", "1")
     assert (code, out, err) == (2, "", "error: --e must be >= 1\n")
+
+
+@contextlib.contextmanager
+def _int_str_digits(limit):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _longest_number(text):
+    return max(len(run) for run in re.findall(r"\d+", text))
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_a_count_past_the_int_string_limit_prints_in_full(capsys, json_flag):
+    # 4939 digits: inside the bits guard, past str(int)'s default limit of 4300
+    argv = ("count", "krasner", "--qp", "2", "--e", "4096", "--f", "4", *json_flag)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert _longest_number(out) == 4939
+    with _int_str_digits(0):
+        assert run_cli(capsys, *argv) == (0, out, "")
+        value = counting.krasner_count(qp_profile(2, 0), 4096, 4)
+        assert (json.loads(out)["value"] if json_flag else out.strip()) == str(value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "count iso-ef --qp 2 --e 4096 --f 4 --breakdown",
+        "count iso-ef --qp 2 --e 4096 --f 4 --breakdown --json",
+        "table --qp 2 --e-max 4 --f-max 800",
+        "table --qp 2 --e-max 4 --f-max 800 --format json",
+    ],
+)
+def test_summands_and_table_cells_ignore_the_int_string_limit(capsys, argv):
+    with _int_str_digits(640):  # the least limit str(int) allows
+        code, out, err = run_cli(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert _longest_number(out) > 640
+    with _int_str_digits(0):
+        assert run_cli(capsys, *argv.split()) == (0, out, "")

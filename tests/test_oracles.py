@@ -11,6 +11,7 @@ from padicount.errors import DomainError, MagnitudeError
 from padicount.oracles import (
     AbelianGroup,
     GroupTable,
+    abelian,
     alternating,
     cyclic,
     dihedral,
@@ -177,6 +178,20 @@ def test_constructors_refuse_an_empty_table():
     for build in (cyclic, dihedral):
         with pytest.raises(DomainError, match="non-empty"):
             build(0)
+
+
+@pytest.mark.parametrize("build, args", [
+    (abelian, (True, 2)),
+    (abelian, (2, 2.0)),
+    (alternating, (True,)),
+    (cyclic, (2.5,)),
+    (cyclic, (False,)),
+    (dihedral, ("3",)),
+    (symmetric, (2.0,)),
+])
+def test_constructors_refuse_arguments_that_are_not_integers(build, args):
+    with pytest.raises(DomainError, match="must be integers"):
+        build(*args)
 
 
 def test_subgroups_examples():
