@@ -7,9 +7,7 @@ data is genuine extra input: it is not determined by (p, e0, f0) alone,
 so for any field other than Q_p itself it must be supplied explicitly,
 typically from a JSON profile file.  Only Q_p gets an auto-built profile,
 which hard-codes the classical fact that adjoining the p^i-th roots of
-unity to Q_p is totally ramified of degree phi(p^i).  qp_profile keeps
-the 16 such profiles it returned most recently, one per (p, max_level),
-so the calls of one process share a field's memo.
+unity to Q_p is totally ramified of degree phi(p^i).
 
 Every count takes a BaseFieldProfile: the cyclic counts read the
 absolute degree n0, the absolute inertia f0 and xi, where p^xi is the
@@ -19,14 +17,11 @@ A BaseFieldProfile is validated once, when it is built: an invalid one
 cannot exist, so the evaluators and the arithmetic they call never
 re-check p or the tower.  It also carries a private memo through which
 the evaluators compute each closed-form value once for as long as the
-profile lives (see _Memo): for a profile from qp_profile, as long as it
-stays among the 16 it keeps; for one built directly or loaded from a
-file, as long as its caller keeps it.
+profile lives (see _Memo).
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import re
@@ -38,8 +33,7 @@ from .errors import DomainError, ProfileTooShortError
 
 
 class _Memo(dict):
-    """compute(*args) stored under args, computed on the first lookup and
-    kept for as long as the profile that owns the memo lives.
+    """compute(*args) stored under args, computed on the first lookup.
 
     A hit is a plain subscript, memo[args]; a function of one argument
     is keyed by that argument alone.  A guarded closed form takes the
@@ -156,21 +150,13 @@ def qp_profile(p: int, max_level: int) -> BaseFieldProfile:
     (phi(2) = 1 makes level 1 trivial when p = 2).  A p that is not prime
     is refused when the profile is built.
 
-    The same (p, max_level) returns the same profile, and with it the
-    same memo, while it is among the 16 returned most recently: every
-    value in the memo is a pure function of its key, so the calls of a
-    process share it.  Arguments that are not int, bools included, are refused before
-    the cache is consulted, where 2.0 or True would equal 2 or 1.
+    Each call builds a new profile with an empty memo.  Arguments that
+    are not int, bools included, are refused, not coerced.
     """
     if type(p) is not int or type(max_level) is not int:  # bool is a subclass of int
         raise DomainError(f"qp_profile takes integers, got p = {p!r}, max_level = {max_level!r}")
     if max_level < 0:
         raise DomainError("max_level must be >= 0")
-    return _qp_profile(p, max_level)
-
-
-@functools.lru_cache(maxsize=16)
-def _qp_profile(p: int, max_level: int) -> BaseFieldProfile:
     data = tuple(
         CyclotomicDatum(i, p ** (i - 1) * (p - 1), 1) for i in range(1, max_level + 1)
     )

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicount import arith, counting, profiles, theorems
+from padicount import arith, counting, theorems
 from padicount.cli import main
 from padicount.errors import MagnitudeError
 from padicount.profiles import BaseFieldProfile, CyclotomicDatum, qp_profile
@@ -25,9 +25,7 @@ def _fresh(K):
 def test_memo_leaves_construction_equality_hash_and_repr_alone():
     warm = qp_profile(3, 2)
     theorems.iso_count_total(warm, 9)
-    # qp_profile shares one profile per (p, max_level); a built one starts cold
-    assert qp_profile(3, 2) is warm
-    cold = BaseFieldProfile(3, 1, 1, warm.cyclotomic)
+    cold = qp_profile(3, 2)
     assert warm._memo and not cold._memo
     assert warm == cold
     assert hash(warm) == hash(cold)
@@ -66,12 +64,12 @@ def test_table_computes_each_closed_form_once(
     gcds = first["gcd_p_power_minus_one"]
     assert len(gcds) == len(set(gcds)) == GCD_DISTINCT[argv]
 
-    # the process shares the field's profile: a second run computes nothing
+    # the memo lives with the invocation's profile: a second run starts cold
     for seen in calls.values():
         seen.clear()
     assert main(argv.split()) == 0
     assert capsys.readouterr().out == out
-    assert calls == {name: [] for name in calls}
+    assert calls == first
 
 
 def test_table_lists_the_divisors_of_each_argument_once_in_the_evaluators(capsys, monkeypatch):
@@ -137,28 +135,6 @@ def test_a_lower_bit_limit_still_raises_on_a_warm_profile(monkeypatch):
         theorems.iso_count_ef(K, 8, 4),
         theorems.iso_count_total(K, 32),
     ) == expected
-
-
-def test_a_process_keeps_at_most_16_qp_profiles():
-    first = qp_profile(2, 0)
-    built = {(p, level): qp_profile(p, level) for p in (3, 5, 7, 11) for level in range(4)}
-    assert profiles._qp_profile.cache_info().currsize == 16
-    assert all(qp_profile(*key) is K for key, K in built.items())
-    assert qp_profile(2, 0) is not first  # the least recently used one went first
-    assert profiles._qp_profile.cache_info().currsize == 16
-
-
-def test_a_tighter_bit_limit_still_exits_3_on_a_warm_shared_profile(capsys, monkeypatch):
-    argv = "table --qp 2 --n-max 60".split()
-    assert main(argv) == 0
-    out = capsys.readouterr().out
-    monkeypatch.setenv(counting.MAX_BITS_ENV, "16")
-    assert main(argv) == 3
-    captured = capsys.readouterr()
-    assert captured.out == "" and "magnitude limit of 16 bits" in captured.err
-    monkeypatch.delenv(counting.MAX_BITS_ENV)
-    assert main(argv) == 0
-    assert capsys.readouterr().out == out
 
 
 def _table(K, n_max, start=0):
