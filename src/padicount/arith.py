@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import ConsistencyError, DomainError, MagnitudeError
 
@@ -42,11 +42,8 @@ SHORTCUT_FROM = 1000
 TRIAL_BOUND = 10**6
 
 
-class PValuation(NamedTuple):
-    """The split n = p^s * h with gcd(h, p) = 1."""
-
-    s: int
-    h: int
+PValuation = namedtuple("PValuation", "s h")
+PValuation.__doc__ = "The split n = p^s * h with gcd(h, p) = 1."
 
 
 def is_prime(n: int) -> bool:

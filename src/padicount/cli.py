@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from . import arith, counting, oracles, theorems
 from .errors import ConsistencyError, DomainError, MagnitudeError
@@ -20,14 +20,9 @@ from .profiles import BaseFieldProfile, load_profile, qp_profile
 from .selfcheck import DEFAULT_MAX_ABELIAN_ORDER, run_selfcheck
 
 
-class Kind(NamedTuple):
-    """One count kind: its parameters, the Q_p depth it needs, how to evaluate
-    it and, for a kind with summands to print, how to evaluate it with them."""
-
-    params: tuple[str, ...]
-    depth: Callable[[int, argparse.Namespace], int]
-    evaluate: Callable[[BaseFieldProfile, argparse.Namespace], int]
-    breakdown: Callable[[BaseFieldProfile, argparse.Namespace], tuple[int, list]] | None = None
+Kind = namedtuple("Kind", "params depth evaluate breakdown", defaults=(None,))
+Kind.__doc__ = """One count kind: its parameter names, depth(p, args) for the Q_p depth it needs,
+evaluate(K, args) for its count and, given summands to print, breakdown(K, args)."""
 
 
 def _cyclic_depth(p, args):

@@ -26,8 +26,7 @@ MagnitudeError when exceeded.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import combinations, permutations
 
 from . import arith
@@ -41,6 +40,8 @@ DEFAULT_TABLE_CAP = 48
 def _require_integers(*args) -> None:
     if any(type(a) is not int for a in args):  # bool is a subclass of int
         raise DomainError(f"group constructor arguments must be integers, got {args!r}")
+    if any(a < 1 for a in args):
+        raise DomainError(f"group constructor arguments must be >= 1, got {args!r}")
 
 
 class AbelianGroup:
@@ -54,8 +55,6 @@ class AbelianGroup:
     def __init__(self, factors, cap: int = DEFAULT_ABELIAN_CAP):
         factors = tuple(factors)
         _require_integers(*factors)
-        if any(f < 1 for f in factors):
-            raise DomainError("cyclic factor orders must be >= 1")
         order = math.prod(factors)
         if order > cap:
             raise MagnitudeError(f"group order {order} exceeds cap {cap}")
@@ -279,21 +278,13 @@ def subgroups(G: GroupTable, cap: int = DEFAULT_TABLE_CAP) -> list[tuple[int, ..
     return G._subgroups
 
 
-@dataclass
-class LemmaReport:
-    """Both sides of the chain-count identity for index-n subgroups.
+LemmaReport = namedtuple("LemmaReport", "n lhs rhs chain_counts equal")
+LemmaReport.__doc__ = """Both sides of the chain-count identity for index-n subgroups.
 
-    lhs counts conjugacy classes of index-n subgroups; rhs is
-    (1/n) * sum over d | n of phi(d) * T(d), where T(d) = chain_counts[d]
-    counts chains H normal-in J <= G with (G:H) = n and J/H cyclic of
-    order d.
-    """
-
-    n: int
-    lhs: int
-    rhs: int
-    chain_counts: dict[int, int]
-    equal: bool
+lhs counts conjugacy classes of index-n subgroups; rhs is
+(1/n) * sum over d | n of phi(d) * T(d), where T(d) = chain_counts[d]
+counts chains H normal-in J <= G with (G:H) = n and J/H cyclic of
+order d; equal is lhs == rhs."""
 
 
 def _is_normal_in(G: GroupTable, H: frozenset, J) -> bool:

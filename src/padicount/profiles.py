@@ -15,9 +15,10 @@ order of the group of p-power roots of unity in K.
 
 A BaseFieldProfile is validated once, when it is built: an invalid one
 cannot exist, so the evaluators and the arithmetic they call never
-re-check p or the tower.  It also carries a private memo through which
-the evaluators compute each closed-form value once for as long as the
-profile lives (see _Memo).
+re-check p or the tower.  It is an immutable plain class, not a
+namedtuple like each level's CyclotomicDatum, whose _replace and _make
+skip validation.  It carries a private memo through which the evaluators
+compute each closed-form value once while the profile lives (see _Memo).
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 
 from . import arith
 from .errors import DomainError, ProfileTooShortError
@@ -56,16 +56,10 @@ class _Memo(dict):
         return value
 
 
-@dataclass(frozen=True)
-class CyclotomicDatum:
-    """Ramification and inertia of the level-i cyclotomic extension of the base."""
-
-    i: int
-    e: int
-    f: int
+CyclotomicDatum = namedtuple("CyclotomicDatum", "i e f")
+CyclotomicDatum.__doc__ = "Ramification and inertia of the level-i cyclotomic extension of the base."
 
 
-@dataclass(frozen=True)
 class BaseFieldProfile:
     """A base field: (p, e0, f0) and its cyclotomic tower, levels 1..depth.
 
@@ -75,21 +69,19 @@ class BaseFieldProfile:
     more there are, so each instance describes a field: p is prime,
     e0, f0 >= 1, and the tower satisfies the level invariants.
 
-    The private _memo maps each function to its own _Memo, so
-    K._memo[f][args] is f(*args), computed once while K lives.  It takes
-    no part in construction, equality, hashing or repr.
+    Setting or deleting any attribute raises AttributeError.  Equality,
+    hashing, repr, copy and pickle go through one key, (p, e0, f0,
+    cyclotomic); a copy is built, and so validated, anew.  The private
+    _memo maps each function to its own _Memo, so K._memo[f][args] is
+    f(*args), computed once while K lives; it is in no key, and a copy
+    starts with an empty one.
     """
 
-    p: int
-    e0: int
-    f0: int
-    cyclotomic: tuple[CyclotomicDatum, ...] = ()
-    _memo: _Memo = field(
-        default_factory=lambda: _Memo(_Memo), init=False, repr=False, compare=False
-    )
+    __slots__ = ("p", "e0", "f0", "cyclotomic", "_memo")
 
-    def __post_init__(self):
-        object.__setattr__(self, "cyclotomic", tuple(self.cyclotomic))
+    def __init__(self, p: int, e0: int, f0: int, cyclotomic=()):
+        for name, value in zip(self.__slots__, (p, e0, f0, tuple(cyclotomic), _Memo(_Memo))):
+            object.__setattr__(self, name, value)
         problems = validate(self)
         if problems:
             # name 10 of each kind; a kind is a message with its numbers removed
@@ -102,6 +94,26 @@ class BaseFieldProfile:
             more = len(problems) - len(shown)
             tail = f"; and {more} more" if more else ""
             raise DomainError("invalid profile: " + "; ".join(shown) + tail)
+
+    def _key(self):
+        return (self.p, self.e0, self.f0, self.cyclotomic)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "BaseFieldProfile(p={!r}, e0={!r}, f0={!r}, cyclotomic={!r})".format(*self._key())
+
+    def __reduce__(self):
+        return (type(self), self._key())
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"BaseFieldProfile is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def n0(self) -> int:
@@ -213,21 +225,27 @@ def validate(profile: BaseFieldProfile) -> list[str]:
     return problems
 
 
-def _integer(record: dict, key: str) -> int:
-    value = record[key]
-    if type(value) is not int:  # bool is a subclass of int
-        raise DomainError(f"malformed profile: {key} must be an integer, got {value!r}")
-    return value
+def _integers(record, keys, optional=()) -> list[int]:
+    """record[key] for each key, each an int; any key outside keys and optional is refused."""
+    if not isinstance(record, dict):
+        raise DomainError(f"malformed profile: expected a JSON object, got {type(record).__name__}")
+    for key in record:
+        if key not in keys and key not in optional:
+            raise DomainError(f"malformed profile: unknown key {key!r}")
+    for key in keys:
+        if type(record[key]) is not int:  # bool is a subclass of int
+            raise DomainError(f"malformed profile: {key} must be an integer, got {record[key]!r}")
+    return [record[key] for key in keys]
 
 
 def load_profile(source) -> BaseFieldProfile:
     """Build a profile from a JSON file path or an already-parsed dict.
 
     The file holds a single object {"p", "e0", "f0", "cyclotomic":
-    [{"i", "e", "f"}, ...]} with levels consecutive from 1.  Every number
-    must be a JSON integer: floats, strings and booleans are refused, never
-    coerced.  Building the profile validates it; any violation raises
-    DomainError.
+    [{"i", "e", "f"}, ...]} with levels consecutive from 1; any other key
+    is refused.  Every number must be a JSON integer: floats, strings and
+    booleans are refused, never coerced.  Building the profile validates
+    it; any violation raises DomainError.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, encoding="utf-8") as fh:
@@ -237,13 +255,9 @@ def load_profile(source) -> BaseFieldProfile:
                 raise DomainError(f"malformed profile JSON: {exc}") from exc
     else:
         raw = source
-    if not isinstance(raw, dict):
-        raise DomainError("profile must be a JSON object")
     try:
-        levels = tuple(
-            CyclotomicDatum(*(_integer(item, key) for key in ("i", "e", "f")))
-            for item in raw.get("cyclotomic", [])
-        )
-        return BaseFieldProfile(*(_integer(raw, key) for key in ("p", "e0", "f0")), levels)
+        p, e0, f0 = _integers(raw, ("p", "e0", "f0"), ("cyclotomic",))
+        levels = (CyclotomicDatum(*_integers(d, ("i", "e", "f"))) for d in raw.get("cyclotomic", []))
+        return BaseFieldProfile(p, e0, f0, levels)  # a malformed level raises as it is read
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed profile: {exc}") from exc

@@ -25,8 +25,6 @@ produces an orderly failing report instead of a crash.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import arith, counting, oracles, theorems
 from .errors import ConsistencyError, DomainError, MagnitudeError
 from .profiles import BaseFieldProfile, CyclotomicDatum, qp_profile
@@ -34,12 +32,9 @@ from .profiles import BaseFieldProfile, CyclotomicDatum, qp_profile
 DEFAULT_MAX_ABELIAN_ORDER = 1_000_000
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    checks: int = 0
-    fail_count: int = 0
-    failures: list[str] = field(default_factory=list)
+    def __init__(self, name: str):
+        self.name, self.checks, self.fail_count, self.failures = name, 0, 0, []
 
     @property
     def ok(self) -> bool:

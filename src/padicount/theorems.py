@@ -21,15 +21,15 @@ Terms are summed and divided once at the end (by f, respectively n;
 iso_count_ef divides each level-i term by e_i > 1) through
 arith.exact_quotient: a remainder means a bug and raises ConsistencyError
 rather than being rounded.  The *_terms variants pass the summation a
-list for the summands, in a fixed order (ascending level, then ascending
-divisors); the tame variant builds its per-i summands only when asked,
-and at most MAX_TAME_SUMMANDS of them.
+list for the summands, namedtuples TermEF or TermTotal in a fixed order
+(ascending level, then ascending divisors); the tame variant builds its
+per-i TermTame summands only when asked, and at most MAX_TAME_SUMMANDS.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import arith, counting
 from .errors import ConsistencyError, DomainError, MagnitudeError
@@ -40,32 +40,12 @@ from .profiles import BaseFieldProfile
 MAX_TAME_SUMMANDS = 10**5
 
 
-class TermEF(NamedTuple):
-    """One summand of the (e, f) class count, before the leading 1/f."""
-
-    i: int
-    e1: int
-    f1: int
-    e2: int
-    f2: int
-    term: int
-
-
-class TermTotal(NamedTuple):
-    """One summand of the degree-n class count, before the leading 1/n."""
-
-    i: int
-    d: int
-    e1: int
-    f1: int
-    term: int
-
-
-class TermTame(NamedTuple):
-    """One summand of the tame class count, before the leading 1/f."""
-
-    i: int
-    term: int
+TermEF = namedtuple("TermEF", "i e1 f1 e2 f2 term")
+TermEF.__doc__ = "One summand of the (e, f) class count, before the leading 1/f."
+TermTotal = namedtuple("TermTotal", "i d e1 f1 term")
+TermTotal.__doc__ = "One summand of the degree-n class count, before the leading 1/n."
+TermTame = namedtuple("TermTame", "i term")
+TermTame.__doc__ = "One summand of the tame class count, before the leading 1/f."
 
 
 def _splits(n: int, p: int, memo) -> list[tuple[int, int, int, int, int, int, int]]:

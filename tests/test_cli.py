@@ -274,6 +274,13 @@ def test_invalid_profile_exit_code(capsys, tmp_path):
     assert "invalid profile" in err
 
 
+def test_misspelt_profile_key_exit_code(capsys, tmp_path):
+    path = tmp_path / "misspelt.json"
+    path.write_text(json.dumps({"p": 3, "e0": 1, "f0": 1, "cyclotomics": []}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "count", "iso-ef", "--profile", str(path), "--e", "3", "--f", "1")
+    assert (code, out, err) == (2, "", "error: malformed profile: unknown key 'cyclotomics'\n")
+
+
 def test_malformed_profile_json_exit_code(capsys, tmp_path):
     path = tmp_path / "truncated.json"
     path.write_text('{"p": 3,', encoding="utf-8")

@@ -175,9 +175,16 @@ def test_builtin_quaternion():
 
 
 def test_constructors_refuse_an_empty_table():
-    for build in (cyclic, dihedral):
-        with pytest.raises(DomainError, match="non-empty"):
-            build(0)
+    # a degree or order below 1 is refused by name, before any table is built
+    for build, arg in [(cyclic, 0), (dihedral, 0), (cyclic, -2), (dihedral, -1),
+                       (abelian, 0), (symmetric, -3), (alternating, -1), (symmetric, 0)]:
+        with pytest.raises(DomainError, match=rf"must be >= 1, got \({arg},\)"):
+            build(arg)
+    with pytest.raises(DomainError, match=r"must be >= 1, got \(2, 0\)"):
+        AbelianGroup((2, 0))
+    with pytest.raises(DomainError, match="non-empty"):
+        GroupTable([])
+    assert (dihedral(1).order, dihedral(2).order, symmetric(1).order) == (2, 4, 1)
 
 
 @pytest.mark.parametrize("build, args", [

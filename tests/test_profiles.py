@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import re
 import time
 from types import SimpleNamespace
@@ -19,6 +21,7 @@ from padicount.profiles import (
     qp_profile,
     validate,
 )
+from padicount.theorems import iso_count_total
 
 
 def test_qp_profile_q3():
@@ -239,6 +242,59 @@ def test_load_profile_refuses_to_coerce_level_fields(field, value):
     level[field] = value
     with pytest.raises(DomainError, match=f"{field} must be an integer"):
         load_profile({"p": 3, "e0": 1, "f0": 1, "cyclotomic": [level]})
+
+
+@pytest.mark.parametrize("top, level, key", [
+    ({"cyclotomics": [{"i": 1, "e": 2, "f": 1}]}, {}, "cyclotomics"),  # not a depth-0 tower
+    ({"E0": 1}, {}, "E0"),
+    ({}, {"g": 1}, "g"),
+    ({}, {"F": 1}, "F"),  # named even though f is then missing too
+])
+def test_load_profile_refuses_unknown_keys(top, level, key):
+    data = {"p": 3, "e0": 1, "f0": 1, "cyclotomic": [{"i": 1, "e": 2, "f": 1, **level}], **top}
+    if "F" in level:
+        del data["cyclotomic"][0]["f"]
+    with pytest.raises(DomainError, match=f"malformed profile: unknown key '{key}'$"):
+        load_profile(data)
+
+
+@pytest.mark.parametrize("level", ["ief", [1, 2, 1], 7, None])
+def test_load_profile_refuses_a_profile_or_level_that_is_not_an_object(level):
+    with pytest.raises(DomainError, match="malformed profile: expected a JSON object, got "):
+        load_profile({"p": 3, "e0": 1, "f0": 1, "cyclotomic": [level]})
+    with pytest.raises(DomainError, match="malformed profile: expected a JSON object, got "):
+        load_profile([level])  # a path is a str, so the profile itself is a list
+
+
+def test_a_profile_cannot_be_changed():
+    K = qp_profile(3, 2)
+    for name in ("p", "cyclotomic", "_memo", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(K, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(K, name)
+    assert (K.p, K.cyclotomic) == (3, qp_profile(3, 2).cyclotomic)
+
+
+def test_a_profile_is_not_its_tuple_and_keeps_its_repr():
+    K = qp_profile(3, 2)
+    assert K != (K.p, K.e0, K.f0, K.cyclotomic)
+    assert (K.p, K.e0, K.f0, K.cyclotomic) != K
+    # recorded from the dataclass that BaseFieldProfile replaced
+    assert repr(K) == (
+        "BaseFieldProfile(p=3, e0=1, f0=1, cyclotomic=(CyclotomicDatum(i=1, e=2, f=1), "
+        "CyclotomicDatum(i=2, e=6, f=1)))"
+    )
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, lambda K: pickle.loads(pickle.dumps(K))])
+def test_a_copied_profile_is_equal_with_an_empty_memo(duplicate):
+    K = qp_profile(3, 2)
+    count = iso_count_total(K, 9)
+    twin = duplicate(K)
+    assert K._memo and not twin._memo
+    assert twin is not K and twin == K and hash(twin) == hash(K)
+    assert iso_count_total(twin, 9) == count
 
 
 def test_profiles_module_reexports():

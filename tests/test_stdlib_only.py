@@ -1,8 +1,12 @@
 """The package imports nothing outside the standard library, and the tests
-import nothing that the `test` extra does not name."""
+import nothing that the `test` extra does not name.  The package also keeps
+off the standard modules that slow every start-up: dataclasses, typing and
+inspect."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -32,6 +36,34 @@ def test_source_imports_only_the_standard_library(path):
         if name.partition(".")[0] not in sys.stdlib_module_names
     )
     assert foreign == [], f"{path.name} imports {foreign}"
+
+
+SLOW_TO_IMPORT = ("dataclasses", "inspect", "typing")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_source_imports_no_module_that_slows_start_up(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    slow = sorted(name for name in _absolute_imports(tree) if name.partition(".")[0] in SLOW_TO_IMPORT)
+    assert slow == [], f"{path.name} imports {slow}"
+
+
+# -S skips site-packages, whose .pth files may import typing on their own
+COUNT_THEN_LIST_MODULES = f"""
+import sys
+from padicount.cli import main
+status = main(["count", "krasner", "--qp", "11", "--e", "1", "--f", "1"])
+print(status, *sorted(name for name in {SLOW_TO_IMPORT!r} if name in sys.modules))
+"""
+
+
+def test_a_count_in_a_fresh_interpreter_loads_no_module_that_slows_start_up():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", COUNT_THEN_LIST_MODULES],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert run.stdout.splitlines() == ["1", "0"], run.stdout + run.stderr
 
 
 def test_the_guard_sees_every_module():
