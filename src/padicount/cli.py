@@ -5,6 +5,8 @@ big integers stay safe, and printed in full however many digits they
 have; output bytes are fully deterministic.  Exit codes: 0 success, 1
 selfcheck failure, 2 precondition violation or malformed input, 3
 magnitude or work limit, 4 internal consistency failure (a bug).
+main reads PADICOUNT_MAX_BITS once, as args.bits; a selfcheck cap left
+unset is not passed, so run_selfcheck's default applies.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ import json
 import sys
 from collections import namedtuple
 
-from . import arith, counting, oracles, theorems
+from . import arith, counting, theorems
 from .errors import ConsistencyError, DomainError, MagnitudeError
 from .profiles import BaseFieldProfile, load_profile, qp_profile
-from .selfcheck import DEFAULT_MAX_ABELIAN_ORDER, run_selfcheck
+from .selfcheck import run_selfcheck
 
 
 Kind = namedtuple("Kind", "params depth evaluate breakdown", defaults=(None,))
@@ -168,7 +170,7 @@ def _cmd_table(args) -> int:
         top = args.n_max if degree_mode else args.e_max
         depth = max(arith.p_valuation(m, args.qp).s for m in range(1, top + 1))
     profile = _field_for(args, depth)
-    bits = counting.magnitude_bits()  # once for the whole table
+    bits = args.bits  # main's one read, for the whole table
     pairs = profile._memo[arith.divisor_pairs]
 
     if degree_mode:
@@ -228,14 +230,11 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
-    # run_selfcheck refuses a cap below 1 as well; checking here names the flag
-    _positive("max-abelian-order", args.max_abelian_order)
-    _positive("max-table-order", args.max_table_order)
-    results = run_selfcheck(
-        grid=args.grid,
-        max_abelian_order=args.max_abelian_order,
-        max_table_order=args.max_table_order,
-    )
+    caps = {name: getattr(args, name) for name in ("max_abelian_order", "max_table_order")}
+    caps = {name: value for name, value in caps.items() if value is not None}
+    for name, value in caps.items():
+        _positive(name.replace("_", "-"), value)  # run_selfcheck refuses it too; this names the flag
+    results = run_selfcheck(grid=args.grid, **caps)
     width = max(len(r.name) for r in results)
     failed = False
     for r in results:
@@ -287,12 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
     selfcheck = sub.add_parser("selfcheck", help="run the oracle and consistency suites")
     selfcheck.add_argument("--grid", choices=("small", "full"), default="full")
     selfcheck.add_argument(
-        "--max-abelian-order", type=_integer, default=DEFAULT_MAX_ABELIAN_ORDER,
-        help="skip enumeration groups larger than this",
+        "--max-abelian-order", type=_integer, help="skip enumeration groups larger than this"
     )
     selfcheck.add_argument(
-        "--max-table-order", type=_integer, default=oracles.DEFAULT_TABLE_CAP,
-        help="skip Cayley tables larger than this",
+        "--max-table-order", type=_integer, help="skip Cayley tables larger than this"
     )
     selfcheck.set_defaults(handler=_cmd_selfcheck)
     return parser
@@ -302,7 +299,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        counting.magnitude_bits()  # a malformed limit is refused whatever the command computes
+        # read once: a malformed limit is refused whatever the command computes
+        args.bits = counting.magnitude_bits()
         return args.handler(args)
     except ConsistencyError as exc:
         print(f"error: internal consistency failure: {exc}", file=sys.stderr)

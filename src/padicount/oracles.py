@@ -18,9 +18,9 @@ one for the rest, without building a subgroup.  The subgroup lattice
 joins each subgroup with each cyclic subgroup of prime-power order, not
 with each element, and skips the generators that a join of prime index
 already covers.  One coset walk, _join, closes every set in a table: the
-generators for the associativity test, element orders, cyclic subgroups
-and lattice joins.  Caps keep the worst cases bounded and raise
-MagnitudeError when exceeded.
+generators for the associativity test, cyclic subgroups and lattice
+joins.  Caps keep the worst cases bounded and raise MagnitudeError when
+exceeded.
 """
 
 from __future__ import annotations
@@ -113,8 +113,6 @@ def dual_cyclic_subgroup_count(Ghat: AbelianGroup, d: int) -> Counter:
     by the number of generators of a cyclic group of order d, read off
     the C_d histogram; a remainder raises ConsistencyError.
     """
-    if d < 1:
-        raise DomainError("d must be >= 1")
     if Ghat.factors[:1] != (d,):
         raise DomainError(f"distinguished first factor must be C_{d}, factors are {Ghat.factors}")
     first = Counter(d // math.gcd(c, d) for c in range(d))
@@ -182,18 +180,12 @@ class GroupTable:
         )
         self._subgroups = None
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def conjugate(self, g: int, x: int) -> int:
         """g * x * g^-1."""
         return self.table[self.table[g][x]][self._inverse[g]]
 
     def is_abelian(self) -> bool:
         return self._abelian
-
-    def element_order(self, x: int) -> int:
-        return len(_join(self.table, (self.identity,), x))
 
     def __repr__(self):
         return f"GroupTable({self.name}, order={self.order})"

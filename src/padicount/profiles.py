@@ -13,10 +13,10 @@ Every count takes a BaseFieldProfile: the cyclic counts read the
 absolute degree n0, the absolute inertia f0 and xi, where p^xi is the
 order of the group of p-power roots of unity in K.
 
-A BaseFieldProfile is validated once, when it is built: an invalid one
-cannot exist, so the evaluators and the arithmetic they call never
-re-check p or the tower.  It is an immutable plain class, not a
-namedtuple like each level's CyclotomicDatum, whose _replace and _make
+A BaseFieldProfile is validated once, types included, when it is built:
+an invalid one cannot exist, so the evaluators and the arithmetic they
+call never re-check p or the tower.  It is an immutable plain class, not
+a namedtuple like each level's CyclotomicDatum, whose _replace and _make
 skip validation.  It carries a private memo through which the evaluators
 compute each closed-form value once while the profile lives (see _Memo).
 """
@@ -63,8 +63,10 @@ CyclotomicDatum.__doc__ = "Ramification and inertia of the level-i cyclotomic ex
 class BaseFieldProfile:
     """A base field: (p, e0, f0) and its cyclotomic tower, levels 1..depth.
 
-    Level 0 is implicitly the trivial datum (1, 1).  Construction runs
-    validate() and raises DomainError naming the first 10 violations of
+    Level 0 is implicitly the trivial datum (1, 1).  Construction refuses
+    a p, e0, f0, i, e or f that is not an int (bools included) and a level
+    that is not a CyclotomicDatum, then runs validate(); either raises
+    DomainError.  validate()'s refusal names the first 10 violations of
     each kind (a kind is a message with its numbers removed) and how many
     more there are, so each instance describes a field: p is prime,
     e0, f0 >= 1, and the tower satisfies the level invariants.
@@ -80,7 +82,17 @@ class BaseFieldProfile:
     __slots__ = ("p", "e0", "f0", "cyclotomic", "_memo")
 
     def __init__(self, p: int, e0: int, f0: int, cyclotomic=()):
-        for name, value in zip(self.__slots__, (p, e0, f0, tuple(cyclotomic), _Memo(_Memo))):
+        cyclotomic = tuple(cyclotomic)
+        # position 0 holds (p, e0, f0), and position i >= 1 level i
+        for pos, datum in enumerate(((p, e0, f0), *cyclotomic)):
+            if pos and not isinstance(datum, CyclotomicDatum):
+                got = type(datum).__name__
+                raise DomainError(f"invalid profile: level {pos} is a {got}, not a CyclotomicDatum")
+            for name, value in zip(datum._fields if pos else ("p", "e0", "f0"), datum):
+                if type(value) is not int:  # bool is a subclass of int
+                    name = f"level {pos}: {name}" if pos else name
+                    raise DomainError(f"invalid profile: {name} must be an integer, got {value!r}")
+        for name, value in zip(self.__slots__, (p, e0, f0, cyclotomic, _Memo(_Memo))):
             object.__setattr__(self, name, value)
         problems = validate(self)
         if problems:
@@ -225,16 +237,13 @@ def validate(profile: BaseFieldProfile) -> list[str]:
     return problems
 
 
-def _integers(record, keys, optional=()) -> list[int]:
-    """record[key] for each key, each an int; any key outside keys and optional is refused."""
+def _values(record, keys, optional=()) -> list:
+    """record[key] for each key, of any type; a key outside keys and optional is refused."""
     if not isinstance(record, dict):
         raise DomainError(f"malformed profile: expected a JSON object, got {type(record).__name__}")
     for key in record:
         if key not in keys and key not in optional:
             raise DomainError(f"malformed profile: unknown key {key!r}")
-    for key in keys:
-        if type(record[key]) is not int:  # bool is a subclass of int
-            raise DomainError(f"malformed profile: {key} must be an integer, got {record[key]!r}")
     return [record[key] for key in keys]
 
 
@@ -243,9 +252,9 @@ def load_profile(source) -> BaseFieldProfile:
 
     The file holds a single object {"p", "e0", "f0", "cyclotomic":
     [{"i", "e", "f"}, ...]} with levels consecutive from 1; any other key
-    is refused.  Every number must be a JSON integer: floats, strings and
-    booleans are refused, never coerced.  Building the profile validates
-    it; any violation raises DomainError.
+    is refused.  Every number must be a JSON integer: the constructor
+    refuses floats, strings and booleans, never coerces them.  Building
+    the profile validates it; any violation raises DomainError.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, encoding="utf-8") as fh:
@@ -256,8 +265,8 @@ def load_profile(source) -> BaseFieldProfile:
     else:
         raw = source
     try:
-        p, e0, f0 = _integers(raw, ("p", "e0", "f0"), ("cyclotomic",))
-        levels = (CyclotomicDatum(*_integers(d, ("i", "e", "f"))) for d in raw.get("cyclotomic", []))
+        p, e0, f0 = _values(raw, ("p", "e0", "f0"), ("cyclotomic",))
+        levels = (CyclotomicDatum(*_values(d, ("i", "e", "f"))) for d in raw.get("cyclotomic", []))
         return BaseFieldProfile(p, e0, f0, levels)  # a malformed level raises as it is read
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed profile: {exc}") from exc

@@ -165,6 +165,24 @@ def test_prime_factors_past_the_shortcut():
         assert arith.prime_factors(n) == sorted(sympy.factorint(n)), n
 
 
+def test_prime_factors_of_prime_powers_past_the_shortcut():
+    # the trial division past the shortcut ends when the last prime divides out
+    for n in (1009**2, 1009**3, 1009**2 * 1013):
+        assert arith.prime_factors(n) == sympy.primefactors(n), n
+
+
+@pytest.mark.parametrize("function, args, message", [
+    (arith.prime_factors, (0,), "prime_factors: n must be >= 1"),
+    (arith.mult_order, (2, 0), "mult_order: modulus must be >= 1"),
+    (arith.divides_p_power_minus_one, (0, 2, 1), "divides_p_power_minus_one: h and exponent must be >= 1"),
+    (arith.gcd_p_power_minus_one, (0, 2, 1), "gcd_p_power_minus_one: a and exponent must be >= 1"),
+])
+def test_arith_refuses_arguments_below_its_domain(function, args, message):
+    with pytest.raises(DomainError) as refused:
+        function(*args)
+    assert str(refused.value) == message
+
+
 def test_prime_factors_refuses_two_primes_past_the_trial_bound():
     with pytest.raises(MagnitudeError):
         arith.prime_factors(1_000_000_007 * 1_000_000_009)

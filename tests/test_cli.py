@@ -7,9 +7,10 @@ import time
 import pytest
 import sympy
 
-from padicount import arith, counting
+from padicount import arith, cli, counting, theorems
 from padicount.cli import main
 from padicount.profiles import qp_profile
+from padicount.selfcheck import SuiteResult
 
 
 def run_cli(capsys, *argv):
@@ -420,6 +421,29 @@ def test_selfcheck_refuses_a_cap_below_one(capsys, flag, cap):
     code, out, err = run_cli(capsys, "selfcheck", "--grid", "small", flag, cap)
     assert (code, out) == (2, "")
     assert err == f"error: {flag} must be >= 1\n"
+
+
+@pytest.mark.parametrize("flags, caps", [
+    ([], {}),
+    (["--max-table-order", "6"], {"max_table_order": 6}),
+    (["--max-abelian-order", "10", "--max-table-order", "6"], {"max_abelian_order": 10, "max_table_order": 6}),
+])
+def test_selfcheck_passes_only_the_caps_it_is_given(capsys, monkeypatch, flags, caps):
+    # an unset cap is left to run_selfcheck's own default
+    passed = []
+    monkeypatch.setattr(cli, "run_selfcheck", lambda **kwargs: passed.append(kwargs) or [SuiteResult("stub")])
+    code, out, _ = run_cli(capsys, "selfcheck", "--grid", "small", *flags)
+    assert (code, passed) == (0, [{"grid": "small", **caps}])
+    assert out.endswith("selfcheck: all suites pass\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_exits_4_when_the_total_disagrees_with_its_cells(capsys, monkeypatch, fmt):
+    real = theorems.iso_count_total
+    monkeypatch.setattr(theorems, "iso_count_total", lambda *args: real(*args) + 1)
+    code, out, err = run_cli(capsys, "table", "--qp", "2", "--n-max", "4", "--format", fmt)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: internal consistency failure: degree 1: total route gives 2,")
 
 
 @pytest.mark.parametrize("limit", ["abc", "0", "-3"])

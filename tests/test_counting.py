@@ -185,6 +185,20 @@ def test_cyclic_decomposition_small():
             )
 
 
+@pytest.mark.parametrize("function, args, message", [
+    (counting.guarded_power, (2, -1, 64), "guarded_power: exponent -1 must be >= 0"),
+    (sigma_krasner, (2, 0, 0), "sigma_krasner: N must be >= 1"),
+    (sigma_krasner, (2, 4, -1), "sigma_krasner: s must be >= 0"),
+    (psi_count, (0, 1), "psi_count: u must be >= 1 and v >= 0"),
+    (cyclic_count_ef, (Q2, 0, 1), "cyclic_count_ef: e and f must be >= 1"),
+    (cyclic_count_total, (Q2, 0), "cyclic_count_total: d must be >= 1"),
+])
+def test_counting_refuses_arguments_below_its_domain(function, args, message):
+    with pytest.raises(DomainError) as refused:
+        function(*args)
+    assert str(refused.value) == message
+
+
 def test_counts_are_nonnegative():
     for F in (Q2, Q3):
         for e in range(1, 7):

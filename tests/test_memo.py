@@ -90,9 +90,9 @@ def test_a_table_reads_the_bit_limit_once(capsys, monkeypatch):
     monkeypatch.setattr(counting, "magnitude_bits", lambda: calls.append(1) or real())
     assert main(["table", "--qp", "2", "--n-max", "30"]) == 0
     capsys.readouterr()
-    # main's check of the limit, then one read for the whole table (253 when
-    # each cell read it in krasner_count and again in iso_count_ef)
-    assert len(calls) == 2
+    # main's check of the limit is the one read; the table reuses it (253 reads
+    # when each cell read it in krasner_count and again in iso_count_ef)
+    assert len(calls) == 1
 
 
 def test_a_lookup_that_raises_stores_nothing_and_the_next_computes_again():

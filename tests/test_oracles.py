@@ -145,14 +145,30 @@ def test_group_table_rejects_junk():
         GroupTable(rows)
 
 
+@pytest.mark.parametrize("function, args, message", [
+    (dual_group, (qp_profile(3, 1), 0), "d must be >= 1"),
+    # a d below 1 is refused by the check of the distinguished factor
+    (dual_cyclic_subgroup_count, (AbelianGroup((2,)), 0),
+     "distinguished first factor must be C_0, factors are (2,)"),
+    (GroupTable, ([[0, 1], [1]],), "group table must be square"),
+    # every row is a permutation, but column 1 reads 1, 0, 0
+    (GroupTable, ([[0, 1, 2], [1, 0, 2], [2, 0, 1]],), "column 1 is not a permutation"),
+])
+def test_oracles_refuse_malformed_arguments(function, args, message):
+    with pytest.raises(DomainError) as refused:
+        function(*args)
+    assert str(refused.value) == message
+
+
 def test_builtin_cyclic_orders():
     G = cyclic(4)
-    assert sorted(G.element_order(x) for x in range(4)) == [1, 2, 4, 4]
+    assert sorted(_power_loop_order(G, x) for x in range(4)) == [1, 2, 4, 4]
 
 
 def test_builtin_dihedral():
     G = dihedral(4)
     assert G.order == 8
+    assert repr(G) == "GroupTable(dihedral(4), order=8)"  # as README shows it
     assert not G.is_abelian()
     assert len(subgroups(G)) == 10
 
@@ -161,7 +177,7 @@ def test_builtin_symmetric_and_alternating():
     S3 = symmetric(3)
     assert S3.order == 6
     assert not S3.is_abelian()
-    assert sorted(S3.element_order(x) for x in range(6)) == [1, 2, 2, 2, 3, 3]
+    assert sorted(_power_loop_order(S3, x) for x in range(6)) == [1, 2, 2, 2, 3, 3]
     A4 = alternating(4)
     assert A4.order == 12
     assert len(subgroups(A4)) == 10
@@ -170,7 +186,7 @@ def test_builtin_symmetric_and_alternating():
 def test_builtin_quaternion():
     Q8 = quaternion8()
     assert Q8.order == 8
-    assert sorted(Q8.element_order(x) for x in range(8)) == [1, 2, 4, 4, 4, 4, 4, 4]
+    assert sorted(_power_loop_order(Q8, x) for x in range(8)) == [1, 2, 4, 4, 4, 4, 4, 4]
     assert len(subgroups(Q8)) == 6
 
 
@@ -243,7 +259,7 @@ def test_subgroups_closed_under_join_and_conjugation():
                 while frontier:
                     x = frontier.pop()
                     for y in tuple(els):
-                        for z in (G.mul(x, y), G.mul(y, x)):
+                        for z in (G.table[x][y], G.table[y][x]):
                             if z not in els:
                                 els.add(z)
                                 frontier.append(z)
@@ -339,7 +355,7 @@ def _closed_subsets(G):
     for k in range(len(others) + 1):
         for chosen in combinations(others, k):
             S = {G.identity, *chosen}
-            if all(G.mul(a, b) in S for a in S for b in S):
+            if all(G.table[a][b] in S for a in S for b in S):
                 out.append(tuple(sorted(S)))
     return sorted(out, key=lambda t: (len(t), t))
 
@@ -398,7 +414,7 @@ def _closure(G, generators):
     """Products of pairs, added until none is new."""
     S = {G.identity, *generators}
     while True:
-        grown = S | {G.mul(a, b) for a in S for b in S}
+        grown = S | {G.table[a][b] for a in S for b in S}
         if grown == S:
             return frozenset(S)
         S = grown
@@ -407,7 +423,7 @@ def _closure(G, generators):
 def _power_loop_order(G, x):
     order, cur = 1, x
     while cur != G.identity:
-        order, cur = order + 1, G.mul(cur, x)
+        order, cur = order + 1, G.table[cur][x]
     return order
 
 
@@ -416,7 +432,8 @@ def test_the_coset_walk_matches_brute_force_on_the_nonabelian_zoo():
     assert len(groups) == 14
     for G in groups:
         for x in range(G.order):
-            assert G.element_order(x) == _power_loop_order(G, x), (G.name, x)
+            cyclic_subgroup = oracles._join(G.table, (G.identity,), x)  # the walk subgroups uses
+            assert len(cyclic_subgroup) == _power_loop_order(G, x), (G.name, x)
         for S in subgroups(G):
             for g in range(G.order):
                 assert oracles._join(G.table, frozenset(S), g) == _closure(G, {*S, g}), (
@@ -471,7 +488,7 @@ def test_dual_cyclic_subgroup_count_equals_the_dedupe_enumeration():
 
 
 def _table_order_histogram(G):
-    return Counter(G.element_order(x) for x in range(G.order))
+    return Counter(_power_loop_order(G, x) for x in range(G.order))
 
 
 def test_cyclic_and_abelian_tables_have_the_order_histogram_of_their_factors():

@@ -244,6 +244,54 @@ def test_load_profile_refuses_to_coerce_level_fields(field, value):
         load_profile({"p": 3, "e0": 1, "f0": 1, "cyclotomic": [level]})
 
 
+@pytest.mark.parametrize("args, refusal", [
+    ((3, True, 1), "e0 must be an integer, got True"),
+    ((3, 1.5, 1), "e0 must be an integer, got 1.5"),
+    ((3.0, 1, 1), "p must be an integer, got 3.0"),
+    (("3", 1, 1), "p must be an integer, got '3'"),
+    ((3, 1, 1, ((1, 2, 1),)), "level 1 is a tuple, not a CyclotomicDatum"),
+    ((3, 1, 1, [CyclotomicDatum(1, 2, 1), {"i": 2, "e": 6, "f": 1}]), "level 2 is a dict, not a CyclotomicDatum"),
+    ((3, 1, 1, [CyclotomicDatum(1, 2.0, 1)]), "level 1: e must be an integer, got 2.0"),
+    ((3, 1, 1, [CyclotomicDatum(True, 2, 1)]), "level 1: i must be an integer, got True"),
+])
+def test_the_constructor_refuses_fields_that_are_not_integers(args, refusal):
+    with pytest.raises(DomainError) as refused:
+        BaseFieldProfile(*args)
+    assert str(refused.value) == f"invalid profile: {refusal}"
+
+
+BAD_VALUES = (3.9, 2.0, "3", True, False, None, [3])
+
+
+@pytest.mark.parametrize("field", ["p", "e0", "f0", "i", "e", "f"])
+@pytest.mark.parametrize("value", BAD_VALUES)
+def test_a_file_and_the_constructor_refuse_a_bad_field_in_the_same_words(field, value):
+    # one check of the types, in the constructor: a file reaches it through load_profile
+    top, level = {"p": 3, "e0": 1, "f0": 1}, {"i": 1, "e": 2, "f": 1}
+    (top if field in top else level)[field] = value
+    with pytest.raises(DomainError) as from_file:
+        load_profile({**top, "cyclotomic": [level]})
+    with pytest.raises(DomainError) as by_hand:
+        BaseFieldProfile(top["p"], top["e0"], top["f0"], [CyclotomicDatum(**level)])
+    name = field if field in top else f"level 1: {field}"
+    assert str(from_file.value) == str(by_hand.value) == (
+        f"invalid profile: {name} must be an integer, got {value!r}"
+    )
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: qp_profile(3, 2).level(-1), "level index must be >= 0"),
+    (lambda: qp_profile(2, -1), "max_level must be >= 0"),
+    # each level fits its unit group and phi(7^i) | e0*e_i, but 2 does not divide 3
+    (lambda: BaseFieldProfile(7, 42, 1, [CyclotomicDatum(1, 1, 2), CyclotomicDatum(2, 1, 3)]),
+     "invalid profile: level 2: f_1 = 2 does not divide f_2 = 3"),
+])
+def test_profiles_refuse_arguments_outside_their_domain(call, message):
+    with pytest.raises(DomainError) as refused:
+        call()
+    assert str(refused.value) == message
+
+
 @pytest.mark.parametrize("top, level, key", [
     ({"cyclotomics": [{"i": 1, "e": 2, "f": 1}]}, {}, "cyclotomics"),  # not a depth-0 tower
     ({"E0": 1}, {}, "E0"),

@@ -120,6 +120,13 @@ def test_run_selfcheck_refuses_a_cap_below_one(caps):
         selfcheck.run_selfcheck(grid="small", **caps)
 
 
+@pytest.mark.parametrize("grid", ["tiny", "Full"])
+def test_run_selfcheck_refuses_an_unknown_grid(grid):
+    with pytest.raises(DomainError) as refused:
+        selfcheck.run_selfcheck(grid=grid)
+    assert str(refused.value) == f"unknown grid {grid!r}, expected 'small' or 'full'"
+
+
 def test_an_internal_error_fails_one_check_and_the_suite_goes_on(monkeypatch, capsys):
     real = counting.psi_count
 

@@ -1,7 +1,8 @@
 """The package imports nothing outside the standard library, and the tests
 import nothing that the `test` extra does not name.  The package also keeps
 off the standard modules that slow every start-up: dataclasses, typing and
-inspect."""
+inspect.  The command line takes the oracles and the selfcheck defaults
+through run_selfcheck alone."""
 
 import ast
 import os
@@ -64,6 +65,44 @@ def test_a_count_in_a_fresh_interpreter_loads_no_module_that_slows_start_up():
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
     assert run.stdout.splitlines() == ["1", "0"], run.stdout + run.stderr
+
+
+def _package_names(tree):
+    """Every name a module imports from padicount, dotted from the package:
+    'oracles', 'selfcheck.run_selfcheck', 'arith'."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names = [f"{base}.{alias.name}" if base else alias.name for alias in node.names]
+            if node.level:
+                names = [f"padicount.{name}" for name in names]
+        else:
+            continue
+        yield from (name.removeprefix("padicount.") for name in names if name.startswith("padicount."))
+
+
+def test_cli_imports_no_oracle_and_no_selfcheck_default():
+    # the caps' defaults live in run_selfcheck; the CLI passes a cap only when it is given
+    source = (ROOT / "src" / "padicount" / "cli.py").read_text(encoding="utf-8")
+    names = list(_package_names(ast.parse(source)))
+    assert "selfcheck.run_selfcheck" in names and "errors.DomainError" in names
+    refused = [
+        name for name in names
+        if name.startswith(("oracles", "selfcheck")) and name != "selfcheck.run_selfcheck"
+    ]
+    assert refused == [], f"cli.py imports {refused}"
+
+
+def test_the_package_import_reader_sees_each_form():
+    tree = ast.parse(
+        "import padicount.oracles\nfrom padicount import oracles\nfrom . import selfcheck\n"
+        "from .selfcheck import DEFAULT_MAX_ABELIAN_ORDER\nfrom padicount.oracles import cyclic\nimport os\n"
+    )
+    assert list(_package_names(tree)) == [
+        "oracles", "oracles", "selfcheck", "selfcheck.DEFAULT_MAX_ABELIAN_ORDER", "oracles.cyclic",
+    ]
 
 
 def test_the_guard_sees_every_module():

@@ -78,6 +78,17 @@ def test_evaluators_refuse_invalid_profiles():
         BaseFieldProfile(2, 1, 1, (CyclotomicDatum(1, 3, 1),))
 
 
+@pytest.mark.parametrize("function, args, message", [
+    (iso_count_ef, (0, 1), "iso_count_ef: e and f must be >= 1"),
+    (iso_count_total, (0,), "iso_count_total: n must be >= 1"),
+    (tame_iso_count, (0, 1), "tame_iso_count: e and f must be >= 1"),
+])
+def test_evaluators_refuse_a_degree_below_one(function, args, message):
+    with pytest.raises(DomainError) as refused:
+        function(qp_profile(2, 2), *args)
+    assert str(refused.value) == message
+
+
 def test_profile_too_short_is_a_hard_error():
     with pytest.raises(ProfileTooShortError):
         iso_count_ef(qp_profile(2, 0), 2, 1)
