@@ -8,8 +8,9 @@ longer than a fixed bound; an input past it raises MagnitudeError:
 * factoring is trial division up to TRIAL_BOUND (10^6) with a primality
   shortcut for the cofactor, so every n below 10^12 factors, and so does
   any n below MR_BOUND all of whose prime factors but the largest are at
-  most 10^6; divisor lists are built from the factorisation, under the
-  same bound;
+  most 10^6; each prime found is stripped by p_valuation, in rounds;
+* divisor lists are built from the factorisation, under the same bound,
+  and are refused past MAX_DIVISORS entries, counted before any is built;
 * multiplicative orders come from the factorisation of phi(modulus), and
   divisibility questions about p^F - 1 are answered through them or by
   modular reduction, so huge powers are never materialized;
@@ -17,7 +18,8 @@ longer than a fixed bound; an input past it raises MagnitudeError:
   costs a few long divisions, not one per factor;
 * exact_quotient is the one checked division: a remainder raises
   ConsistencyError;
-* parse_decimal is the one reader of integer inputs: ASCII -?[0-9]+ only.
+* parse_decimal is the one reader of integer inputs, ASCII -?[0-9]+ only,
+  and format_decimal the one writer, of any length, messages included.
 
 No helper here checks that its p is prime: p comes from a base-field
 profile, which checks that once, when it is built.  A helper refuses
@@ -40,6 +42,8 @@ MR_BOUND = 3317044064679887385961981
 # none goes past TRIAL_BOUND.
 SHORTCUT_FROM = 1000
 TRIAL_BOUND = 10**6
+# A divisor list longer than this is refused before it is built.
+MAX_DIVISORS = 10**5
 
 
 PValuation = namedtuple("PValuation", "s h")
@@ -63,7 +67,7 @@ def is_prime(n: int) -> bool:
         return True
     if n >= MR_BOUND:
         raise MagnitudeError(
-            f"is_prime: {n} >= {MR_BOUND}, past the range where "
+            f"is_prime: {format_decimal(n)} >= {MR_BOUND}, past the range where "
             "Miller-Rabin to bases 2..41 is proven exact"
         )
     d = n - 1
@@ -100,8 +104,9 @@ def prime_factors(n: int) -> list[int]:
             return _prime_factors_from(p, rest, out)
         if rest % p == 0:
             out.append(p)
-            while rest % p == 0:
-                rest //= p
+            rest //= p
+            if rest % p == 0:
+                rest = p_valuation(rest, p).h
         p += 1 if p == 2 else 2
     if rest > 1:
         out.append(rest)
@@ -120,8 +125,9 @@ def _prime_factors_from(p: int, rest: int, out: list[int]) -> list[int]:
                     f"prime_factors: {rest} has no prime factor up to {TRIAL_BOUND}"
                 )
         out.append(p)
-        while rest % p == 0:
-            rest //= p
+        rest //= p
+        if rest % p == 0:
+            rest = p_valuation(rest, p).h
         if rest == 1:
             return out
     out.append(rest)
@@ -165,7 +171,9 @@ def exact_quotient(total: int, divisor: int, where: str) -> int:
     remainder means the implementation itself is wrong."""
     q, rem = divmod(total, divisor)
     if rem:
-        raise ConsistencyError(f"{where}: {total} is not divisible by {divisor}")
+        raise ConsistencyError(
+            f"{where}: {format_decimal(total)} is not divisible by {format_decimal(divisor)}"
+        )
     return q
 
 
@@ -183,12 +191,29 @@ def parse_decimal(text: str) -> int | None:
         return None
 
 
+def format_decimal(n: int) -> str:
+    """n in decimal, however many digits: str refuses more than
+    sys.get_int_max_str_digits(), decimal.Decimal converts exactly."""
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal  # imported only when needed: it slows every start-up
+
+        return str(Decimal(n))
+
+
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending, built from its factorisation,
-    so n is refused exactly where prime_factors refuses it."""
+    so n is refused where prime_factors refuses it, and when its number of
+    divisors, the product of (a + 1) over its prime powers q^a, exceeds
+    MAX_DIVISORS; that count is taken before any divisor is listed."""
+    powers = [(q, p_valuation(n, q).s) for q in prime_factors(n)]
+    count = math.prod(a + 1 for _, a in powers)
+    if count > MAX_DIVISORS:
+        raise MagnitudeError(f"divisors: n has {count} divisors, more than {MAX_DIVISORS}")
     out = [1]
-    for q in prime_factors(n):
-        out = [d * q**k for k in range(p_valuation(n, q).s + 1) for d in out]
+    for q, a in powers:
+        out = [d * q**k for k in range(a + 1) for d in out]
     return sorted(out)
 
 

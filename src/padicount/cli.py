@@ -18,7 +18,7 @@ from collections import namedtuple
 
 from . import arith, counting, theorems
 from .errors import ConsistencyError, DomainError, MagnitudeError
-from .profiles import BaseFieldProfile, load_profile, qp_profile
+from .profiles import load_profile, qp_profile
 from .selfcheck import run_selfcheck
 
 
@@ -76,17 +76,6 @@ def to_json(payload) -> str:
     return json.dumps(payload, indent=2)
 
 
-def _digits(n: int) -> str:
-    """n in decimal, however many digits: str refuses more than
-    sys.get_int_max_str_digits(), decimal.Decimal converts exactly."""
-    try:
-        return str(n)
-    except ValueError:
-        from decimal import Decimal  # imported only when needed: it slows every start-up
-
-        return str(Decimal(n))
-
-
 def _integer(text: str) -> int:
     """An integer option, read by arith.parse_decimal and never coerced."""
     value = arith.parse_decimal(text)
@@ -100,16 +89,11 @@ def _positive(name, value):
         raise DomainError(f"--{name} must be >= 1")
 
 
-def _field_for(args, depth: int) -> BaseFieldProfile:
+def _field_for(args, depth: int):
+    """The base field that args name, and its echo in a JSON query."""
     if args.qp is not None:
-        return qp_profile(args.qp, depth)
-    return load_profile(args.profile)
-
-
-def _field_echo(args) -> dict:
-    if args.qp is not None:
-        return {"qp": args.qp}
-    return {"profile": args.profile}
+        return qp_profile(args.qp, depth), {"qp": args.qp}
+    return load_profile(args.profile), {"profile": args.profile}
 
 
 def _cmd_count(args) -> int:
@@ -125,23 +109,23 @@ def _cmd_count(args) -> int:
         raise DomainError(f"--breakdown is not available for kind {args.kind}")
 
     depth = 0 if args.qp is None else kind.depth(args.qp, args)
-    K = _field_for(args, depth)
+    K, echo = _field_for(args, depth)
     value, terms = kind.breakdown(K, args) if args.breakdown else (kind.evaluate(K, args), [])
 
-    query = {"kind": args.kind, **_field_echo(args)}
+    query = {"kind": args.kind, **echo}
     for name in kind.params:
         query[name] = getattr(args, name)
-    records = [{**t._asdict(), "term": _digits(t.term)} for t in terms]
+    records = [{**t._asdict(), "term": arith.format_decimal(t.term)} for t in terms]
 
     if args.json:
-        payload = {"query": query, "value": _digits(value)}
+        payload = {"query": query, "value": arith.format_decimal(value)}
         if args.breakdown:
             payload["breakdown"] = records
         print(to_json(payload))
     else:
         for record in records:
             print("  ".join(f"{key}={val}" for key, val in record.items()))
-        print(_digits(value))
+        print(arith.format_decimal(value))
     return 0
 
 
@@ -169,7 +153,7 @@ def _cmd_table(args) -> int:
         # deepest level any cell or total can demand
         top = args.n_max if degree_mode else args.e_max
         depth = max(arith.p_valuation(m, args.qp).s for m in range(1, top + 1))
-    profile = _field_for(args, depth)
+    profile, echo = _field_for(args, depth)
     bits = args.bits  # main's one read, for the whole table
     pairs = profile._memo[arith.divisor_pairs]
 
@@ -184,7 +168,7 @@ def _cmd_table(args) -> int:
     for e, f in cell_keys:
         fields = counting.krasner_count(profile, e, f, bits)
         classes[e, f] = count = theorems.iso_count_ef(profile, e, f, bits)
-        cells.append((e, f, _digits(fields), _digits(count)))
+        cells.append((e, f, arith.format_decimal(fields), arith.format_decimal(count)))
     totals = []
     for n in total_keys:
         # the total route stays independent of the cells it is checked against
@@ -192,13 +176,13 @@ def _cmd_table(args) -> int:
         from_cells = sum(classes[e, f] for e, f in pairs[n])
         if from_total != from_cells:
             raise ConsistencyError(
-                f"degree {n}: total route gives {_digits(from_total)}, "
-                f"(e,f) cells give {_digits(from_cells)}"
+                f"degree {n}: total route gives {arith.format_decimal(from_total)}, "
+                f"(e,f) cells give {arith.format_decimal(from_cells)}"
             )
-        totals.append((n, _digits(from_total), _digits(from_cells)))
+        totals.append((n, arith.format_decimal(from_total), arith.format_decimal(from_cells)))
 
     if args.format == "json":
-        query = {"command": "table", **_field_echo(args)}
+        query = {"command": "table", **echo}
         if degree_mode:
             query["n_max"] = args.n_max
         else:

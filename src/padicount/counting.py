@@ -49,7 +49,8 @@ def guarded_power(base: int, exponent: int, bits: int) -> int:
         value = base**exponent
         if value.bit_length() <= bits:
             return value
-    raise MagnitudeError(f"{base}^{exponent} exceeds the magnitude limit of {bits} bits")
+    power = f"{arith.format_decimal(base)}^{arith.format_decimal(exponent)}"
+    raise MagnitudeError(f"{power} exceeds the magnitude limit of {bits} bits")
 
 
 def sigma_krasner(p: int, N: int, s: int, bits: int | None = None) -> int:

@@ -106,8 +106,8 @@ def dual_cyclic_subgroup_count(Ghat: AbelianGroup, d: int) -> Counter:
     Counts without building a subgroup.  Write x = (x_B, x_rest) with
     x_B of order a and x_rest of order b.  Then <x> has order lcm(a, b),
     and k*x lies in B exactly when b | k, so |<x> intersect B| = d / b.
-    The (a, b) pairs come from two order histograms, C_d enumerated and
-    the rest combined factor by factor: each pair with lcm(a, b) = d
+    The (a, b) pairs come from two order histograms, of C_d and of the
+    rest, both from AbelianGroup.order_histogram: each pair with lcm(a, b) = d
     adds n_a * n_b elements of order d meeting B in order d / b.  Every
     generator of <x> has the same (a, b), so each count divides exactly
     by the number of generators of a cyclic group of order d, read off
@@ -115,7 +115,9 @@ def dual_cyclic_subgroup_count(Ghat: AbelianGroup, d: int) -> Counter:
     """
     if Ghat.factors[:1] != (d,):
         raise DomainError(f"distinguished first factor must be C_{d}, factors are {Ghat.factors}")
-    first = Counter(d // math.gcd(c, d) for c in range(d))
+    if type(d) is not int:  # bool is a subclass of int; a float may equal the factor
+        raise DomainError(f"d must be an integer, got {d!r}")
+    first = AbelianGroup(Ghat.factors[:1], cap=Ghat.order).order_histogram()
     rest = AbelianGroup(Ghat.factors[1:], cap=Ghat.order).order_histogram()
     elements = Counter()
     for a, n_a in first.items():

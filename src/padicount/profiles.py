@@ -64,12 +64,13 @@ class BaseFieldProfile:
     """A base field: (p, e0, f0) and its cyclotomic tower, levels 1..depth.
 
     Level 0 is implicitly the trivial datum (1, 1).  Construction refuses
-    a p, e0, f0, i, e or f that is not an int (bools included) and a level
-    that is not a CyclotomicDatum, then runs validate(); either raises
-    DomainError.  validate()'s refusal names the first 10 violations of
-    each kind (a kind is a message with its numbers removed) and how many
-    more there are, so each instance describes a field: p is prime,
-    e0, f0 >= 1, and the tower satisfies the level invariants.
+    a cyclotomic that is not iterable, a p, e0, f0, i, e or f that is not
+    an int (bools included) and a level that is not a CyclotomicDatum,
+    then runs validate(); each raises DomainError.  validate()'s refusal
+    names the first 10 violations of each kind (a kind is a message with
+    its numbers removed) and how many more there are, so each instance
+    describes a field: p is prime, e0, f0 >= 1, and the tower satisfies
+    the level invariants.
 
     Setting or deleting any attribute raises AttributeError.  Equality,
     hashing, repr, copy and pickle go through one key, (p, e0, f0,
@@ -82,7 +83,12 @@ class BaseFieldProfile:
     __slots__ = ("p", "e0", "f0", "cyclotomic", "_memo")
 
     def __init__(self, p: int, e0: int, f0: int, cyclotomic=()):
-        cyclotomic = tuple(cyclotomic)
+        try:  # iter runs no generator, so a TypeError a level raises stays its own
+            levels = iter(cyclotomic)
+        except TypeError:
+            got = repr(cyclotomic)
+            raise DomainError(f"invalid profile: cyclotomic is not iterable, got {got}") from None
+        cyclotomic = tuple(levels)
         # position 0 holds (p, e0, f0), and position i >= 1 level i
         for pos, datum in enumerate(((p, e0, f0), *cyclotomic)):
             if pos and not isinstance(datum, CyclotomicDatum):
@@ -154,6 +160,8 @@ class BaseFieldProfile:
 
     def level(self, i: int) -> tuple[int, int]:
         """(e_i, f_i) for the level-i cyclotomic extension; level 0 is (1, 1)."""
+        if type(i) is not int:  # bool is a subclass of int
+            raise DomainError(f"level index must be an integer, got {i!r}")
         if i < 0:
             raise DomainError("level index must be >= 0")
         if i == 0:

@@ -53,11 +53,11 @@ def _splits(n: int, p: int, memo) -> list[tuple[int, int, int, int, int, int, in
     in d1 and h2 the prime-to-p part of d2.  Fetched as memo[_splits][n, p, memo],
     so n is listed and the totients found through the profile's memo; the key
     refers back to that memo, a cycle that the garbage collector frees."""
-    phi = memo[arith.euler_phi]
+    phi, s = memo[arith.euler_phi], arith.p_valuation(n, p).s
     rows = []
     for d1, d2 in memo[arith.divisor_pairs][n]:
         s2, h2 = arith.p_valuation(d2, p)
-        rows.append((d1, d2, arith.p_valuation(d1, p).s, s2, h2, phi[h2], phi[d2]))
+        rows.append((d1, d2, s - s2, s2, h2, phi[h2], phi[d2]))  # v_p(d1) = v_p(n) - v_p(d2)
     return rows
 
 
@@ -187,8 +187,7 @@ def tame_iso_count_terms(
     if e < 1 or f < 1:
         raise DomainError("tame_iso_count: e and f must be >= 1")
     p = K.p
-    s, _ = arith.p_valuation(e, p)
-    if s:
+    if e % p == 0:
         raise DomainError(f"tame_iso_count requires p not dividing e; {p} | {e}")
     if cross_check and f > MAX_TAME_SUMMANDS:
         raise MagnitudeError(

@@ -4,6 +4,8 @@ import random
 import pytest
 import sympy
 
+from test_cli import _int_str_digits
+
 from padicount import arith
 from padicount.errors import ConsistencyError, DomainError, MagnitudeError
 
@@ -76,6 +78,16 @@ def test_exact_quotient_divides_or_names_the_remainder():
         arith.exact_quotient(13, 4, "here")
 
 
+def test_exact_quotient_names_a_remainder_past_the_int_string_limit():
+    # a ValueError from str() here would escape selfcheck's guard, which records
+    # a ConsistencyError as a failed check
+    total = 10**5000 + 1
+    with pytest.raises(ConsistencyError) as refused:
+        arith.exact_quotient(total, 10, "x")
+    with _int_str_digits(0):
+        assert str(refused.value) == f"x: {total} is not divisible by 10"
+
+
 def test_parse_decimal_reads_ascii_digits_only():
     assert [arith.parse_decimal(t) for t in ("0", "42", "-7", "007")] == [0, 42, -7, 7]
     for text in ("", "-", "+4", " 1", "1 ", "1_0", "2.0", "\uff12", "\u0663", "1\n", "9" * 5000):
@@ -95,6 +107,17 @@ def test_divisor_pairs_complete_and_exact():
         assert len(pairs) == tau
         assert all(a * b == n for a, b in pairs)
         assert [a for a, _ in pairs] == sorted({a for a, _ in pairs})
+
+
+def test_divisors_refuse_a_list_past_the_bound_before_building_it():
+    # (2*3*5*7*11)^4 * 13*17*19*23*29 has 5^5 * 2^5 divisors, exactly the bound
+    n = 2310**4 * 13 * 17 * 19 * 23 * 29
+    assert arith.MAX_DIVISORS == 10**5
+    assert len(arith.divisors(n)) == arith.MAX_DIVISORS
+    with pytest.raises(MagnitudeError) as refused:
+        arith.divisors(31 * n)
+    assert str(refused.value) == "divisors: n has 200000 divisors, more than 100000"
+    assert len(arith.divisors(2**13000)) == 13001
 
 
 def test_mult_order_examples():
@@ -167,7 +190,7 @@ def test_prime_factors_past_the_shortcut():
 
 def test_prime_factors_of_prime_powers_past_the_shortcut():
     # the trial division past the shortcut ends when the last prime divides out
-    for n in (1009**2, 1009**3, 1009**2 * 1013):
+    for n in (1009**2, 1009**3, 1009**2 * 1013, 3**8000, 2**3000 * 3**2000 * 1009**2 * 999_983**3):
         assert arith.prime_factors(n) == sympy.primefactors(n), n
 
 
@@ -232,3 +255,11 @@ def test_is_prime_refuses_past_the_proven_bound():
     # a factor among the bases still settles a number past the bound
     assert arith.is_prime(arith.MR_BOUND + 1) is False
     assert arith.is_prime(sympy.prevprime(arith.MR_BOUND)) is True
+
+
+def test_is_prime_names_a_number_past_the_int_string_limit():
+    n = 43**3000  # 4901 digits, and no factor among the trial bases
+    with pytest.raises(MagnitudeError) as refused:
+        arith.is_prime(n)
+    with _int_str_digits(0):
+        assert str(refused.value).startswith(f"is_prime: {n} >= {arith.MR_BOUND}, past ")

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import math
 import re
 import sys
 import time
@@ -530,6 +531,24 @@ def test_a_count_past_the_int_string_limit_prints_in_full(capsys, json_flag):
         assert run_cli(capsys, *argv) == (0, out, "")
         value = counting.krasner_count(qp_profile(2, 0), 4096, 4)
         assert (json.loads(out)["value"] if json_flag else out.strip()) == str(value)
+
+
+def test_a_refused_power_past_the_int_string_limit_is_named_without_a_traceback(capsys):
+    # two valid 4000-digit inputs; sigma_krasner's first refused power is 2^(e*f/2),
+    # whose exponent has 7999 digits
+    e, f = 2 * 10**3999, 10**3999
+    code, out, err = run_cli(capsys, "count", "krasner", "--qp", "2", "--e", str(e), "--f", str(f))
+    assert (code, out) == (3, "")
+    with _int_str_digits(0):
+        limit = counting.DEFAULT_MAX_BITS
+        assert err == f"error: 2^{e * f // 2} exceeds the magnitude limit of {limit} bits\n"
+
+
+def test_a_divisor_list_past_the_bound_is_refused_without_a_traceback(capsys):
+    f = math.prod(sympy.primerange(2, 72))  # the first 20 primes: 2^20 divisors
+    code, out, err = run_cli(capsys, "count", "tame", "--qp", "101", "--e", "2", "--f", str(f))
+    assert (code, out) == (3, "")
+    assert err == "error: divisors: n has 1048576 divisors, more than 100000\n"
 
 
 @pytest.mark.parametrize(

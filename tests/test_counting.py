@@ -1,4 +1,5 @@
 import pytest
+from test_cli import _int_str_digits
 
 from padicount import arith, counting
 from padicount.counting import (
@@ -69,6 +70,14 @@ def test_guarded_power_refuses_a_result_one_bit_past_the_limit(base, exponent):
     # 2^64 has 65 bits; a rule in floats let every exact power of 2 through
     with pytest.raises(MagnitudeError):
         counting.guarded_power(base, exponent, 64)
+
+
+def test_guarded_power_names_an_exponent_past_the_int_string_limit():
+    exponent = 10**5000
+    with pytest.raises(MagnitudeError) as refused:
+        counting.guarded_power(3, exponent, 64)
+    with _int_str_digits(0):
+        assert str(refused.value) == f"3^{exponent} exceeds the magnitude limit of 64 bits"
 
 
 def test_krasner_count_examples():

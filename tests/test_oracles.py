@@ -153,6 +153,9 @@ def test_group_table_rejects_junk():
     (GroupTable, ([[0, 1], [1]],), "group table must be square"),
     # every row is a permutation, but column 1 reads 1, 0, 0
     (GroupTable, ([[0, 1, 2], [1, 0, 2], [2, 0, 1]],), "column 1 is not a permutation"),
+    # each equals the first factor, so only the type check refuses it
+    (dual_cyclic_subgroup_count, (AbelianGroup((2,)), 2.0), "d must be an integer, got 2.0"),
+    (dual_cyclic_subgroup_count, (AbelianGroup((1,)), True), "d must be an integer, got True"),
 ])
 def test_oracles_refuse_malformed_arguments(function, args, message):
     with pytest.raises(DomainError) as refused:

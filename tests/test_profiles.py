@@ -281,6 +281,10 @@ def test_a_file_and_the_constructor_refuse_a_bad_field_in_the_same_words(field, 
 
 @pytest.mark.parametrize("call, message", [
     (lambda: qp_profile(3, 2).level(-1), "level index must be >= 0"),
+    (lambda: qp_profile(3, 1).level(1.5), "level index must be an integer, got 1.5"),
+    (lambda: qp_profile(3, 1).level("1"), "level index must be an integer, got '1'"),
+    (lambda: qp_profile(3, 1).level(True), "level index must be an integer, got True"),
+    (lambda: BaseFieldProfile(3, 1, 1, 5), "invalid profile: cyclotomic is not iterable, got 5"),
     (lambda: qp_profile(2, -1), "max_level must be >= 0"),
     # each level fits its unit group and phi(7^i) | e0*e_i, but 2 does not divide 3
     (lambda: BaseFieldProfile(7, 42, 1, [CyclotomicDatum(1, 1, 2), CyclotomicDatum(2, 1, 3)]),
@@ -312,6 +316,18 @@ def test_load_profile_refuses_a_profile_or_level_that_is_not_an_object(level):
         load_profile({"p": 3, "e0": 1, "f0": 1, "cyclotomic": [level]})
     with pytest.raises(DomainError, match="malformed profile: expected a JSON object, got "):
         load_profile([level])  # a path is a str, so the profile itself is a list
+
+
+def test_a_type_error_inside_the_levels_is_not_read_as_a_tower_that_is_not_iterable():
+    def levels():
+        yield CyclotomicDatum(1, 2, 1)
+        raise TypeError("raised by a level")
+
+    with pytest.raises(TypeError, match="raised by a level"):
+        BaseFieldProfile(3, 1, 1, levels())
+    with pytest.raises(DomainError) as refused:
+        load_profile({"p": 3, "e0": 1, "f0": 1, "cyclotomic": 5})
+    assert str(refused.value) == "malformed profile: 'int' object is not iterable"
 
 
 def test_a_profile_cannot_be_changed():
