@@ -85,13 +85,13 @@ def sigma_krasner(p: int, N: int, s: int, bits: int | None = None) -> int:
 def krasner_count(K: BaseFieldProfile, e: int, f: int, bits: int | None = None) -> int:
     """Number of extensions of K with ramification e and inertia f in a
     fixed algebraic closure, fields counted individually rather than up to
-    isomorphism: e * sigma_krasner(p, n0*e*f, v_p(e)), fetched through
-    K's memo, where the class counts find the same value."""
+    isomorphism: e * sigma_krasner(p, n0*e*f, v_p(e)), both fetched through
+    K's memo, where the class counts find the same values."""
     if e < 1 or f < 1:
         raise DomainError("krasner_count: e and f must be >= 1")
-    s, _ = arith.p_valuation(e, K.p)
+    p, memo = K.p, K._memo
     bits = magnitude_bits() if bits is None else bits
-    return e * K._memo[sigma_krasner][K.p, K.n0 * e * f, s, bits]
+    return e * memo[sigma_krasner][p, K.n0 * e * f, memo[arith.p_valuation][e, p].s, bits]
 
 
 def pi_count(p: int, m: int, s: int, xi: int, bits: int | None = None) -> int:

@@ -11,19 +11,21 @@ Three evaluators:
 A BaseFieldProfile is validated when it is built, so the evaluators take
 p and the tower on trust and re-check neither.  The first two each run
 one private summation: it takes the magnitude limit from its caller, or
-reads it once, and passes it down; it fetches the memo's dict for each
-function once and takes the divisor pairs of n with their p-valuations,
-prime-to-p parts and totients from one entry per (n, p) in the profile's
-memo, which a table's cells share, so a summand costs only its memo
-subscripts (the divisibility test, or the gcd and psi_count;
-sigma_krasner and delta_count).
+reads it once, and passes it down, and it takes the divisor pairs of n
+with their p-valuations, prime-to-p parts and totients from one entry
+per (n, p) in the profile's memo, which a table's cells share.  In
+iso_count_ef, f2 enters only through phi(f2), so the level sums
+U_i(e, f1), with f * I(K, e, f) = sum of phi(f2) * U_i(e, f1) over i and
+f/f_i = f1*f2, serve every f and are computed once per profile.  Both
+count their summands from the split lists before the work and refuse
+more than MAX_SUMMANDS with MagnitudeError.
 Terms are summed and divided once at the end (by f, respectively n;
-iso_count_ef divides each level-i term by e_i > 1) through
+iso_count_ef divides each level-i value by e_i > 1) through
 arith.exact_quotient: a remainder means a bug and raises ConsistencyError
 rather than being rounded.  The *_terms variants pass the summation a
 list for the summands, namedtuples TermEF or TermTotal in a fixed order
 (ascending level, then ascending divisors); the tame variant builds its
-per-i TermTame summands only when asked, and at most MAX_TAME_SUMMANDS.
+per-i TermTame summands only when asked, and at most MAX_SUMMANDS.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ from . import arith, counting
 from .errors import ConsistencyError, DomainError, MagnitudeError
 from .profiles import BaseFieldProfile
 
-# The tame cross-check builds one summand per i < f; past this many it is
-# refused before any is built.
-MAX_TAME_SUMMANDS = 10**5
+# A count with more summands than this is refused before their work: the
+# general sums count theirs from the split lists, the tame cross-check has f.
+MAX_SUMMANDS = 10**5
 
 
 TermEF = namedtuple("TermEF", "i e1 f1 e2 f2 term")
@@ -51,14 +53,38 @@ TermTame.__doc__ = "One summand of the tame class count, before the leading 1/f.
 def _splits(n: int, p: int, memo) -> list[tuple[int, int, int, int, int, int, int]]:
     """Rows (d1, d2, v_p(d1), v_p(d2), h2, phi(h2), phi(d2)), n = d1*d2 ascending
     in d1 and h2 the prime-to-p part of d2.  Fetched as memo[_splits][n, p, memo],
-    so n is listed and the totients found through the profile's memo; the key
-    refers back to that memo, a cycle that the garbage collector frees."""
-    phi, s = memo[arith.euler_phi], arith.p_valuation(n, p).s
+    so n is listed and the valuations and totients found through the profile's
+    memo; the key refers back to that memo, a cycle that the garbage collector
+    frees."""
+    phi, valuation = memo[arith.euler_phi], memo[arith.p_valuation]
+    s = valuation[n, p].s
     rows = []
     for d1, d2 in memo[arith.divisor_pairs][n]:
-        s2, h2 = arith.p_valuation(d2, p)
+        s2, h2 = valuation[d2, p]
         rows.append((d1, d2, s - s2, s2, h2, phi[h2], phi[d2]))  # v_p(d1) = v_p(n) - v_p(d2)
     return rows
+
+
+def _level_sum(K: BaseFieldProfile, i, e_i, f_i, e_rows, f1, bits) -> tuple[int, list]:
+    """(U, rows) for level i and f1: rows (e1, e2, value) for the splits
+    e/e_i = e1*e2 in e_rows whose h2 divides p^{f0*f_i*f1} - 1, with value
+    phi(h2)/e_i * sigma_krasner(p, N1, v_p(e1)) * delta_count(p, N1, v_p(e2), i)
+    and N1 = n0*e_i*f_i*e1*f1, and U the sum of their values."""
+    p, memo = K.p, K._memo
+    sigma, delta = memo[counting.sigma_krasner], memo[counting.delta_count]
+    divides = memo[arith.divides_p_power_minus_one]
+    exponent, n = K.f0 * f_i * f1, K.n0 * e_i * f_i * f1
+    rows, total = [], 0
+    for e1, e2, s1, s2, h2, phi_h2, _ in e_rows:
+        if divides[h2, p, exponent]:
+            value = sigma[p, n * e1, s1, bits] * delta[p, n * e1, s2, i, bits] * phi_h2
+            if e_i != 1:
+                # validity makes e_i divide p^{i-1}(p-1), which divides
+                # delta_count(p, ., s2, i) for i >= 1
+                value = arith.exact_quotient(value, e_i, "iso_count_ef: level term by e_i")
+            rows.append((e1, e2, value))
+            total += value
+    return total, rows
 
 
 def _sum_ef(
@@ -67,32 +93,40 @@ def _sum_ef(
     """iso_count_ef; each summand is also appended to terms when given."""
     if e < 1 or f < 1:
         raise DomainError("iso_count_ef: e and f must be >= 1")
-    p, n0, f0, memo = K.p, K.n0, K.f0, K._memo
-    s, _ = arith.p_valuation(e, p)
-    K.level(s)  # hard requirement up front, never silently padded
+    p, memo = K.p, K._memo
     bits = counting.magnitude_bits() if bits is None else bits
-    sigma, delta = memo[counting.sigma_krasner], memo[counting.delta_count]
-    divides, splits = memo[arith.divides_p_power_minus_one], memo[_splits]
-    total = 0
-    for i in range(s + 1):
-        e_i, f_i = K.level(i)
+    # e's row, one per (e, bits): for each level, [i, e_i, f_i, splits of e/e_i
+    # or None until used, level sums by f1].  It is filled here, not by a memo
+    # compute, whose key would have to hold K: hashing K costs more than a cell.
+    rows, splits = memo[_sum_ef], memo[_splits]
+    levels = rows.get((e, bits))
+    if levels is None:
+        s = memo[arith.p_valuation][e, p].s
+        # K.level refuses a profile too short for e, never silently padded
+        levels = rows[e, bits] = [[i, *K.level(i), None, {}] for i in range(s + 1)]
+    count = total = 0
+    for level in levels:
+        i, e_i, f_i, e_rows, sums = level
         if e % e_i or f % f_i:
             continue
+        if e_rows is None:  # listed only once the levels before are counted
+            e_rows = level[3] = splits[e // e_i, p, memo]
         f_rows = splits[f // f_i, p, memo]
-        for e1, e2, s1, s2, h2, phi_h2, _ in splits[e // e_i, p, memo]:
-            for f1, f2, _, _, _, _, phi_f2 in f_rows:
-                if not divides[h2, p, f0 * f_i * f1]:
-                    continue
-                n1 = n0 * e_i * f_i * e1 * f1
-                term = sigma[p, n1, s1, bits] * delta[p, n1, s2, i, bits]
-                term *= phi_h2 * phi_f2
-                if e_i != 1:
-                    # validity makes e_i divide p^{i-1}(p-1), which divides
-                    # delta_count(p, ., s2, i) for i >= 1
-                    term = arith.exact_quotient(term, e_i, "iso_count_ef: level term by e_i")
-                total += term
-                if terms is not None:
-                    terms.append(TermEF(i, e1, f1, e2, f2, term))
+        count += len(e_rows) * len(f_rows)
+        if count > MAX_SUMMANDS:
+            raise MagnitudeError(
+                f"iso_count_ef(e={e}, f={f}): {count} summands, more than {MAX_SUMMANDS}"
+            )
+        # f2 enters only through phi(f2), so one level sum serves every f
+        for f1, f2, _, _, _, _, phi_f2 in f_rows:
+            column = sums.get(f1)
+            if column is None:
+                column = sums[f1] = _level_sum(K, i, e_i, f_i, e_rows, f1, bits)
+            total += column[0] * phi_f2
+            if terms is not None:
+                terms += (TermEF(i, e1, f1, e2, f2, v * phi_f2) for e1, e2, v in column[1])
+    if terms is not None:
+        terms.sort(key=lambda t: (t.i, t.e1, t.f1))
     return arith.exact_quotient(total, f, f"iso_count_ef(e={e}, f={f})")
 
 
@@ -124,24 +158,33 @@ def _sum_total(
     if n < 1:
         raise DomainError("iso_count_total: n must be >= 1")
     p, n0, f0, memo = K.p, K.n0, K.f0, K._memo
-    t, _ = arith.p_valuation(n, p)
+    valuation = memo[arith.p_valuation]
+    t = valuation[n, p].s
     K.level(t)
     bits = counting.magnitude_bits() if bits is None else bits
     gcd, psi = memo[arith.gcd_p_power_minus_one], memo[counting.psi_count]
     sigma, delta = memo[counting.sigma_krasner], memo[counting.delta_count]
     splits = memo[_splits]
-    total = 0
+    count = total = 0
     for i in range(t + 1):
         e_i, f_i = K.level(i)
         n_i = e_i * f_i
         if n % n_i:
             continue
         rest = n // n_i
+        # every k below divides h, so gcd(k, p^F - 1) = gcd(k, gcd(h, p^F - 1))
+        h = valuation[rest, p].h
         # d = p^r * k runs over the cofactors d2, which ascend when read backwards
         for _, d, _, r, k, _, _ in reversed(splits[rest, p, memo]):
-            for e1, f1, s1, _, _, _, _ in splits[rest // d, p, memo]:
+            inner = splits[rest // d, p, memo]
+            count += len(inner)
+            if count > MAX_SUMMANDS:
+                raise MagnitudeError(
+                    f"iso_count_total(n={n}): {count} summands, more than {MAX_SUMMANDS}"
+                )
+            for e1, f1, s1, _, _, _, _ in inner:
                 n1 = n0 * n_i * e1 * f1
-                psi_k = psi[k, gcd[k, p, f0 * f_i * f1]]
+                psi_k = psi[k, math.gcd(k, gcd[h, p, f0 * f_i * f1])]
                 term = sigma[p, n1, s1, bits] * delta[p, n1 + 1, r, i, bits]
                 term *= e1 * psi_k
                 total += term
@@ -182,16 +225,16 @@ def tame_iso_count_terms(
     is f, is evaluated as well, one summand per i, any disagreement
     raises ConsistencyError, and those f summands are returned; without
     it the summands are None.  The cross-check refuses f past
-    MAX_TAME_SUMMANDS with MagnitudeError.
+    MAX_SUMMANDS with MagnitudeError.
     """
     if e < 1 or f < 1:
         raise DomainError("tame_iso_count: e and f must be >= 1")
     p = K.p
     if e % p == 0:
         raise DomainError(f"tame_iso_count requires p not dividing e; {p} | {e}")
-    if cross_check and f > MAX_TAME_SUMMANDS:
+    if cross_check and f > MAX_SUMMANDS:
         raise MagnitudeError(
-            f"tame_iso_count: cross-check of f = {f} summands, more than {MAX_TAME_SUMMANDS}"
+            f"tame_iso_count: cross-check of f = {f} summands, more than {MAX_SUMMANDS}"
         )
     total = sum(
         arith.euler_phi(f2) * arith.gcd_p_power_minus_one(e, p, K.f0 * f1)

@@ -201,6 +201,25 @@ def test_tame_breakdown_past_the_summand_bound_exits_3(capsys):
     assert "more than 100000" in err
 
 
+@pytest.mark.parametrize(
+    "kind, params, count",
+    [
+        # e and f each the product of 9 odd primes: 512 * 512 summands at level 0
+        ("iso-ef", {"e": sympy.primerange(3, 30), "f": sympy.primerange(31, 68)}, 262144),
+        # n the product of 11 odd primes has 3^11 summands; the refusal comes on
+        # the cofactor d whose splits take the running count past the bound
+        ("iso-total", {"n": sympy.primerange(3, 38)}, 100032),
+    ],
+)
+def test_a_general_sum_past_the_summand_bound_exits_3(capsys, kind, params, count):
+    argv = ["count", kind, "--qp", "2"]
+    for name, primes in params.items():
+        argv += [f"--{name}", str(math.prod(primes))]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert re.fullmatch(rf"error: iso_count_\w+\(.*\): {count} summands, more than 100000\n", err)
+
+
 def test_consistency_failure_exits_4(capsys, monkeypatch):
     real_phi = arith.euler_phi
     monkeypatch.setattr(arith, "euler_phi", lambda n: 2 if n == 2 else real_phi(n))

@@ -2,6 +2,7 @@
 and sharing it changes no answer."""
 
 import math
+import sys
 import threading
 
 import pytest
@@ -34,8 +35,10 @@ def test_memo_leaves_construction_equality_hash_and_repr_alone():
         BaseFieldProfile(3, 1, 1, (), {})
 
 
-# degree mode's totals take gcd(k, p^F - 1); the rectangle has no totals
+# degree mode's totals take gcd(h, p^F - 1); the rectangle has no totals
 GCD_DISTINCT = {"table --qp 2 --n-max 60": 150, "table --qp 3 --e-max 40 --f-max 5": 0}
+# the level sums (e, i, f1) that the cells of iso_count_ef share
+LEVEL_SUMS = {"table --qp 2 --n-max 60": 439, "table --qp 3 --e-max 40 --f-max 5": 240}
 
 
 @pytest.mark.parametrize(
@@ -55,6 +58,14 @@ def test_table_computes_each_closed_form_once(
         monkeypatch.setattr(
             module, name, lambda *a, real=real, seen=seen: seen.append(a) or real(*a)
         )
+    calls["_level_sum"] = []
+    real_level_sum = theorems._level_sum
+
+    def level_sum(K, i, e_i, f_i, e_rows, f1, bits):
+        calls["_level_sum"].append((e_i * e_rows[-1][0], i, f1))  # the last row has d1 = e/e_i
+        return real_level_sum(K, i, e_i, f_i, e_rows, f1, bits)
+
+    monkeypatch.setattr(theorems, "_level_sum", level_sum)
 
     assert main(argv.split()) == 0
     out = capsys.readouterr().out
@@ -63,6 +74,8 @@ def test_table_computes_each_closed_form_once(
     assert len(first["delta_count"]) == len(set(first["delta_count"])) == delta_distinct
     gcds = first["gcd_p_power_minus_one"]
     assert len(gcds) == len(set(gcds)) == GCD_DISTINCT[argv]
+    sums = first["_level_sum"]
+    assert len(sums) == len(set(sums)) == LEVEL_SUMS[argv]
 
     # the memo lives with the invocation's profile: a second run starts cold
     for seen in calls.values():
@@ -164,6 +177,35 @@ def test_threads_sharing_a_profile_match_a_serial_run():
     for t in threads:
         t.join()
     assert results == [serial] * 4
+
+
+def test_threads_racing_on_the_rows_of_one_profile_match_fresh_profiles():
+    # the cells (e, .) share e's row and its level sums; each thread fills them
+    # in its own order, switching as often as the interpreter allows
+    cells = [(e, f) for e in (8, 12, 16, 24) for f in (1, 2, 3, 4, 6)]
+    expected = {cell: theorems.iso_count_ef_terms(qp_profile(2, 5), *cell) for cell in cells}
+    shared = qp_profile(2, 5)
+    barrier = threading.Barrier(6)
+    results = [None] * 6
+
+    def work(k):
+        barrier.wait()
+        start = 7 * k % len(cells)
+        order = cells[start:] + cells[:start]
+        results[k] = {cell: theorems.iso_count_ef_terms(shared, *cell) for cell in order}
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 6
 
 
 def _divisors(n):

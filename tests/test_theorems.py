@@ -9,7 +9,7 @@ from padicount.counting import cyclic_count_ef, krasner_count
 from padicount.errors import ConsistencyError, DomainError, MagnitudeError, ProfileTooShortError
 from padicount.profiles import BaseFieldProfile, CyclotomicDatum, load_profile, qp_profile
 from padicount.theorems import (
-    MAX_TAME_SUMMANDS,
+    MAX_SUMMANDS,
     iso_count_ef,
     iso_count_ef_terms,
     iso_count_total,
@@ -126,16 +126,16 @@ def test_tame_summands_only_on_request():
 
 def test_tame_cross_check_refuses_too_many_summands(monkeypatch):
     K = qp_profile(3, 0)
-    assert MAX_TAME_SUMMANDS == 10**5
+    assert MAX_SUMMANDS == 10**5
 
     def no_work(*args):
         raise AssertionError("a summand was built before the refusal")
 
     monkeypatch.setattr(arith, "gcd_p_power_minus_one", no_work)
     with pytest.raises(MagnitudeError, match="summands"):
-        tame_iso_count_terms(K, 2, MAX_TAME_SUMMANDS + 1, cross_check=True)
+        tame_iso_count_terms(K, 2, MAX_SUMMANDS + 1, cross_check=True)
     monkeypatch.undo()
-    monkeypatch.setattr(theorems, "MAX_TAME_SUMMANDS", 12)
+    monkeypatch.setattr(theorems, "MAX_SUMMANDS", 12)
     value, terms = tame_iso_count_terms(K, 2, 12, cross_check=True)
     assert (value, len(terms)) == (2, 12)
     with pytest.raises(MagnitudeError):
@@ -249,6 +249,65 @@ def test_nontrivial_base_fields_cross_checks():
                 continue
             for f in range(1, 5):
                 assert tame_iso_count(K, e, f, cross_check=True) == iso_count_ef(K, e, f)
+
+
+def _profile_file(name):
+    return load_profile(Path(__file__).resolve().parent / "data" / name)
+
+
+def test_counts_that_tower_inertia_moves_are_pinned():
+    # f_i enters the divisibility exponent of iso_count_ef and the gcd exponent of
+    # iso_count_total; dropped from both, these read 129173445 and 398266733
+    K = _profile_file("ramified_quadratic_q3.json")
+    assert iso_count_ef(K, 12, 2) == 129173607
+    assert iso_count_total(K, 24) == 398266895
+
+
+@pytest.mark.parametrize(
+    "source, e, f, others",
+    [
+        ("Q_2", 8, 6, (1, 2, 3, 12)),  # e_2 = 2 and e_3 = 4
+        ("ramified_quadratic_q3.json", 18, 4, (1, 2, 8)),  # f_1 = 2, and e_2 = 3
+    ],
+)
+def test_a_row_filled_by_other_cells_gives_the_same_terms(source, e, f, others):
+    K = qp_profile(2, 3) if source == "Q_2" else _profile_file(source)
+    for g in others:  # the cells (e, g) fill the level sums that (e, f) shares
+        iso_count_ef(K, e, g)
+    value, terms = iso_count_ef_terms(K, e, f)
+    assert (value, terms) == iso_count_ef_terms(BaseFieldProfile(K.p, K.e0, K.f0, K.cyclotomic), e, f)
+    assert terms == sorted(terms, key=lambda t: (t.i, t.e1, t.f1))
+    assert sum(t.term for t in terms) == value * f
+    assert {t.i for t in terms} > {0}
+
+
+def test_iso_count_total_takes_one_gcd_per_level_and_exponent(monkeypatch):
+    # every k divides h = 3^60, so gcd(k, 2^F - 1) comes from gcd(h, 2^F - 1):
+    # one per F = f1, 61 in all (1891, one per (k, F), before)
+    real = arith.gcd_p_power_minus_one
+    calls = []
+    monkeypatch.setattr(arith, "gcd_p_power_minus_one", lambda *a: calls.append(a) or real(*a))
+    value = iso_count_total(qp_profile(2, 0), 3**60)
+    assert len(calls) == len(set(calls)) == 61
+    monkeypatch.undo()
+    assert iso_count_total(qp_profile(2, 0), 3**60) == value
+
+
+def test_general_sums_refuse_past_the_summand_bound(monkeypatch):
+    # e = 4096, f = 4 over Q_2 has 309 summands: 13*3 at level 0, (14 - i)*3 at i >= 1;
+    # n = 3^20 over Q_2 has 231: d = 3^j leaves the 21 - j splits of 3^(20-j)
+    K = qp_profile(2, 12)
+    value, total = iso_count_ef(K, 4096, 4), iso_count_total(K, 3**20)
+    monkeypatch.setattr(theorems, "MAX_SUMMANDS", 309)
+    assert (iso_count_ef(K, 4096, 4), iso_count_total(K, 3**20)) == (value, total)
+    monkeypatch.setattr(theorems, "MAX_SUMMANDS", 308)
+    with pytest.raises(MagnitudeError, match=r"^iso_count_ef\(e=4096, f=4\): 309 summands, more than 308$"):
+        iso_count_ef(K, 4096, 4)  # on a warm profile too
+    monkeypatch.setattr(theorems, "MAX_SUMMANDS", 231)
+    assert iso_count_total(K, 3**20) == total
+    monkeypatch.setattr(theorems, "MAX_SUMMANDS", 230)
+    with pytest.raises(MagnitudeError, match=r"^iso_count_total\(n=3486784401\): 231 summands, more than 230$"):
+        iso_count_total(K, 3**20)
 
 
 def test_division_guards_fire_on_corrupted_inputs(monkeypatch):
