@@ -166,11 +166,13 @@ def p_valuation(n: int, p: int) -> PValuation:
     return PValuation(s, h)
 
 
-def exact_quotient(total: int, divisor: int, where: str) -> int:
+def exact_quotient(total: int, divisor: int, where: str, *args) -> int:
     """total // divisor, for a division the formulas make exact; a
-    remainder means the implementation itself is wrong."""
+    remainder means the implementation itself is wrong.  Only then is its
+    message built: where, formatted with args through format_decimal if any."""
     q, rem = divmod(total, divisor)
     if rem:
+        where = where.format(*map(format_decimal, args)) if args else where
         raise ConsistencyError(
             f"{where}: {format_decimal(total)} is not divisible by {format_decimal(divisor)}"
         )

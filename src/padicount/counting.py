@@ -145,7 +145,7 @@ def psi_count(u: int, v: int) -> int:
         else:
             num *= ell * ell - 1
             den *= ell * ell
-    return arith.exact_quotient(num, den, f"psi_count({u}, {v})")
+    return arith.exact_quotient(num, den, "psi_count({}, {})", u, v)
 
 
 def cyclic_count_ef(K: BaseFieldProfile, e: int, f: int) -> int:
@@ -163,7 +163,7 @@ def cyclic_count_ef(K: BaseFieldProfile, e: int, f: int) -> int:
     if not arith.divides_p_power_minus_one(h, K.p, K.f0):
         return 0
     num = e * arith.euler_phi(h) * arith.euler_phi(f) * pi_count(K.p, K.n0, s, xi, bits)
-    return arith.exact_quotient(num, arith.euler_phi(e * f), f"cyclic_count_ef({e}, {f})")
+    return arith.exact_quotient(num, arith.euler_phi(e * f), "cyclic_count_ef({}, {})", e, f)
 
 
 def cyclic_count_total(K: BaseFieldProfile, d: int) -> int:
@@ -181,4 +181,4 @@ def cyclic_count_total(K: BaseFieldProfile, d: int) -> int:
     r, k = arith.p_valuation(d, K.p)
     psi = psi_count(k, arith.gcd_p_power_minus_one(k, K.p, K.f0))
     num = psi * pi_count(K.p, K.n0 + 1, r, xi, bits)
-    return arith.exact_quotient(num, arith.euler_phi(d), f"cyclic_count_total({d})")
+    return arith.exact_quotient(num, arith.euler_phi(d), "cyclic_count_total({})", d)

@@ -124,8 +124,8 @@ def dual_cyclic_subgroup_count(Ghat: AbelianGroup, d: int) -> Counter:
         for b, n_b in rest.items():
             if math.lcm(a, b) == d:
                 elements[d // b] += n_a * n_b
-    where = f"cyclic subgroups of order {d} in {Ghat.factors}"
-    return Counter({f: arith.exact_quotient(n, first[d], where) for f, n in elements.items()})
+    where = ("cyclic subgroups of order {} in {}", d, Ghat.factors)
+    return Counter({f: arith.exact_quotient(n, first[d], *where) for f, n in elements.items()})
 
 
 class GroupTable:
@@ -353,7 +353,7 @@ def lemma_check(G: GroupTable, n: int, cap: int = DEFAULT_TABLE_CAP) -> LemmaRep
         chain_counts[d] = count
 
     weighted = sum(arith.euler_phi(d) * c for d, c in chain_counts.items())
-    rhs = arith.exact_quotient(weighted, n, f"chain-count sum for {G.name}")
+    rhs = arith.exact_quotient(weighted, n, "chain-count sum for {}", G.name)
     return LemmaReport(n=n, lhs=lhs, rhs=rhs, chain_counts=chain_counts, equal=lhs == rhs)
 
 

@@ -17,8 +17,8 @@ A BaseFieldProfile is validated once, types included, when it is built:
 an invalid one cannot exist, so the evaluators and the arithmetic they
 call never re-check p or the tower.  It is an immutable plain class, not
 a namedtuple like each level's CyclotomicDatum, whose _replace and _make
-skip validation.  It carries a private memo through which the evaluators
-compute each closed-form value once while the profile lives (see _Memo).
+skip validation.  Its two private memos let the evaluators compute each
+value once while the profile lives (see _Memo).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import json
 import os
 import re
 from collections import Counter, namedtuple
+from functools import partial
 
 from . import arith
 from .errors import DomainError, ProfileTooShortError
@@ -40,13 +41,11 @@ class _Memo(dict):
     magnitude limit as an argument, so a tighter limit misses and raises
     again.  Every stored value is a deterministic function of its key,
     so threads may share a memo: a race at worst computes the same value
-    twice.  A compute that raises stores nothing.  A memo is equal only
-    to itself and hashes by identity, so a compute may take its memo in
-    its key.
+    twice.  A compute that raises stores nothing.  A memo, like any dict,
+    cannot be hashed, so no memo sits in a key.
     """
 
     __slots__ = ("compute",)
-    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     def __init__(self, compute):
         self.compute = compute
@@ -76,11 +75,12 @@ class BaseFieldProfile:
     hashing, repr, copy and pickle go through one key, (p, e0, f0,
     cyclotomic); a copy is built, and so validated, anew.  The private
     _memo maps each function to its own _Memo, so K._memo[f][args] is
-    f(*args), computed once while K lives; it is in no key, and a copy
-    starts with an empty one.
+    f(*args), computed once while K lives, and _bound does the same for
+    functions of K, so K._bound[g][args] is g(K, *args).  Neither is in
+    any key, and a copy starts with both empty.
     """
 
-    __slots__ = ("p", "e0", "f0", "cyclotomic", "_memo")
+    __slots__ = ("p", "e0", "f0", "cyclotomic", "_memo", "_bound")
 
     def __init__(self, p: int, e0: int, f0: int, cyclotomic=()):
         try:  # iter runs no generator, so a TypeError a level raises stays its own
@@ -98,7 +98,8 @@ class BaseFieldProfile:
                 if type(value) is not int:  # bool is a subclass of int
                     name = f"level {pos}: {name}" if pos else name
                     raise DomainError(f"invalid profile: {name} must be an integer, got {value!r}")
-        for name, value in zip(self.__slots__, (p, e0, f0, cyclotomic, _Memo(_Memo))):
+        bound = _Memo(lambda g: _Memo(partial(g, self)))
+        for name, value in zip(self.__slots__, (p, e0, f0, cyclotomic, _Memo(_Memo), bound)):
             object.__setattr__(self, name, value)
         problems = validate(self)
         if problems:

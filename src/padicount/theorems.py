@@ -11,14 +11,15 @@ Three evaluators:
 A BaseFieldProfile is validated when it is built, so the evaluators take
 p and the tower on trust and re-check neither.  The first two each run
 one private summation: it takes the magnitude limit from its caller, or
-reads it once, and passes it down, and it takes the divisor pairs of n
-with their p-valuations, prime-to-p parts and totients from one entry
-per (n, p) in the profile's memo, which a table's cells share.  In
-iso_count_ef, f2 enters only through phi(f2), so the level sums
-U_i(e, f1), with f * I(K, e, f) = sum of phi(f2) * U_i(e, f1) over i and
-f/f_i = f1*f2, serve every f and are computed once per profile.  Both
-count their summands from the split lists before the work and refuse
-more than MAX_SUMMANDS with MagnitudeError.
+reads it once, and passes it down.  Its helpers are entries of the
+profile's K._bound memo, which a table's cells share: the levels
+(i, e_i, f_i) up to v_p, the divisor pairs of n with their
+p-valuations, prime-to-p parts and totients, and, for iso_count_ef, the
+level sums U_i(e, f1).  f2 enters only through phi(f2), so with
+f * I(K, e, f) = sum of phi(f2) * U_i(e, f1) over i and f/f_i = f1*f2,
+one level sum serves every f.  Both count their summands from the split
+lists before the work and refuse more than MAX_SUMMANDS with
+MagnitudeError.
 Terms are summed and divided once at the end (by f, respectively n;
 iso_count_ef divides each level-i value by e_i > 1) through
 arith.exact_quotient: a remainder means a bug and raises ConsistencyError
@@ -50,12 +51,11 @@ TermTame = namedtuple("TermTame", "i term")
 TermTame.__doc__ = "One summand of the tame class count, before the leading 1/f."
 
 
-def _splits(n: int, p: int, memo) -> list[tuple[int, int, int, int, int, int, int]]:
+def _splits(K: BaseFieldProfile, n: int) -> list[tuple[int, int, int, int, int, int, int]]:
     """Rows (d1, d2, v_p(d1), v_p(d2), h2, phi(h2), phi(d2)), n = d1*d2 ascending
-    in d1 and h2 the prime-to-p part of d2.  Fetched as memo[_splits][n, p, memo],
-    so n is listed and the valuations and totients found through the profile's
-    memo; the key refers back to that memo, a cycle that the garbage collector
-    frees."""
+    in d1 and h2 the prime-to-p part of d2; the divisors, valuations and
+    totients come through the profile's memo."""
+    p, memo = K.p, K._memo
     phi, valuation = memo[arith.euler_phi], memo[arith.p_valuation]
     s = valuation[n, p].s
     rows = []
@@ -65,17 +65,25 @@ def _splits(n: int, p: int, memo) -> list[tuple[int, int, int, int, int, int, in
     return rows
 
 
-def _level_sum(K: BaseFieldProfile, i, e_i, f_i, e_rows, f1, bits) -> tuple[int, list]:
-    """(U, rows) for level i and f1: rows (e1, e2, value) for the splits
-    e/e_i = e1*e2 in e_rows whose h2 divides p^{f0*f_i*f1} - 1, with value
+def _levels(K: BaseFieldProfile, s: int) -> list[tuple[int, int, int]]:
+    """[(i, e_i, f_i)] for 0 <= i <= s.  Level s is read first, so a profile
+    too short is refused at level s, never silently padded."""
+    K.level(s)
+    return [(i, *K.level(i)) for i in range(s + 1)]
+
+
+def _level_sum(K: BaseFieldProfile, i: int, e: int, f1: int, bits: int) -> tuple[int, list]:
+    """(U, rows) for level i, e and f1: rows (e1, e2, value) for the splits
+    e/e_i = e1*e2 whose h2 divides p^{f0*f_i*f1} - 1, with value
     phi(h2)/e_i * sigma_krasner(p, N1, v_p(e1)) * delta_count(p, N1, v_p(e2), i)
     and N1 = n0*e_i*f_i*e1*f1, and U the sum of their values."""
     p, memo = K.p, K._memo
     sigma, delta = memo[counting.sigma_krasner], memo[counting.delta_count]
     divides = memo[arith.divides_p_power_minus_one]
+    e_i, f_i = K.level(i)
     exponent, n = K.f0 * f_i * f1, K.n0 * e_i * f_i * f1
     rows, total = [], 0
-    for e1, e2, s1, s2, h2, phi_h2, _ in e_rows:
+    for e1, e2, s1, s2, h2, phi_h2, _ in K._bound[_splits][e // e_i]:
         if divides[h2, p, exponent]:
             value = sigma[p, n * e1, s1, bits] * delta[p, n * e1, s2, i, bits] * phi_h2
             if e_i != 1:
@@ -93,25 +101,14 @@ def _sum_ef(
     """iso_count_ef; each summand is also appended to terms when given."""
     if e < 1 or f < 1:
         raise DomainError("iso_count_ef: e and f must be >= 1")
-    p, memo = K.p, K._memo
     bits = counting.magnitude_bits() if bits is None else bits
-    # e's row, one per (e, bits): for each level, [i, e_i, f_i, splits of e/e_i
-    # or None until used, level sums by f1].  It is filled here, not by a memo
-    # compute, whose key would have to hold K: hashing K costs more than a cell.
-    rows, splits = memo[_sum_ef], memo[_splits]
-    levels = rows.get((e, bits))
-    if levels is None:
-        s = memo[arith.p_valuation][e, p].s
-        # K.level refuses a profile too short for e, never silently padded
-        levels = rows[e, bits] = [[i, *K.level(i), None, {}] for i in range(s + 1)]
+    splits, level_sum = K._bound[_splits], K._bound[_level_sum]
     count = total = 0
-    for level in levels:
-        i, e_i, f_i, e_rows, sums = level
+    for i, e_i, f_i in K._bound[_levels][K._memo[arith.p_valuation][e, K.p].s]:
         if e % e_i or f % f_i:
             continue
-        if e_rows is None:  # listed only once the levels before are counted
-            e_rows = level[3] = splits[e // e_i, p, memo]
-        f_rows = splits[f // f_i, p, memo]
+        # a level's splits are listed only once the levels before are counted
+        e_rows, f_rows = splits[e // e_i], splits[f // f_i]
         count += len(e_rows) * len(f_rows)
         if count > MAX_SUMMANDS:
             raise MagnitudeError(
@@ -119,15 +116,13 @@ def _sum_ef(
             )
         # f2 enters only through phi(f2), so one level sum serves every f
         for f1, f2, _, _, _, _, phi_f2 in f_rows:
-            column = sums.get(f1)
-            if column is None:
-                column = sums[f1] = _level_sum(K, i, e_i, f_i, e_rows, f1, bits)
-            total += column[0] * phi_f2
+            value, rows = level_sum[i, e, f1, bits]
+            total += value * phi_f2
             if terms is not None:
-                terms += (TermEF(i, e1, f1, e2, f2, v * phi_f2) for e1, e2, v in column[1])
+                terms += (TermEF(i, e1, f1, e2, f2, v * phi_f2) for e1, e2, v in rows)
     if terms is not None:
         terms.sort(key=lambda t: (t.i, t.e1, t.f1))
-    return arith.exact_quotient(total, f, f"iso_count_ef(e={e}, f={f})")
+    return arith.exact_quotient(total, f, "iso_count_ef(e={}, f={})", e, f)
 
 
 def iso_count_ef_terms(K: BaseFieldProfile, e: int, f: int) -> tuple[int, list[TermEF]]:
@@ -159,15 +154,13 @@ def _sum_total(
         raise DomainError("iso_count_total: n must be >= 1")
     p, n0, f0, memo = K.p, K.n0, K.f0, K._memo
     valuation = memo[arith.p_valuation]
-    t = valuation[n, p].s
-    K.level(t)
+    levels = K._bound[_levels][valuation[n, p].s]
     bits = counting.magnitude_bits() if bits is None else bits
     gcd, psi = memo[arith.gcd_p_power_minus_one], memo[counting.psi_count]
     sigma, delta = memo[counting.sigma_krasner], memo[counting.delta_count]
-    splits = memo[_splits]
+    splits = K._bound[_splits]
     count = total = 0
-    for i in range(t + 1):
-        e_i, f_i = K.level(i)
+    for i, e_i, f_i in levels:
         n_i = e_i * f_i
         if n % n_i:
             continue
@@ -175,8 +168,8 @@ def _sum_total(
         # every k below divides h, so gcd(k, p^F - 1) = gcd(k, gcd(h, p^F - 1))
         h = valuation[rest, p].h
         # d = p^r * k runs over the cofactors d2, which ascend when read backwards
-        for _, d, _, r, k, _, _ in reversed(splits[rest, p, memo]):
-            inner = splits[rest // d, p, memo]
+        for _, d, _, r, k, _, _ in reversed(splits[rest]):
+            inner = splits[rest // d]
             count += len(inner)
             if count > MAX_SUMMANDS:
                 raise MagnitudeError(
@@ -190,7 +183,7 @@ def _sum_total(
                 total += term
                 if terms is not None:
                     terms.append(TermTotal(i, d, e1, f1, term))
-    return arith.exact_quotient(total, n, f"iso_count_total(n={n})")
+    return arith.exact_quotient(total, n, "iso_count_total(n={})", n)
 
 
 def iso_count_total_terms(K: BaseFieldProfile, n: int) -> tuple[int, list[TermTotal]]:
@@ -251,7 +244,7 @@ def tame_iso_count_terms(
             raise ConsistencyError(
                 f"tame_iso_count(e={e}, f={f}): divisor-sum {total} != gcd-sum {alt}"
             )
-    return arith.exact_quotient(total, f, f"tame_iso_count(e={e}, f={f})"), terms
+    return arith.exact_quotient(total, f, "tame_iso_count(e={}, f={})", e, f), terms
 
 
 def tame_iso_count(K: BaseFieldProfile, e: int, f: int, cross_check: bool = False) -> int:

@@ -88,6 +88,24 @@ def test_exact_quotient_names_a_remainder_past_the_int_string_limit():
         assert str(refused.value) == f"x: {total} is not divisible by 10"
 
 
+def test_exact_quotient_formats_where_only_on_a_remainder_and_only_with_args():
+    assert arith.exact_quotient(12, 4, "{} {}", 1) == 3  # never formatted: no IndexError
+    with pytest.raises(ConsistencyError) as refused:
+        arith.exact_quotient(13, 4, "set {}")
+    assert str(refused.value) == "set {}: 13 is not divisible by 4"
+    with pytest.raises(ConsistencyError) as refused:
+        arith.exact_quotient(13, 4, "f(e={}, f={})", 2, 3)
+    assert str(refused.value) == "f(e=2, f=3): 13 is not divisible by 4"
+
+
+def test_exact_quotient_writes_an_argument_past_the_int_string_limit_in_full():
+    big = 10**5000 + 7
+    with pytest.raises(ConsistencyError) as refused:
+        arith.exact_quotient(13, 4, "psi_count({}, {})", big, 1)
+    with _int_str_digits(0):
+        assert str(refused.value) == f"psi_count({big}, 1): 13 is not divisible by 4"
+
+
 def test_parse_decimal_reads_ascii_digits_only():
     assert [arith.parse_decimal(t) for t in ("0", "42", "-7", "007")] == [0, 42, -7, 7]
     for text in ("", "-", "+4", " 1", "1 ", "1_0", "2.0", "\uff12", "\u0663", "1\n", "9" * 5000):

@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import time
+from pathlib import Path
 
 import pytest
 import sympy
@@ -266,6 +267,17 @@ def test_profile_too_short_exit_code(capsys, tmp_path):
     code, _, err = run_cli(capsys, "count", "iso-ef", "--profile", str(path), "--e", "2", "--f", "1")
     assert code == 2
     assert "too short" in err
+
+
+@pytest.mark.parametrize(
+    "query", [("iso-ef", "--e", "16", "--f", "1"), ("iso-total", "--n", "16")], ids=["iso-ef", "iso-total"]
+)
+def test_both_evaluators_refuse_a_too_short_profile_at_level_v_p(capsys, query):
+    # v_2(16) = 4, so both name level 4, not the first level they would read
+    path = Path(__file__).parent / "data" / "shallow_q2.json"
+    code, out, err = run_cli(capsys, "count", query[0], "--profile", str(path), *query[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: profile too short: level 4 required, profile has depth 0\n"
 
 
 @pytest.mark.parametrize(

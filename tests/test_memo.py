@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicount import arith, counting, theorems
+from padicount import arith, cli, counting, theorems
 from padicount.cli import main
 from padicount.errors import MagnitudeError
-from padicount.profiles import BaseFieldProfile, CyclotomicDatum, qp_profile
+from padicount.profiles import BaseFieldProfile, CyclotomicDatum, _Memo, qp_profile
 
 
 def _pairs(n):
@@ -61,9 +61,9 @@ def test_table_computes_each_closed_form_once(
     calls["_level_sum"] = []
     real_level_sum = theorems._level_sum
 
-    def level_sum(K, i, e_i, f_i, e_rows, f1, bits):
-        calls["_level_sum"].append((e_i * e_rows[-1][0], i, f1))  # the last row has d1 = e/e_i
-        return real_level_sum(K, i, e_i, f_i, e_rows, f1, bits)
+    def level_sum(K, i, e, f1, bits):
+        calls["_level_sum"].append((e, i, f1))
+        return real_level_sum(K, i, e, f1, bits)
 
     monkeypatch.setattr(theorems, "_level_sum", level_sum)
 
@@ -106,6 +106,29 @@ def test_a_table_reads_the_bit_limit_once(capsys, monkeypatch):
     # main's check of the limit is the one read; the table reuses it (253 reads
     # when each cell read it in krasner_count and again in iso_count_ef)
     assert len(calls) == 1
+
+
+def test_every_memo_entry_is_its_compute_of_its_key(capsys, monkeypatch):
+    # a memo holds values of its compute and nothing else: no hand-filled
+    # table, no placeholder, and no memo inside a key
+    built = []
+    monkeypatch.setattr(cli, "qp_profile", lambda *a: built.append(qp_profile(*a)) or built[-1])
+    assert main(["table", "--qp", "2", "--n-max", "30"]) == 0
+    capsys.readouterr()
+    (K,) = built
+    for name in ("_memo", "_bound"):  # K._memo[g] computes g(*args), K._bound[g] g(K, *args)
+        memos = getattr(K, name)
+        assert memos
+        for g, memo in memos.items():
+            assert type(memo) is _Memo
+            if name == "_memo":
+                assert memo.compute is g
+            else:
+                assert (memo.compute.func, memo.compute.args) == (g, (K,))
+            for key, value in list(memo.items()):
+                args = key if type(key) is tuple else (key,)
+                assert not any(isinstance(a, _Memo) for a in args), (g, key)
+                assert value == memo.compute(*args), (g, key)
 
 
 def test_a_lookup_that_raises_stores_nothing_and_the_next_computes_again():
@@ -180,7 +203,7 @@ def test_threads_sharing_a_profile_match_a_serial_run():
 
 
 def test_threads_racing_on_the_rows_of_one_profile_match_fresh_profiles():
-    # the cells (e, .) share e's row and its level sums; each thread fills them
+    # the cells (e, .) share the level sums of e; each thread fills them
     # in its own order, switching as often as the interpreter allows
     cells = [(e, f) for e in (8, 12, 16, 24) for f in (1, 2, 3, 4, 6)]
     expected = {cell: theorems.iso_count_ef_terms(qp_profile(2, 5), *cell) for cell in cells}

@@ -332,7 +332,7 @@ def test_a_type_error_inside_the_levels_is_not_read_as_a_tower_that_is_not_itera
 
 def test_a_profile_cannot_be_changed():
     K = qp_profile(3, 2)
-    for name in ("p", "cyclotomic", "_memo", "extra"):
+    for name in ("p", "cyclotomic", "_memo", "_bound", "extra"):
         with pytest.raises(AttributeError):
             setattr(K, name, 5)
         with pytest.raises(AttributeError):
@@ -357,6 +357,7 @@ def test_a_copied_profile_is_equal_with_an_empty_memo(duplicate):
     count = iso_count_total(K, 9)
     twin = duplicate(K)
     assert K._memo and not twin._memo
+    assert K._bound and not twin._bound
     assert twin is not K and twin == K and hash(twin) == hash(K)
     assert iso_count_total(twin, 9) == count
 

@@ -318,6 +318,15 @@ def test_division_guards_fire_on_corrupted_inputs(monkeypatch):
         theorems.iso_count_ef(qp_profile(5, 0), 1, 2)
 
 
+def test_a_remainder_in_iso_count_ef_names_the_cell_and_both_numbers(monkeypatch):
+    # phi(2) = 2 makes the f-sum 3, which f = 2 does not divide
+    real_phi = arith.euler_phi
+    monkeypatch.setattr(arith, "euler_phi", lambda n: 2 if n == 2 else real_phi(n))
+    with pytest.raises(ConsistencyError) as refused:
+        theorems.iso_count_ef(qp_profile(5, 0), 1, 2)
+    assert str(refused.value) == "iso_count_ef(e=1, f=2): 3 is not divisible by 2"
+
+
 def test_cyclic_division_guard_fires(monkeypatch):
     monkeypatch.setattr(counting, "pi_count", lambda p, m, s, xi, bits=None: 3)
     with pytest.raises(ConsistencyError):
