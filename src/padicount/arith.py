@@ -5,10 +5,11 @@ longer than a fixed bound; an input past it raises MagnitudeError:
 
 * primality is deterministic Miller-Rabin, exact below MR_BOUND (about
   3.3e24) and refused past it;
-* factoring is trial division up to TRIAL_BOUND (10^6) with a primality
-  shortcut for the cofactor, so every n below 10^12 factors, and so does
-  any n below MR_BOUND all of whose prime factors but the largest are at
-  most 10^6; each prime found is stripped by p_valuation, in rounds;
+* factoring is one trial-division loop up to TRIAL_BOUND (10^6) with a
+  primality shortcut for the cofactor, so every n below 10^12 factors,
+  and so does any n below MR_BOUND all of whose prime factors but the
+  largest are at most 10^6; it returns each prime with its exponent,
+  which p_valuation finds as it strips the prime, in rounds;
 * divisor lists are built from the factorisation, under the same bound,
   and are refused past MAX_DIVISORS entries, counted before any is built;
 * multiplicative orders come from the factorisation of phi(modulus), and
@@ -86,51 +87,38 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n, ascending.
+def prime_factors(n: int) -> list[tuple[int, int]]:
+    """The factorisation of n: each prime q with its exponent a, as pairs
+    (q, a), ascending in q.
 
-    Trial division; past SHORTCUT_FROM the cofactor is tested with
-    is_prime after each factor found, so a large prime cofactor ends the
-    search at once.  A composite cofactor with no prime factor up to
-    TRIAL_BOUND raises MagnitudeError, so every n < TRIAL_BOUND^2 factors.
+    Trial division; a prime found is divided out once, and p_valuation
+    strips the rest of its power.  Past SHORTCUT_FROM the cofactor is
+    tested with is_prime on the way past and again after each factor
+    found, so a large prime cofactor ends the search at once.  A composite
+    cofactor with no prime factor up to TRIAL_BOUND raises MagnitudeError,
+    so every n < TRIAL_BOUND^2 factors.
     """
     if n < 1:
         raise DomainError("prime_factors: n must be >= 1")
     out = []
-    rest = n
-    p = 2
+    rest, p, tested = n, 2, None
     while p * p <= rest:
         if p > SHORTCUT_FROM:
-            return _prime_factors_from(p, rest, out)
-        if rest % p == 0:
-            out.append(p)
-            rest //= p
-            if rest % p == 0:
-                rest = p_valuation(rest, p).h
-        p += 1 if p == 2 else 2
-    if rest > 1:
-        out.append(rest)
-    return out
-
-
-def _prime_factors_from(p: int, rest: int, out: list[int]) -> list[int]:
-    """Finish prime_factors for rest > 1, which has no prime factor below
-    the odd trial divisor p."""
-    while not is_prime(rest):
-        # rest is composite, so it has a prime factor in [p, sqrt(rest)]
-        while rest % p:
-            p += 2
-            if p > TRIAL_BOUND:
+            if rest != tested:  # rest is new since the last test
+                tested = rest
+                if is_prime(rest):
+                    break
+            if p > TRIAL_BOUND:  # rest is composite, and its factors all lie past p
                 raise MagnitudeError(
                     f"prime_factors: {rest} has no prime factor up to {TRIAL_BOUND}"
                 )
-        out.append(p)
-        rest //= p
         if rest % p == 0:
-            rest = p_valuation(rest, p).h
-        if rest == 1:
-            return out
-    out.append(rest)
+            rest //= p
+            s, rest = p_valuation(rest, p) if rest % p == 0 else (0, rest)
+            out.append((p, s + 1))
+        p += 1 if p == 2 else 2
+    if rest > 1:
+        out.append((rest, 1))
     return out
 
 
@@ -139,8 +127,8 @@ def euler_phi(n: int) -> int:
     if n < 1:
         raise DomainError("euler_phi: n must be >= 1")
     result = n
-    for p in prime_factors(n):
-        result -= result // p
+    for q, _ in prime_factors(n):
+        result -= result // q
     return result
 
 
@@ -209,7 +197,7 @@ def divisors(n: int) -> list[int]:
     so n is refused where prime_factors refuses it, and when its number of
     divisors, the product of (a + 1) over its prime powers q^a, exceeds
     MAX_DIVISORS; that count is taken before any divisor is listed."""
-    powers = [(q, p_valuation(n, q).s) for q in prime_factors(n)]
+    powers = prime_factors(n)
     count = math.prod(a + 1 for _, a in powers)
     if count > MAX_DIVISORS:
         raise MagnitudeError(f"divisors: n has {count} divisors, more than {MAX_DIVISORS}")
@@ -235,7 +223,7 @@ def mult_order(p: int, modulus: int) -> int:
     if math.gcd(p, modulus) != 1:
         raise DomainError(f"mult_order: gcd({p}, {modulus}) != 1")
     t = euler_phi(modulus)
-    for q in prime_factors(t):
+    for q, _ in prime_factors(t):
         while t % q == 0 and pow(p, t // q, modulus) == 1:
             t //= q
     return t

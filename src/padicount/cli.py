@@ -18,7 +18,7 @@ from collections import namedtuple
 
 from . import arith, counting, theorems
 from .errors import ConsistencyError, DomainError, MagnitudeError
-from .profiles import load_profile, qp_profile
+from .profiles import BaseFieldProfile, load_profile, qp_profile
 from .selfcheck import run_selfcheck
 
 
@@ -89,11 +89,18 @@ def _positive(name, value):
         raise DomainError(f"--{name} must be >= 1")
 
 
-def _field_for(args, depth: int):
-    """The base field that args name, and its echo in a JSON query."""
-    if args.qp is not None:
-        return qp_profile(args.qp, depth), {"qp": args.qp}
-    return load_profile(args.profile), {"profile": args.profile}
+def _field_for(args, depth):
+    """The base field that args name, and its echo in a JSON query.
+
+    Q_p at depth 0, (p, 1, 1), is built first, so the constructor refuses
+    a p that is not prime before depth(p), the depth its levels need, is
+    derived from p; only a depth above 0 goes through qp_profile.
+    """
+    if args.qp is None:
+        return load_profile(args.profile), {"profile": args.profile}
+    K = BaseFieldProfile(args.qp, 1, 1)
+    levels = depth(args.qp)
+    return (qp_profile(args.qp, levels) if levels else K), {"qp": args.qp}
 
 
 def _cmd_count(args) -> int:
@@ -108,8 +115,7 @@ def _cmd_count(args) -> int:
     if args.breakdown and kind.breakdown is None:
         raise DomainError(f"--breakdown is not available for kind {args.kind}")
 
-    depth = 0 if args.qp is None else kind.depth(args.qp, args)
-    K, echo = _field_for(args, depth)
+    K, echo = _field_for(args, lambda p: kind.depth(p, args))
     value, terms = kind.breakdown(K, args) if args.breakdown else (kind.evaluate(K, args), [])
 
     query = {"kind": args.kind, **echo}
@@ -148,12 +154,11 @@ def _cmd_table(args) -> int:
     for name in ("n_max", "e_max", "f_max"):
         _positive(name.replace("_", "-"), getattr(args, name))
 
-    depth = 0
-    if args.qp is not None:
-        # deepest level any cell or total can demand
-        top = args.n_max if degree_mode else args.e_max
-        depth = max(arith.p_valuation(m, args.qp).s for m in range(1, top + 1))
-    profile, echo = _field_for(args, depth)
+    top = args.n_max if degree_mode else args.e_max
+    # the deepest level any cell or total can demand
+    profile, echo = _field_for(
+        args, lambda p: max(arith.p_valuation(m, p).s for m in range(1, top + 1))
+    )
     bits = args.bits  # main's one read, for the whole table
     pairs = profile._memo[arith.divisor_pairs]
 

@@ -138,7 +138,7 @@ def psi_count(u: int, v: int) -> int:
     w = u // g
     num = u * g
     den = 1
-    for ell in arith.prime_factors(u):
+    for ell, _ in arith.prime_factors(u):
         if w % ell == 0:
             num *= ell - 1
             den *= ell

@@ -252,7 +252,7 @@ def subgroups(G: GroupTable, cap: int = DEFAULT_TABLE_CAP) -> list[tuple[int, ..
             C = _join(G.table, (G.identity,), g)
             if C not in generators and len(arith.prime_factors(len(C))) == 1:
                 generators[C] = g
-        primes = set(arith.prime_factors(G.order))
+        primes = {q for q, _ in arith.prime_factors(G.order)}
         trivial = frozenset([G.identity])
         found = {trivial}
         work = [trivial]

@@ -73,17 +73,16 @@ def abelian_factor_lists(bound: int) -> list[tuple[int, ...]]:
     of order <= bound, one per isomorphism class."""
     out = []
     for n in range(4, bound + 1):
-        primes = arith.prime_factors(n)
+        powers = arith.prime_factors(n)
         shapes = [()]
-        for p in primes:
-            a = arith.p_valuation(n, p).s
+        for p, a in powers:
             shapes = [
                 shape + tuple(p**part for part in partition)
                 for shape in shapes
                 for partition in _partitions(a)
             ]
         for shape in shapes:
-            if len(shape) > len(primes):  # some prime split in >= 2 parts: non-cyclic
+            if len(shape) > len(powers):  # some prime split in >= 2 parts: non-cyclic
                 out.append(tuple(sorted(shape, reverse=True)))
     return sorted(set(out), key=lambda t: (len(t), t))
 

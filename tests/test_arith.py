@@ -3,6 +3,8 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_cli import _int_str_digits
 
@@ -192,24 +194,24 @@ def test_gcd_p_power_minus_one_against_direct_powers():
 
 def test_prime_factors():
     assert arith.prime_factors(1) == []
-    assert arith.prime_factors(60) == [2, 3, 5]
-    assert arith.prime_factors(97) == [97]
+    assert arith.prime_factors(60) == [(2, 2), (3, 1), (5, 1)]
+    assert arith.prime_factors(97) == [(97, 1)]
 
 
 def test_prime_factors_past_the_shortcut():
-    assert arith.prime_factors(999_999_999_989) == [999_999_999_989]  # largest prime < 10^12
-    assert arith.prime_factors(2 * 999_983 * 999_979) == [2, 999_979, 999_983]
-    assert arith.prime_factors(1009**2 * 999_999_999_989) == [1009, 999_999_999_989]
+    assert arith.prime_factors(999_999_999_989) == [(999_999_999_989, 1)]  # largest prime < 10^12
+    assert arith.prime_factors(2 * 999_983 * 999_979) == [(2, 1), (999_979, 1), (999_983, 1)]
+    assert arith.prime_factors(1009**2 * 999_999_999_989) == [(1009, 2), (999_999_999_989, 1)]
     rng = random.Random(7)
     for _ in range(200):
         n = rng.randrange(2, 10**12)
-        assert arith.prime_factors(n) == sorted(sympy.factorint(n)), n
+        assert arith.prime_factors(n) == sorted(sympy.factorint(n).items()), n
 
 
 def test_prime_factors_of_prime_powers_past_the_shortcut():
     # the trial division past the shortcut ends when the last prime divides out
     for n in (1009**2, 1009**3, 1009**2 * 1013, 3**8000, 2**3000 * 3**2000 * 1009**2 * 999_983**3):
-        assert arith.prime_factors(n) == sympy.primefactors(n), n
+        assert arith.prime_factors(n) == sorted(sympy.factorint(n).items()), n
 
 
 @pytest.mark.parametrize("function, args, message", [
@@ -227,6 +229,31 @@ def test_arith_refuses_arguments_below_its_domain(function, args, message):
 def test_prime_factors_refuses_two_primes_past_the_trial_bound():
     with pytest.raises(MagnitudeError):
         arith.prime_factors(1_000_000_007 * 1_000_000_009)
+
+
+# primes on both sides of SHORTCUT_FROM (1000) and of TRIAL_BOUND (10^6)
+NEAR_THE_BOUNDS = (997, 1009, 1013, 999_979, 999_983, 1_000_003, 1_000_033)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.one_of(
+    st.integers(1, 10**12 - 1),
+    st.builds(
+        lambda cofactor, primes: cofactor * math.prod(primes),
+        st.integers(1, 10**4),
+        st.lists(st.sampled_from(NEAR_THE_BOUNDS), max_size=4),  # at most 4: below MR_BOUND
+    ),
+))
+def test_prime_factors_matches_sympy_and_refuses_exactly_two_primes_past_the_trial_bound(n):
+    expected = sorted(sympy.factorint(n).items())
+    past = [(q, a) for q, a in expected if q > arith.TRIAL_BOUND]
+    if sum(a for _, a in past) < 2:
+        assert arith.prime_factors(n) == expected
+        return
+    with pytest.raises(MagnitudeError) as refused:
+        arith.prime_factors(n)
+    rest = math.prod(q**a for q, a in past)
+    assert str(refused.value) == f"prime_factors: {rest} has no prime factor up to 1000000"
 
 
 def test_is_prime_small():

@@ -116,6 +116,26 @@ def test_every_command_refuses_a_qp_that_is_not_prime(capsys, argv, p):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("p", ["0", "1", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "count iso-ef --e 4 --f 1",
+        "count iso-total --n 4",
+        "count krasner --e 2 --f 1",
+        "count cyclic-ef --e 2 --f 1",
+        "count cyclic-total --d 4",
+        "count tame --e 1 --f 2",
+        "table --n-max 4",
+        "table --e-max 4 --f-max 2",
+    ],
+)
+def test_a_qp_below_two_gets_the_profile_message_from_every_command(capsys, argv, p):
+    # no depth is derived from p, and no level built, before the profile refuses p
+    code, out, err = run_cli(capsys, *argv.split(), "--qp", p)
+    assert (code, out, err) == (2, "", f"error: invalid profile: p = {p} is not prime\n")
+
+
 @pytest.mark.parametrize("n_max", ["6", "24"])
 def test_table_checks_primality_once_whatever_its_size(capsys, monkeypatch, n_max):
     real = arith.is_prime
