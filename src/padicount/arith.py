@@ -12,15 +12,18 @@ longer than a fixed bound; an input past it raises MagnitudeError:
   which p_valuation finds as it strips the prime, in rounds;
 * divisor lists are built from the factorisation, under the same bound,
   and are refused past MAX_DIVISORS entries, counted before any is built;
-* multiplicative orders come from the factorisation of phi(modulus), and
-  divisibility questions about p^F - 1 are answered through them or by
-  modular reduction, so huge powers are never materialized;
+* gcd_p_power_minus_one reduces p^F modulo its other argument, so huge
+  powers are never materialized, and h divides p^F - 1 when that gcd is
+  h; mult_order and divides_p_power_minus_one decide that divisibility
+  from the order of p instead, for one caller, theorems._level_sum;
 * valuations divide in rounds, by p, p^2, p^4, ..., so a huge power of p
   costs a few long divisions, not one per factor;
 * exact_quotient is the one checked division: a remainder raises
   ConsistencyError;
 * parse_decimal is the one reader of integer inputs, ASCII -?[0-9]+ only,
-  and format_decimal the one writer, of any length, messages included.
+  and format_decimal the one writer, of any length: a message writes
+  each int that input can make long through it, and each repr that may
+  hold one through format_repr.
 
 No helper here checks that its p is prime: p comes from a base-field
 profile, which checks that once, when it is built.  A helper refuses
@@ -143,7 +146,7 @@ def p_valuation(n: int, p: int) -> PValuation:
     if n < 1:
         raise DomainError("p_valuation: n must be >= 1")
     if p < 2:
-        raise DomainError(f"p_valuation: p = {p} must be >= 2")
+        raise DomainError(f"p_valuation: p = {format_decimal(p)} must be >= 2")
     s, h = 0, n
     while h % p == 0:
         power, k = p, 1
@@ -192,6 +195,25 @@ def format_decimal(n: int) -> str:
         return str(Decimal(n))
 
 
+def format_repr(value) -> str:
+    """repr(value), with every int in it written by format_decimal: value
+    itself, or an item of a tuple, list or namedtuple at any depth."""
+    try:
+        return repr(value)
+    except ValueError:  # an int past str's digit limit
+        if type(value) is int:
+            return format_decimal(value)
+        if type(value) is list:
+            return "[" + ", ".join(map(format_repr, value)) + "]"
+        if not isinstance(value, tuple):
+            raise
+        items = [format_repr(item) for item in value]
+        if hasattr(value, "_fields"):  # a namedtuple
+            fields = ", ".join(f"{name}={item}" for name, item in zip(value._fields, items))
+            return f"{type(value).__name__}({fields})"
+        return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending, built from its factorisation,
     so n is refused where prime_factors refuses it, and when its number of
@@ -221,7 +243,7 @@ def mult_order(p: int, modulus: int) -> int:
     if modulus < 1:
         raise DomainError("mult_order: modulus must be >= 1")
     if math.gcd(p, modulus) != 1:
-        raise DomainError(f"mult_order: gcd({p}, {modulus}) != 1")
+        raise DomainError(f"mult_order: gcd({format_decimal(p)}, {format_decimal(modulus)}) != 1")
     t = euler_phi(modulus)
     for q, _ in prime_factors(t):
         while t % q == 0 and pow(p, t // q, modulus) == 1:
@@ -237,7 +259,9 @@ def divides_p_power_minus_one(h: int, p: int, exponent: int) -> bool:
     if h < 1 or exponent < 1:
         raise DomainError("divides_p_power_minus_one: h and exponent must be >= 1")
     if math.gcd(h, p) != 1:
-        raise DomainError(f"divides_p_power_minus_one: gcd({h}, {p}) != 1")
+        raise DomainError(
+            f"divides_p_power_minus_one: gcd({format_decimal(h)}, {format_decimal(p)}) != 1"
+        )
     return exponent % mult_order(p, h) == 0
 
 
@@ -245,6 +269,4 @@ def gcd_p_power_minus_one(a: int, p: int, exponent: int) -> int:
     """gcd(a, p^exponent - 1), with p^exponent reduced modulo a first."""
     if a < 1 or exponent < 1:
         raise DomainError("gcd_p_power_minus_one: a and exponent must be >= 1")
-    if a == 1:
-        return 1
     return math.gcd(a, (pow(p, exponent, a) - 1) % a)

@@ -5,8 +5,8 @@ big integers stay safe, and printed in full however many digits they
 have; output bytes are fully deterministic.  Exit codes: 0 success, 1
 selfcheck failure, 2 precondition violation or malformed input, 3
 magnitude or work limit, 4 internal consistency failure (a bug).
-main reads PADICOUNT_MAX_BITS once, as args.bits; a selfcheck cap left
-unset is not passed, so run_selfcheck's default applies.
+main reads PADICOUNT_MAX_BITS once, as args.bits, and hands it on; a
+selfcheck cap left unset is not passed, so run_selfcheck's default applies.
 """
 
 from __future__ import annotations
@@ -37,19 +37,19 @@ KINDS = {
     "iso-ef": Kind(
         ("e", "f"),
         lambda p, a: arith.p_valuation(a.e, p).s,
-        lambda K, a: theorems.iso_count_ef(K, a.e, a.f),
+        lambda K, a: theorems.iso_count_ef(K, a.e, a.f, a.bits),
         lambda K, a: theorems.iso_count_ef_terms(K, a.e, a.f),
     ),
     "iso-total": Kind(
         ("n",),
         lambda p, a: arith.p_valuation(a.n, p).s,
-        lambda K, a: theorems.iso_count_total(K, a.n),
+        lambda K, a: theorems.iso_count_total(K, a.n, a.bits),
         lambda K, a: theorems.iso_count_total_terms(K, a.n),
     ),
     "krasner": Kind(
         ("e", "f"),
         lambda p, a: 0,
-        lambda K, a: counting.krasner_count(K, a.e, a.f),
+        lambda K, a: counting.krasner_count(K, a.e, a.f, a.bits),
     ),
     "cyclic-ef": Kind(
         ("e", "f"),
@@ -159,7 +159,6 @@ def _cmd_table(args) -> int:
     profile, echo = _field_for(
         args, lambda p: max(arith.p_valuation(m, p).s for m in range(1, top + 1))
     )
-    bits = args.bits  # main's one read, for the whole table
     pairs = profile._memo[arith.divisor_pairs]
 
     if degree_mode:
@@ -171,13 +170,13 @@ def _cmd_table(args) -> int:
     cells = []
     classes = {}
     for e, f in cell_keys:
-        fields = counting.krasner_count(profile, e, f, bits)
-        classes[e, f] = count = theorems.iso_count_ef(profile, e, f, bits)
+        fields = counting.krasner_count(profile, e, f, args.bits)
+        classes[e, f] = count = theorems.iso_count_ef(profile, e, f, args.bits)
         cells.append((e, f, arith.format_decimal(fields), arith.format_decimal(count)))
     totals = []
     for n in total_keys:
         # the total route stays independent of the cells it is checked against
-        from_total = theorems.iso_count_total(profile, n, bits)
+        from_total = theorems.iso_count_total(profile, n, args.bits)
         from_cells = sum(classes[e, f] for e, f in pairs[n])
         if from_total != from_cells:
             raise ConsistencyError(

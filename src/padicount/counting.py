@@ -5,10 +5,10 @@ through a magnitude guard that turns runaway inputs into a clean
 MagnitudeError instead of exhausting memory.  The guarded closed forms
 (sigma_krasner, delta_count, pi_count) and krasner_count take its limit
 as bits, read from PADICOUNT_MAX_BITS by magnitude_bits only when not
-given; the cyclic counts read it once and pass it to pi_count.  Every
-division goes through
-arith.exact_quotient; a remainder means the implementation itself is
-wrong, so it raises ConsistencyError.
+given; the cyclic counts read it once and pass it to pi_count, and ask
+about p^f0 - 1 only through its gcd, arith.gcd_p_power_minus_one.  Every
+division goes through arith.exact_quotient; a remainder means the
+implementation itself is wrong, so it raises ConsistencyError.
 """
 
 from __future__ import annotations
@@ -44,13 +44,14 @@ def guarded_power(base: int, exponent: int, bits: int) -> int:
     measured.
     """
     if exponent < 0:
-        raise DomainError(f"guarded_power: exponent {exponent} must be >= 0")
+        raise DomainError(f"guarded_power: exponent {arith.format_decimal(exponent)} must be >= 0")
     if (base.bit_length() - 1) * exponent < bits:
         value = base**exponent
         if value.bit_length() <= bits:
             return value
     power = f"{arith.format_decimal(base)}^{arith.format_decimal(exponent)}"
-    raise MagnitudeError(f"{power} exceeds the magnitude limit of {bits} bits")
+    limit = arith.format_decimal(bits)
+    raise MagnitudeError(f"{power} exceeds the magnitude limit of {limit} bits")
 
 
 def sigma_krasner(p: int, N: int, s: int, bits: int | None = None) -> int:
@@ -68,9 +69,12 @@ def sigma_krasner(p: int, N: int, s: int, bits: int | None = None) -> int:
     if s < 0:
         raise DomainError("sigma_krasner: s must be >= 0")
     if p < 2:
-        raise DomainError(f"sigma_krasner: p = {p} must be >= 2")
+        raise DomainError(f"sigma_krasner: p = {arith.format_decimal(p)} must be >= 2")
     if N % p**s:
-        raise DomainError(f"sigma_krasner: p^s = {p**s} must divide N = {N}")
+        raise DomainError(
+            f"sigma_krasner: p^s = {arith.format_decimal(p**s)} must divide "
+            f"N = {arith.format_decimal(N)}"
+        )
     bits = magnitude_bits() if bits is None else bits
     total = 0
     prev = 0
@@ -160,7 +164,7 @@ def cyclic_count_ef(K: BaseFieldProfile, e: int, f: int) -> int:
     xi = K.xi
     bits = magnitude_bits()
     s, h = arith.p_valuation(e, K.p)
-    if not arith.divides_p_power_minus_one(h, K.p, K.f0):
+    if arith.gcd_p_power_minus_one(h, K.p, K.f0) != h:
         return 0
     num = e * arith.euler_phi(h) * arith.euler_phi(f) * pi_count(K.p, K.n0, s, xi, bits)
     return arith.exact_quotient(num, arith.euler_phi(e * f), "cyclic_count_ef({}, {})", e, f)

@@ -39,9 +39,13 @@ DEFAULT_TABLE_CAP = 48
 
 def _require_integers(*args) -> None:
     if any(type(a) is not int for a in args):  # bool is a subclass of int
-        raise DomainError(f"group constructor arguments must be integers, got {args!r}")
+        raise DomainError(
+            f"group constructor arguments must be integers, got {arith.format_repr(args)}"
+        )
     if any(a < 1 for a in args):
-        raise DomainError(f"group constructor arguments must be >= 1, got {args!r}")
+        raise DomainError(
+            f"group constructor arguments must be >= 1, got {arith.format_repr(args)}"
+        )
 
 
 class AbelianGroup:
@@ -57,6 +61,7 @@ class AbelianGroup:
         _require_integers(*factors)
         order = math.prod(factors)
         if order > cap:
+            order, cap = arith.format_decimal(order), arith.format_decimal(cap)
             raise MagnitudeError(f"group order {order} exceeds cap {cap}")
         self.factors = factors
         self.order = order
@@ -114,9 +119,10 @@ def dual_cyclic_subgroup_count(Ghat: AbelianGroup, d: int) -> Counter:
     the C_d histogram; a remainder raises ConsistencyError.
     """
     if Ghat.factors[:1] != (d,):
-        raise DomainError(f"distinguished first factor must be C_{d}, factors are {Ghat.factors}")
+        d, factors = arith.format_decimal(d), arith.format_repr(Ghat.factors)
+        raise DomainError(f"distinguished first factor must be C_{d}, factors are {factors}")
     if type(d) is not int:  # bool is a subclass of int; a float may equal the factor
-        raise DomainError(f"d must be an integer, got {d!r}")
+        raise DomainError(f"d must be an integer, got {arith.format_repr(d)}")
     first = AbelianGroup(Ghat.factors[:1], cap=Ghat.order).order_histogram()
     rest = AbelianGroup(Ghat.factors[1:], cap=Ghat.order).order_histogram()
     elements = Counter()
@@ -245,7 +251,7 @@ def subgroups(G: GroupTable, cap: int = DEFAULT_TABLE_CAP) -> list[tuple[int, ..
     their join is already found, and the fixed point stays the same.
     """
     if G.order > cap:
-        raise MagnitudeError(f"group order {G.order} exceeds cap {cap}")
+        raise MagnitudeError(f"group order {G.order} exceeds cap {arith.format_decimal(cap)}")
     if G._subgroups is None:
         generators = {}
         for g in range(G.order):
@@ -317,7 +323,7 @@ def lemma_check(G: GroupTable, n: int, cap: int = DEFAULT_TABLE_CAP) -> LemmaRep
     closed under conjugation, so the identity must hold.
     """
     if n < 1 or G.order % n:
-        raise DomainError(f"n = {n} does not divide |G| = {G.order}")
+        raise DomainError(f"n = {arith.format_decimal(n)} does not divide |G| = {G.order}")
     subs = subgroups(G, cap=cap)
     target = G.order // n
     index_n = [frozenset(S) for S in subs if len(S) == target]

@@ -86,7 +86,7 @@ class BaseFieldProfile:
         try:  # iter runs no generator, so a TypeError a level raises stays its own
             levels = iter(cyclotomic)
         except TypeError:
-            got = repr(cyclotomic)
+            got = arith.format_repr(cyclotomic)
             raise DomainError(f"invalid profile: cyclotomic is not iterable, got {got}") from None
         cyclotomic = tuple(levels)
         # position 0 holds (p, e0, f0), and position i >= 1 level i
@@ -97,7 +97,8 @@ class BaseFieldProfile:
             for name, value in zip(datum._fields if pos else ("p", "e0", "f0"), datum):
                 if type(value) is not int:  # bool is a subclass of int
                     name = f"level {pos}: {name}" if pos else name
-                    raise DomainError(f"invalid profile: {name} must be an integer, got {value!r}")
+                    got = arith.format_repr(value)
+                    raise DomainError(f"invalid profile: {name} must be an integer, got {got}")
         bound = _Memo(lambda g: _Memo(partial(g, self)))
         for name, value in zip(self.__slots__, (p, e0, f0, cyclotomic, _Memo(_Memo), bound)):
             object.__setattr__(self, name, value)
@@ -124,7 +125,8 @@ class BaseFieldProfile:
         return hash(self._key())
 
     def __repr__(self):
-        return "BaseFieldProfile(p={!r}, e0={!r}, f0={!r}, cyclotomic={!r})".format(*self._key())
+        key = map(arith.format_repr, self._key())
+        return "BaseFieldProfile(p={}, e0={}, f0={}, cyclotomic={})".format(*key)
 
     def __reduce__(self):
         return (type(self), self._key())
@@ -162,14 +164,15 @@ class BaseFieldProfile:
     def level(self, i: int) -> tuple[int, int]:
         """(e_i, f_i) for the level-i cyclotomic extension; level 0 is (1, 1)."""
         if type(i) is not int:  # bool is a subclass of int
-            raise DomainError(f"level index must be an integer, got {i!r}")
+            raise DomainError(f"level index must be an integer, got {arith.format_repr(i)}")
         if i < 0:
             raise DomainError("level index must be >= 0")
         if i == 0:
             return (1, 1)
         if i > len(self.cyclotomic):
             raise ProfileTooShortError(
-                f"profile too short: level {i} required, profile has depth {len(self.cyclotomic)}"
+                f"profile too short: level {arith.format_decimal(i)} required, "
+                f"profile has depth {len(self.cyclotomic)}"
             )
         datum = self.cyclotomic[i - 1]
         return (datum.e, datum.f)
@@ -187,7 +190,8 @@ def qp_profile(p: int, max_level: int) -> BaseFieldProfile:
     are not int, bools included, are refused, not coerced.
     """
     if type(p) is not int or type(max_level) is not int:  # bool is a subclass of int
-        raise DomainError(f"qp_profile takes integers, got p = {p!r}, max_level = {max_level!r}")
+        p, max_level = arith.format_repr(p), arith.format_repr(max_level)
+        raise DomainError(f"qp_profile takes integers, got p = {p}, max_level = {max_level}")
     if max_level < 0:
         raise DomainError("max_level must be >= 0")
     data = tuple(
@@ -204,11 +208,11 @@ def validate(profile: BaseFieldProfile) -> list[str]:
     """
     problems = []
     if not arith.is_prime(profile.p):
-        problems.append(f"p = {profile.p} is not prime")
+        problems.append(f"p = {arith.format_decimal(profile.p)} is not prime")
     if profile.e0 < 1:
-        problems.append(f"e0 = {profile.e0} must be >= 1")
+        problems.append(f"e0 = {arith.format_decimal(profile.e0)} must be >= 1")
     if profile.f0 < 1:
-        problems.append(f"f0 = {profile.f0} must be >= 1")
+        problems.append(f"f0 = {arith.format_decimal(profile.f0)} must be >= 1")
 
     p, e0 = profile.p, profile.e0
     # both tower rules bound level i by phi(p^i) = p^(i-1)*(p - 1); they read
@@ -219,18 +223,24 @@ def validate(profile: BaseFieldProfile) -> list[str]:
     prev_e, prev_f = 1, 1
     for pos, datum in enumerate(profile.cyclotomic, start=1):
         if datum.i != pos:
-            problems.append(f"levels must be consecutive from 1: found level {datum.i} at position {pos}")
+            found = arith.format_decimal(datum.i)
+            problems.append(
+                f"levels must be consecutive from 1: found level {found} at position {pos}"
+            )
             continue
         if datum.e < 1 or datum.f < 1:
             problems.append(f"level {datum.i}: e and f must be >= 1")
             continue
+        # datum.i is pos from here on, a position, so only e and f can be long
         if datum.e % prev_e:
+            prev, e = arith.format_decimal(prev_e), arith.format_decimal(datum.e)
             problems.append(
-                f"level {datum.i}: e_{datum.i - 1} = {prev_e} does not divide e_{datum.i} = {datum.e}"
+                f"level {datum.i}: e_{datum.i - 1} = {prev} does not divide e_{datum.i} = {e}"
             )
         if datum.f % prev_f:
+            prev, f = arith.format_decimal(prev_f), arith.format_decimal(datum.f)
             problems.append(
-                f"level {datum.i}: f_{datum.i - 1} = {prev_f} does not divide f_{datum.i} = {datum.f}"
+                f"level {datum.i}: f_{datum.i - 1} = {prev} does not divide f_{datum.i} = {f}"
             )
         degree = datum.e * datum.f
         if p >= 2 and pow(p, datum.i - 1, degree) * (p - 1) % degree:

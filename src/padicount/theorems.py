@@ -111,6 +111,7 @@ def _sum_ef(
         e_rows, f_rows = splits[e // e_i], splits[f // f_i]
         count += len(e_rows) * len(f_rows)
         if count > MAX_SUMMANDS:
+            e, f = arith.format_decimal(e), arith.format_decimal(f)
             raise MagnitudeError(
                 f"iso_count_ef(e={e}, f={f}): {count} summands, more than {MAX_SUMMANDS}"
             )
@@ -173,7 +174,8 @@ def _sum_total(
             count += len(inner)
             if count > MAX_SUMMANDS:
                 raise MagnitudeError(
-                    f"iso_count_total(n={n}): {count} summands, more than {MAX_SUMMANDS}"
+                    f"iso_count_total(n={arith.format_decimal(n)}): {count} summands, "
+                    f"more than {MAX_SUMMANDS}"
                 )
             for e1, f1, s1, _, _, _, _ in inner:
                 n1 = n0 * n_i * e1 * f1
@@ -224,10 +226,13 @@ def tame_iso_count_terms(
         raise DomainError("tame_iso_count: e and f must be >= 1")
     p = K.p
     if e % p == 0:
-        raise DomainError(f"tame_iso_count requires p not dividing e; {p} | {e}")
+        raise DomainError(
+            f"tame_iso_count requires p not dividing e; {p} | {arith.format_decimal(e)}"
+        )
     if cross_check and f > MAX_SUMMANDS:
         raise MagnitudeError(
-            f"tame_iso_count: cross-check of f = {f} summands, more than {MAX_SUMMANDS}"
+            f"tame_iso_count: cross-check of f = {arith.format_decimal(f)} summands, "
+            f"more than {MAX_SUMMANDS}"
         )
     total = sum(
         arith.euler_phi(f2) * arith.gcd_p_power_minus_one(e, p, K.f0 * f1)
@@ -241,6 +246,7 @@ def tame_iso_count_terms(
         ]
         alt = sum(t.term for t in terms)
         if alt != total:
+            e, f, total, alt = map(arith.format_decimal, (e, f, total, alt))
             raise ConsistencyError(
                 f"tame_iso_count(e={e}, f={f}): divisor-sum {total} != gcd-sum {alt}"
             )

@@ -1,9 +1,9 @@
-"""The benchmark's traced gates, checked in tier-1: a degree table calls
-every function that bench/run.py requires of its table workload, and
-selfcheck calls every suite in bench/run.py's SUITES through the module
-binding the tracer wraps.  A loop that stops reaching one of them, or a
-suite table bound at import time, fails here and not only under
-`bench/run.py --trace 1`."""
+"""The benchmark's traced gates, checked in tier-1: a degree table, and one
+small op of each kind the hard workload runs, call every function that
+bench/run.py requires of that workload, and selfcheck calls every suite
+in bench/run.py's SUITES through the module binding the tracer wraps.  A
+loop that stops reaching one of them, or a suite table bound at import
+time, fails here and not only under `bench/run.py --trace 1`."""
 
 import ast
 import importlib
@@ -29,8 +29,10 @@ def _exercised(workload: str) -> tuple[str, ...]:
     return _declared("EXERCISED")[workload]
 
 
-def test_a_degree_table_calls_every_function_the_table_workload_requires(capsys, monkeypatch):
-    names = _exercised("table")
+def _uncalled(monkeypatch, capsys, workload: str, commands) -> list[str]:
+    """The functions that bench/run.py requires of workload and that none of
+    the CLI commands calls, each counted through its module binding."""
+    names = _exercised(workload)
     calls = dict.fromkeys(names, 0)
     for name in names:
         module, attr = name.split(".")
@@ -42,9 +44,28 @@ def test_a_degree_table_calls_every_function_the_table_workload_requires(capsys,
 
         monkeypatch.setattr(module, attr, counted)
 
-    assert main("table --qp 2 --n-max 30".split()) == 0
+    for command in commands:
+        assert main(command.split()) == 0, command
     capsys.readouterr()
-    assert [name for name, count in calls.items() if count == 0] == []
+    return [name for name, count in calls.items() if count == 0]
+
+
+def test_a_degree_table_calls_every_function_the_table_workload_requires(capsys, monkeypatch):
+    assert _uncalled(monkeypatch, capsys, "table", ["table --qp 2 --n-max 30"]) == []
+
+
+def test_one_small_op_of_each_hard_kind_calls_every_function_the_hard_workload_requires(
+    capsys, monkeypatch
+):
+    # the kinds of bench/workloads.py's hard workload, with small parameters
+    commands = [
+        "count cyclic-ef --qp 2 --e 1009 --f 1",
+        "count iso-ef --qp 3 --e 1009 --f 1",
+        "count tame --qp 3 --e 2 --f 1000",
+        "count krasner --qp 1000003 --e 2 --f 1",
+        "count cyclic-total --qp 2 --d 1000003",
+    ]
+    assert _uncalled(monkeypatch, capsys, "hard", commands) == []
 
 
 def test_run_selfcheck_calls_each_suite_the_tracer_times(monkeypatch):

@@ -175,6 +175,18 @@ def test_cyclic_count_ef_vanishes_without_tame_roots():
     assert cyclic_count_ef(K, 3, 1) > 0
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_cyclic_count_ef_vanishes_exactly_when_h_does_not_divide_p_power_minus_one(p):
+    # cyclic_count_ef tests h | p^f0 - 1 through the gcd; the order test is the reference
+    for f0 in (1, 2, 3):
+        levels = [CyclotomicDatum(i, p ** (i - 1) * (p - 1), 1) for i in (1, 2)]
+        K = BaseFieldProfile(p, 1, f0, levels)
+        for e in range(1, 201):
+            h = arith.p_valuation(e, p).h
+            divides = arith.divides_p_power_minus_one(h, p, f0)
+            assert (cyclic_count_ef(K, e, 1) > 0) == divides, (p, f0, e)
+
+
 def test_cyclic_count_total_examples():
     assert cyclic_count_total(Q2, 1) == 1
     assert cyclic_count_total(Q3, 1) == 1

@@ -108,6 +108,20 @@ def test_a_table_reads_the_bit_limit_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    ["count iso-ef --qp 2 --e 4 --f 2", "count iso-total --qp 2 --n 8", "count krasner --qp 2 --e 4 --f 2"],
+)
+def test_a_count_reads_the_bit_limit_once(capsys, monkeypatch, argv):
+    # main's read is handed to the evaluator, which used to read the limit again
+    real = counting.magnitude_bits
+    calls = []
+    monkeypatch.setattr(counting, "magnitude_bits", lambda: calls.append(1) or real())
+    assert main(argv.split()) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_every_memo_entry_is_its_compute_of_its_key(capsys, monkeypatch):
     # a memo holds values of its compute and nothing else: no hand-filled
     # table, no placeholder, and no memo inside a key

@@ -92,6 +92,18 @@ def test_psi_oracle_skips_groups_past_the_abelian_cap():
     assert 0 < capped.checks < 144  # 144 = 12 x 12 groups C_u x C_v uncapped
 
 
+@pytest.mark.parametrize(
+    "cap, small, counts",
+    [(10, False, (41, 27)), (10, True, (29, 27)), (100, False, (118, 296)), (100, True, (54, 134))],
+)
+def test_the_element_count_oracles_skip_what_abelian_group_refuses(cap, small, counts):
+    # AbelianGroup alone applies the cap: each suite skips the groups it refuses
+    pi = selfcheck.pi_oracle_suite(max_abelian_order=cap, small=small)
+    psi = selfcheck.psi_oracle_suite(max_abelian_order=cap, small=small)
+    assert pi.ok and psi.ok
+    assert (pi.checks, psi.checks) == counts
+
+
 def test_full_grid_check_counts():
     results = selfcheck.run_selfcheck(grid="full")
     assert all(r.ok for r in results), [r.name for r in results if not r.ok]
