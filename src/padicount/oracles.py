@@ -12,22 +12,28 @@ Two substrates:
 
 Everything proceeds by exhaustive enumeration, and no count here uses a
 closed form from the paper.  The order histogram combines the cyclic
-factors one at a time.  The cyclic subgroups of the dual group are
-counted from two such histograms, one for the distinguished factor and
-one for the rest, without building a subgroup.  The subgroup lattice
-joins each subgroup with each cyclic subgroup of prime-power order, not
-with each element, and skips the generators that a join of prime index
-already covers.  One coset walk, _join, closes every set in a table: the
+factors one at a time; each C_f is enumerated element by element, and
+its (order, count) pairs are kept for the 256 factors used last, the
+module's one cache.  The cyclic subgroups of the dual group are counted
+from two such histograms, one for the distinguished factor and one for
+the rest, without building a subgroup.  The subgroup lattice joins each
+subgroup with each cyclic subgroup of prime-power order, not with each
+element, and skips the generators that a join of prime index already
+covers.  One coset walk, _join, closes every set in a table: the
 generators for the associativity test, cyclic subgroups and lattice
-joins.  Caps keep the worst cases bounded and raise MagnitudeError when
+joins.  The chain-count check reads a lattice index of bitmasks and
+exponents, built once per table, and tests only the pairs that can form
+a chain: no J whose exponent d does not divide, and none at all for
+T(1).  Caps keep the worst cases bounded and raise MagnitudeError when
 exceeded.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter, namedtuple
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations, repeat
 
 from . import arith
 from .errors import DomainError, MagnitudeError
@@ -75,15 +81,23 @@ class AbelianGroup:
         coordinates in the next factor) adds n_a * n_b to lcm(a, b).
         This counts every element once without visiting each one.
         """
-        hist = Counter({1: 1})
+        hist = {1: 1}
         for f in self.factors:
-            coord = Counter(f // math.gcd(c, f) for c in range(f))
-            combined = Counter()
+            combined = {}
             for a, n_a in hist.items():
-                for b, n_b in coord.items():
-                    combined[math.lcm(a, b)] += n_a * n_b
+                for b, n_b in _cyclic_orders(f):
+                    m = math.lcm(a, b)
+                    combined[m] = combined.get(m, 0) + n_a * n_b
             hist = combined
-        return hist
+        return Counter(hist)
+
+
+@functools.lru_cache(maxsize=256)
+def _cyclic_orders(f: int) -> tuple[tuple[int, int], ...]:
+    """C_f's (order, element count) pairs: element c has order f / gcd(c, f),
+    counted element by element.  Cached, and a tuple, so no caller can
+    change what the next one reads."""
+    return tuple(Counter(map(f.__floordiv__, map(math.gcd, range(f), repeat(f)))).items())
 
 
 def dual_group(K: BaseFieldProfile, d: int, cap: int = DEFAULT_ABELIAN_CAP) -> AbelianGroup:
@@ -153,40 +167,41 @@ class GroupTable:
         rows = [list(row) for row in table]
         if any(len(row) != order for row in rows):
             raise DomainError("group table must be square")
-        if any(type(x) is not int or not 0 <= x < order for row in rows for x in row):
+        if (
+            set(map(type, chain.from_iterable(rows))) != {int}  # bool is a subclass of int
+            or min(map(min, rows)) < 0
+            or max(map(max, rows)) >= order
+        ):
             raise DomainError("table entries must be element indices")
 
-        identity = None
-        for e in range(order):
-            if all(rows[e][x] == x and rows[x][e] == x for x in range(order)):
-                identity = e
-                break
+        columns = list(map(list, zip(*rows)))
+        indices = list(range(order))
+        identity = next((e for e in indices if rows[e] == indices and columns[e] == indices), None)
         if identity is None:
             raise DomainError("table has no identity element")
-        everything = set(range(order))
-        for x in range(order):
+        everything = set(indices)
+        for x in indices:
             if set(rows[x]) != everything:
                 raise DomainError(f"row {x} is not a permutation")
-            if {rows[y][x] for y in range(order)} != everything:
+            if set(columns[x]) != everything:
                 raise DomainError(f"column {x} is not a permutation")
         for b in _magma_generators(rows, identity):
             rb = rows[b]
-            for a in range(order):
+            for a in indices:
                 ra = rows[a]
                 rab = rows[ra[b]]
-                for c in range(order):
-                    if rab[c] != ra[rb[c]]:
-                        raise DomainError(f"table is not associative at ({a}, {b}, {c})")
+                if rab != list(map(ra.__getitem__, rb)):
+                    c = next(c for c in indices if rab[c] != ra[rb[c]])
+                    raise DomainError(f"table is not associative at ({a}, {b}, {c})")
 
         self.table = rows
         self.order = order
         self.identity = identity
         self.name = name or f"group of order {order}"
         self._inverse = [row.index(identity) for row in rows]
-        self._abelian = all(
-            rows[a][b] == rows[b][a] for a in range(order) for b in range(a)
-        )
+        self._abelian = rows == columns
         self._subgroups = None
+        self._lattice_index = None
 
     def conjugate(self, g: int, x: int) -> int:
         """g * x * g^-1."""
@@ -313,6 +328,27 @@ def _quotient_has_coset_of_order(G: GroupTable, H: frozenset, J, d: int) -> bool
     return False
 
 
+def _lattice_index(G: GroupTable, subs) -> dict[int, list[tuple[int, frozenset, int]]]:
+    """Subgroup order -> (bitmask, element set, exponent) of each subgroup
+    in subs, the lattice of G, built once per table.  The exponent is the
+    lcm of the element orders, each found by the power loop."""
+    if G._lattice_index is None:
+        table = G.table
+        orders = []
+        for x in range(G.order):
+            y, t = x, 1
+            while y != G.identity:
+                y, t = table[y][x], t + 1
+            orders.append(t)
+        index = {}
+        for S in subs:
+            mask = sum(map((1).__lshift__, S))
+            exponent = math.lcm(*map(orders.__getitem__, S))
+            index.setdefault(len(S), []).append((mask, frozenset(S), exponent))
+        G._lattice_index = index
+    return G._lattice_index
+
+
 def lemma_check(G: GroupTable, n: int, cap: int = DEFAULT_TABLE_CAP) -> LemmaReport:
     """Verify the chain-count identity for index-n subgroups of G.
 
@@ -321,12 +357,17 @@ def lemma_check(G: GroupTable, n: int, cap: int = DEFAULT_TABLE_CAP) -> LemmaRep
     H normal-in J <= G with (G:H) = n and J/H cyclic of order d, and
     divides by n.  The family checked is all subgroups of G, which is
     closed under conjugation, so the identity must hold.
+
+    Only pairs that can form a chain are tested.  T(1) counts the index-n
+    subgroups themselves, since H <= J with |J| = |H| means J = H.  For
+    d > 1, a coset jH of order d needs d | ord(j), so a J whose exponent
+    d does not divide is skipped; containment is one test on bitmasks.
     """
     if n < 1 or G.order % n:
         raise DomainError(f"n = {arith.format_decimal(n)} does not divide |G| = {G.order}")
-    subs = subgroups(G, cap=cap)
+    by_order = _lattice_index(G, subgroups(G, cap=cap))
     target = G.order // n
-    index_n = [frozenset(S) for S in subs if len(S) == target]
+    index_n = by_order.get(target, [])
 
     abelian = G.is_abelian()
     if abelian:  # every subgroup is its own conjugacy class
@@ -334,23 +375,20 @@ def lemma_check(G: GroupTable, n: int, cap: int = DEFAULT_TABLE_CAP) -> LemmaRep
     else:
         seen = set()
         lhs = 0
-        for H in index_n:
+        for _, H, _ in index_n:
             if H in seen:
                 continue
             lhs += 1
             for g in range(G.order):
                 seen.add(frozenset(G.conjugate(g, x) for x in H))
 
-    by_size: dict[int, list[frozenset]] = {}
-    for S in subs:
-        by_size.setdefault(len(S), []).append(frozenset(S))
-
-    chain_counts: dict[int, int] = {}
-    for d in arith.divisors(n):
+    chain_counts = {1: len(index_n)}
+    for d in arith.divisors(n)[1:]:
+        above = [(j, J) for j, J, exponent in by_order.get(target * d, ()) if exponent % d == 0]
         count = 0
-        for H in index_n:
-            for J in by_size.get(target * d, ()):
-                if not H <= J:
+        for h, H, _ in index_n:
+            for j, J in above:
+                if h & j != h:
                     continue
                 if not abelian and not _is_normal_in(G, H, J):
                     continue

@@ -259,10 +259,13 @@ def _tame_grid(small: bool):
 
 
 def _degree_grid(small: bool):
-    """(K, n) over Q_2 and Q_3 for n <= 12 (small: 8), K as deep as n needs."""
+    """(K, n) over Q_2 and Q_3 for n <= 12 (small: 8), one K per prime, as
+    deep as its largest n needs."""
+    degrees = range(1, (8 if small else 12) + 1)
     for p in (2, 3):
-        for n in range(1, (8 if small else 12) + 1):
-            yield qp_profile(p, arith.p_valuation(n, p).s), n
+        K = qp_profile(p, max(arith.p_valuation(n, p).s for n in degrees))
+        for n in degrees:
+            yield K, n
 
 
 def remark_equivalence_suite(small: bool = False) -> SuiteResult:

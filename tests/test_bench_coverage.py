@@ -1,7 +1,8 @@
-"""The benchmark's traced gates, checked in tier-1: a degree table, and one
-small op of each kind the hard workload runs, call every function that
-bench/run.py requires of that workload, and selfcheck calls every suite
-in bench/run.py's SUITES through the module binding the tracer wraps.  A
+"""The benchmark's traced gates, checked in tier-1: a degree table, one
+small op of each kind the hard workload runs, and a small-grid selfcheck
+call every function that bench/run.py requires of that workload, and
+selfcheck calls every suite in bench/run.py's SUITES through the module
+binding the tracer wraps.  A
 loop that stops reaching one of them, or a suite table bound at import
 time, fails here and not only under `bench/run.py --trace 1`."""
 
@@ -31,18 +32,21 @@ def _exercised(workload: str) -> tuple[str, ...]:
 
 def _uncalled(monkeypatch, capsys, workload: str, commands) -> list[str]:
     """The functions that bench/run.py requires of workload and that none of
-    the CLI commands calls, each counted through its module binding."""
+    the CLI commands calls, each counted through its module binding, or its
+    class's for a method such as oracles.AbelianGroup.order_histogram."""
     names = _exercised(workload)
     calls = dict.fromkeys(names, 0)
     for name in names:
-        module, attr = name.split(".")
-        module = importlib.import_module(f"padicount.{module}")
+        module, *path, attr = name.split(".")
+        owner = importlib.import_module(f"padicount.{module}")
+        for part in path:
+            owner = getattr(owner, part)
 
-        def counted(*args, real=getattr(module, attr), name=name, **kwargs):
+        def counted(*args, real=getattr(owner, attr), name=name, **kwargs):
             calls[name] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(module, attr, counted)
+        monkeypatch.setattr(owner, attr, counted)
 
     for command in commands:
         assert main(command.split()) == 0, command
@@ -66,6 +70,12 @@ def test_one_small_op_of_each_hard_kind_calls_every_function_the_hard_workload_r
         "count cyclic-total --qp 2 --d 1000003",
     ]
     assert _uncalled(monkeypatch, capsys, "hard", commands) == []
+
+
+def test_a_small_grid_selfcheck_calls_every_function_the_selfcheck_workload_requires(
+    capsys, monkeypatch
+):
+    assert _uncalled(monkeypatch, capsys, "selfcheck", ["selfcheck --grid small"]) == []
 
 
 def test_run_selfcheck_calls_each_suite_the_tracer_times(monkeypatch):

@@ -331,16 +331,23 @@ def _associative(rows):
     )
 
 
+# sha256 over the refusal message of each refused square, one per line,
+# recorded before construction compared whole rows at once
+REFUSED_SQUARES_DIGEST = "1d5b6d8d9d8db82ed5c5a1f9009a0a01683b6614bfc1a51c7a5a55456580fa37"
+
+
 def test_group_table_accepts_exactly_the_associative_latin_squares():
     squares, accepted = [], []
+    refusals = hashlib.sha256()
     for n in range(1, 7):
         total = kept = 0
         for rows in _reduced_latin_squares(n):
             total += 1
             try:
                 GroupTable(rows)
-            except DomainError:
+            except DomainError as refused:
                 assert not _associative(rows), rows
+                refusals.update(f"{refused}\n".encode())
             else:
                 assert _associative(rows), rows
                 kept += 1
@@ -348,6 +355,8 @@ def test_group_table_accepts_exactly_the_associative_latin_squares():
         accepted.append(kept)
     assert squares == [1, 1, 1, 4, 56, 9408]
     assert accepted == [1, 1, 1, 4, 6, 80]
+    # the message names the first failing (a, b, c) in a, b, c order
+    assert refusals.hexdigest() == REFUSED_SQUARES_DIGEST
 
 
 def _closed_subsets(G):
@@ -413,6 +422,75 @@ def test_full_zoo_names_tables_and_lattices_are_pinned():
     assert digest.hexdigest() == FULL_ZOO_DIGEST
 
 
+# sha256 over repr((name, n, lhs, rhs, chain_counts)) of each full-zoo
+# lemma_check, n over the divisors of |G| in turn, recorded before the
+# checks read a cached lattice index and skipped impossible chains
+FULL_ZOO_LEMMA_DIGEST = "e2ffa5cd5a197567027d8d769dc36b7fe5afe881e741d1aa239a5f23c8059877"
+
+
+def test_full_zoo_lemma_reports_are_pinned():
+    digest = hashlib.sha256()
+    reports = 0
+    for G in selfcheck.lemma_group_zoo(48):
+        for n in arith.divisors(G.order):
+            report = lemma_check(G, n)
+            digest.update(repr((G.name, n, report.lhs, report.rhs, report.chain_counts)).encode())
+            reports += 1
+    assert reports == 373
+    assert digest.hexdigest() == FULL_ZOO_LEMMA_DIGEST
+
+
+def _all_pairs_chain_counts(G, n):
+    """T(d) for each d | n by testing every pair H <= J of subgroups with
+    (G:H) = n and |J| = d |H|: H normal in J, and some jH of order d."""
+    table, subs = G.table, [frozenset(S) for S in subgroups(G)]
+    inverse = [row.index(G.identity) for row in table]
+    counts = {}
+    for d in arith.divisors(n):
+        counts[d] = 0
+        for H in subs:
+            for J in subs:
+                if len(H) * n != G.order or len(J) != d * len(H) or not H <= J:
+                    continue
+                if any(table[table[j][h]][inverse[j]] not in H for j in J for h in H):
+                    continue
+                coset_orders = set()
+                for j in J:
+                    x, t = j, 1
+                    while x not in H:
+                        x, t = table[x][j], t + 1
+                    coset_orders.add(t)
+                counts[d] += d in coset_orders
+    return counts
+
+
+def test_chain_counts_equal_the_all_pairs_count_up_to_order_24():
+    groups = selfcheck.lemma_group_zoo(24)
+    assert len(groups) == 51
+    for G in groups:
+        for n in arith.divisors(G.order):
+            assert lemma_check(G, n).chain_counts == _all_pairs_chain_counts(G, n), (G.name, n)
+
+
+def test_lemma_check_refuses_the_cap_once_the_index_is_cached():
+    G = dihedral(6)
+    assert lemma_check(G, 2).equal
+    assert G._lattice_index is not None
+    for n in arith.divisors(G.order):
+        with pytest.raises(MagnitudeError):
+            lemma_check(G, n, cap=G.order - 1)
+
+
+def test_the_lemma_suite_fails_when_every_quotient_is_called_cyclic(monkeypatch):
+    # a planted fault: the pruned pairs still reach the coset test, which
+    # decides the check
+    monkeypatch.setattr(oracles, "_quotient_has_coset_of_order", lambda G, H, J, d: True)
+    result = selfcheck.lemma_suite()
+    assert result.checks == 373
+    assert result.fail_count > 0
+    assert all("chain-count" in message for message in result.failures)
+
+
 def _closure(G, generators):
     """Products of pairs, added until none is new."""
     S = {G.identity, *generators}
@@ -456,6 +534,40 @@ def _psi_oracle_groups():
     for u in range(1, 31):
         for v in range(1, 31):
             yield AbelianGroup((u, v))
+
+
+def _per_element_histogram(factors):
+    """The order histogram with each cyclic factor enumerated afresh, one
+    element at a time, on every call."""
+    hist = Counter({1: 1})
+    for f in factors:
+        coord = Counter(f // math.gcd(c, f) for c in range(f))
+        combined = Counter()
+        for a, n_a in hist.items():
+            for b, n_b in coord.items():
+                combined[math.lcm(a, b)] += n_a * n_b
+        hist = combined
+    return hist
+
+
+def test_order_histograms_from_the_shared_cyclic_cache_equal_fresh_enumeration():
+    groups = [*_pi_oracle_groups(), *_psi_oracle_groups()]
+    for ordered in (groups, groups[::-1]):  # each factor first met in another group
+        oracles._cyclic_orders.cache_clear()
+        for G in ordered:
+            assert G.order_histogram() == _per_element_histogram(G.factors), G.factors
+
+
+def test_a_changed_histogram_does_not_change_the_next_one():
+    G = AbelianGroup((4, 6))
+    want = _per_element_histogram(G.factors)
+    first = G.order_histogram()
+    first[12] += 100
+    first[5] = 1
+    del first[1]
+    assert G.order_histogram() == want
+    assert AbelianGroup((4,)).order_histogram() == Counter({1: 1, 2: 1, 4: 2})
+    assert G.order_histogram() is not G.order_histogram()
 
 
 def test_order_histogram_equals_the_per_element_count():

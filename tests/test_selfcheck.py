@@ -110,6 +110,16 @@ def test_full_grid_check_counts():
     assert [r.checks for r in results] == [373, 216, 900, 198, 315, 216, 144, 24, 214, 10]
 
 
+@pytest.mark.parametrize("small, depths", [(True, {2: 3, 3: 1}), (False, {2: 3, 3: 2})])
+def test_the_degree_grid_shares_one_profile_per_prime_as_deep_as_its_largest_n(small, depths):
+    grid = list(selfcheck._degree_grid(small))
+    top = 8 if small else 12
+    assert [(K.p, n) for K, n in grid] == [(p, n) for p in (2, 3) for n in range(1, top + 1)]
+    profiles = {K.p: K for K, _ in grid}
+    assert all(K is profiles[K.p] for K, _ in grid)
+    assert {p: K.depth for p, K in profiles.items()} == depths
+
+
 def test_table_order_cap_is_applied_before_building(monkeypatch, capsys):
     built = []
     real_init = oracles.GroupTable.__init__
