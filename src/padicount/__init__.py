@@ -12,6 +12,7 @@ ramification and inertia of its p-power cyclotomic extensions, compute:
 
 All arithmetic is exact; every closed form ships with an independent
 brute-force oracle (see padicount.oracles and padicount.selfcheck).
+Those two modules load on first use, so a count never pays for them.
 """
 
 from .counting import (
@@ -39,6 +40,17 @@ from .profiles import (
 from .theorems import iso_count_ef, iso_count_total, tame_iso_count
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """padicount.oracles and padicount.selfcheck, imported on first access
+    (PEP 562); any other missing name raises AttributeError."""
+    if name in ("oracles", "selfcheck"):
+        import importlib
+
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BaseFieldProfile",

@@ -7,19 +7,22 @@ selfcheck failure, 2 precondition violation or malformed input, 3
 magnitude or work limit, 4 internal consistency failure (a bug).
 main reads PADICOUNT_MAX_BITS once, as args.bits, and hands it on; a
 selfcheck cap left unset is not passed, so run_selfcheck's default applies.
+
+Each command loads only the modules it uses.  count and table load
+arith, errors, profiles, counting and theorems, and json only to write
+JSON or read a profile file; selfcheck alone loads the oracles and
+selfcheck layers, when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections import namedtuple
 
 from . import arith, counting, theorems
 from .errors import ConsistencyError, DomainError, MagnitudeError
 from .profiles import BaseFieldProfile, load_profile, qp_profile
-from .selfcheck import run_selfcheck
 
 
 Kind = namedtuple("Kind", "params depth evaluate breakdown", defaults=(None,))
@@ -73,6 +76,8 @@ KINDS = {
 
 def to_json(payload) -> str:
     """Canonical JSON: fixed key order, two-space indent, no floats anywhere."""
+    import json  # imported only when needed: it slows every start-up
+
     return json.dumps(payload, indent=2)
 
 
@@ -222,6 +227,8 @@ def _cmd_selfcheck(args) -> int:
     caps = {name: value for name, value in caps.items() if value is not None}
     for name, value in caps.items():
         _positive(name.replace("_", "-"), value)  # run_selfcheck refuses it too; this names the flag
+    from .selfcheck import run_selfcheck  # the oracle layer loads only for selfcheck
+
     results = run_selfcheck(grid=args.grid, **caps)
     width = max(len(r.name) for r in results)
     failed = False

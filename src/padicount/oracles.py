@@ -16,16 +16,17 @@ factors one at a time; each C_f is enumerated element by element, and
 its (order, count) pairs are kept for the 256 factors used last, the
 module's one cache.  The cyclic subgroups of the dual group are counted
 from two such histograms, one for the distinguished factor and one for
-the rest, without building a subgroup.  The subgroup lattice joins each
-subgroup with each cyclic subgroup of prime-power order, not with each
-element, and skips the generators that a join of prime index already
-covers.  One coset walk, _join, closes every set in a table: the
-generators for the associativity test, cyclic subgroups and lattice
-joins.  The chain-count check reads a lattice index of bitmasks and
-exponents, built once per table, and tests only the pairs that can form
-a chain: no J whose exponent d does not divide, and none at all for
-T(1).  Caps keep the worst cases bounded and raise MagnitudeError when
-exceeded.
+the rest, without building a subgroup.  A table's cyclic subgroups come
+from one power walk, each walked once, which also records every
+element's order.  The subgroup lattice joins each subgroup H with each
+cyclic subgroup <g> of prime-power order q^a whose <g^q> lies in H, not
+with each element, and skips the generators that a join of prime index
+already covers.  One coset walk, _join, closes every other set in a
+table: the generators for the associativity test and the lattice joins.
+The chain-count check reads a lattice index of bitmasks and exponents,
+built once per table, and tests only the pairs that can form a chain:
+no J whose exponent d does not divide, and none at all for T(1).  Caps
+keep the worst cases bounded and raise MagnitudeError when exceeded.
 """
 
 from __future__ import annotations
@@ -201,6 +202,7 @@ class GroupTable:
         self._inverse = [row.index(identity) for row in rows]
         self._abelian = rows == columns
         self._subgroups = None
+        self._orders = None
         self._lattice_index = None
 
     def conjugate(self, g: int, x: int) -> int:
@@ -253,12 +255,23 @@ def _magma_generators(rows, identity: int) -> list[int]:
 def subgroups(G: GroupTable, cap: int = DEFAULT_TABLE_CAP) -> list[tuple[int, ...]]:
     """Every subgroup of G, each as a sorted tuple of element indices.
 
-    Works by closing generator sets: starting from the trivial subgroup,
-    every known subgroup H is joined with each distinct cyclic subgroup
-    of prime-power order not already in H (one new generator at a time)
-    until no new subgroup appears.  Every element is a product of
-    commuting powers of itself of prime-power order, so every subgroup
-    is a join of such cyclic ones, and the fixed point is complete.
+    One power walk lists the cyclic subgroups: each element not yet
+    reached is walked to the identity, x, x^2, ..., x^n = e, and every
+    generator x^k with gcd(k, n) = 1 is marked as reached with order n,
+    so each cyclic subgroup is walked once and each element's order is
+    read from it.  Of each cyclic subgroup <g> of prime-power order
+    n = q^a, g is kept together with g^q.
+
+    The lattice walk starts from the trivial subgroup and joins every
+    known subgroup H with each kept g outside H whose g^q lies in H (one
+    new generator at a time) until no new subgroup appears.  The fixed
+    point is complete.  Every element is a product of commuting powers of
+    itself of prime-power order, so every subgroup S is generated by its
+    cyclic subgroups of prime-power order.  Add them to the trivial
+    subgroup in order of increasing order: <g^q> has order q^(a-1) and
+    lies in S, so it is one of those added before <g> (or trivial), and
+    g^q lies in the subgroup built so far.  Each step of that chain is a
+    join the walk makes, so S is found.
 
     A join J = <H, g> of prime index over H covers the rest of J: for g'
     in J outside H, <H, g'> lies between H and J and is larger than H,
@@ -268,27 +281,39 @@ def subgroups(G: GroupTable, cap: int = DEFAULT_TABLE_CAP) -> list[tuple[int, ..
     if G.order > cap:
         raise MagnitudeError(f"group order {G.order} exceeds cap {arith.format_decimal(cap)}")
     if G._subgroups is None:
-        generators = {}
-        for g in range(G.order):
-            C = _join(G.table, (G.identity,), g)
-            if C not in generators and len(arith.prime_factors(len(C))) == 1:
-                generators[C] = g
+        table, identity = G.table, G.identity
+        orders = [0] * G.order
+        generators = []
+        for x in range(G.order):
+            if orders[x]:
+                continue
+            powers = [identity]  # x^0, x^1, ..., x^(n-1)
+            while (y := table[powers[-1]][x]) != identity:
+                powers.append(y)
+            n = len(powers)
+            for k in range(n):
+                if math.gcd(k, n) == 1:
+                    orders[powers[k]] = n
+            factors = arith.prime_factors(n)
+            if len(factors) == 1:
+                generators.append((x, powers[factors[0][0] % n]))
         primes = {q for q, _ in arith.prime_factors(G.order)}
-        trivial = frozenset([G.identity])
+        trivial = frozenset([identity])
         found = {trivial}
         work = [trivial]
         while work:
             H = work.pop()
             covered = set(H)
-            for g in generators.values():
-                if g in covered:
+            for g, root in generators:
+                if g in covered or root not in H:
                     continue
-                J = _join(G.table, H, g)
+                J = _join(table, H, g)
                 if len(J) // len(H) in primes:
                     covered |= J
                 if J not in found:
                     found.add(J)
                     work.append(J)
+        G._orders = orders
         G._subgroups = sorted((tuple(sorted(S)) for S in found), key=lambda t: (len(t), t))
     return G._subgroups
 
@@ -331,19 +356,12 @@ def _quotient_has_coset_of_order(G: GroupTable, H: frozenset, J, d: int) -> bool
 def _lattice_index(G: GroupTable, subs) -> dict[int, list[tuple[int, frozenset, int]]]:
     """Subgroup order -> (bitmask, element set, exponent) of each subgroup
     in subs, the lattice of G, built once per table.  The exponent is the
-    lcm of the element orders, each found by the power loop."""
+    lcm of the element orders that the power walk of subgroups recorded."""
     if G._lattice_index is None:
-        table = G.table
-        orders = []
-        for x in range(G.order):
-            y, t = x, 1
-            while y != G.identity:
-                y, t = table[y][x], t + 1
-            orders.append(t)
         index = {}
         for S in subs:
             mask = sum(map((1).__lshift__, S))
-            exponent = math.lcm(*map(orders.__getitem__, S))
+            exponent = math.lcm(*map(G._orders.__getitem__, S))
             index.setdefault(len(S), []).append((mask, frozenset(S), exponent))
         G._lattice_index = index
     return G._lattice_index

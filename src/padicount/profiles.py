@@ -23,7 +23,6 @@ value once while the profile lives (see _Memo).
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from collections import Counter, namedtuple
@@ -276,6 +275,8 @@ def load_profile(source) -> BaseFieldProfile:
     the profile validates it; any violation raises DomainError.
     """
     if isinstance(source, (str, os.PathLike)):
+        import json  # imported only when needed: it slows every start-up
+
         with open(source, encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)

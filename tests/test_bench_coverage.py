@@ -4,26 +4,34 @@ call every function that bench/run.py requires of that workload, and
 selfcheck calls every suite in bench/run.py's SUITES through the module
 binding the tracer wraps.  A
 loop that stops reaching one of them, or a suite table bound at import
-time, fails here and not only under `bench/run.py --trace 1`."""
+time, fails here and not only under `bench/run.py --trace 1`.  Every
+layer in bench/tracer.py's LAYERS resolves on the package in a worker
+that has imported only padicount.cli, as the tracer reads it there."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from padicount import selfcheck
 from padicount.cli import main
 
-RUN_PY = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+ROOT = Path(__file__).resolve().parents[1]
+RUN_PY = ROOT / "bench" / "run.py"
+TRACER_PY = ROOT / "bench" / "tracer.py"
 
 
-def _declared(name: str):
-    """The literal that bench/run.py binds to `name`, read without importing it."""
-    for node in ast.parse(RUN_PY.read_text(encoding="utf-8")).body:
+def _declared(name: str, path: Path = RUN_PY):
+    """The literal that the bench script at path binds to `name`, read
+    without importing it."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
         if isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == name for target in node.targets
         ):
             return ast.literal_eval(node.value)
-    raise AssertionError(f"{RUN_PY} declares no {name}")
+    raise AssertionError(f"{path} declares no {name}")
 
 
 def _exercised(workload: str) -> tuple[str, ...]:
@@ -95,3 +103,31 @@ def test_run_selfcheck_calls_each_suite_the_tracer_times(monkeypatch):
     results = selfcheck.run_selfcheck(grid="small")
     assert called == list(suites)
     assert tuple(r.name for r in results) == suites
+
+
+# what a traced worker does: import padicount.cli only, then read each layer
+# off the package; -S keeps site-packages from importing anything first
+RESOLVE_LAYERS = """
+import sys
+import padicount.cli
+import padicount
+for layer in sys.argv[1:]:
+    print(getattr(padicount, layer).__name__)
+try:
+    padicount.no_such_name
+except AttributeError:
+    print("AttributeError")
+"""
+
+
+def test_every_traced_layer_resolves_after_importing_only_the_cli():
+    layers = _declared("LAYERS", TRACER_PY)
+    assert {"oracles", "selfcheck"} <= set(layers)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", RESOLVE_LAYERS, *layers],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert run.stdout.splitlines() == [f"padicount.{layer}" for layer in layers] + [
+        "AttributeError"
+    ], run.stdout + run.stderr

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 import sympy
 
-from padicount import arith, cli, counting, theorems
+from padicount import arith, cli, counting, selfcheck, theorems
 from padicount.cli import main
 from padicount.profiles import qp_profile
 from padicount.selfcheck import SuiteResult
@@ -483,7 +483,10 @@ def test_selfcheck_refuses_a_cap_below_one(capsys, flag, cap):
 def test_selfcheck_passes_only_the_caps_it_is_given(capsys, monkeypatch, flags, caps):
     # an unset cap is left to run_selfcheck's own default
     passed = []
-    monkeypatch.setattr(cli, "run_selfcheck", lambda **kwargs: passed.append(kwargs) or [SuiteResult("stub")])
+    # _cmd_selfcheck looks run_selfcheck up on its module when it runs
+    monkeypatch.setattr(
+        selfcheck, "run_selfcheck", lambda **kwargs: passed.append(kwargs) or [SuiteResult("stub")]
+    )
     code, out, _ = run_cli(capsys, "selfcheck", "--grid", "small", *flags)
     assert (code, passed) == (0, [{"grid": "small", **caps}])
     assert out.endswith("selfcheck: all suites pass\n")

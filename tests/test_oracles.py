@@ -226,10 +226,8 @@ def test_subgroups_examples():
     assert len(subgroups(cyclic(1))) == 1
 
 
-def test_the_lattice_walk_joins_each_covering_pair_once(monkeypatch):
-    # 16 cyclic builds, then one join per pair H < J of index 2: a join of
-    # prime index covers every other generator in J, which is skipped
-    G = oracles.abelian(2, 2, 2, 2)
+def _lattice_joins(monkeypatch, G):
+    """The number of _join calls subgroups(G) makes, and its lattice size."""
     calls = []
     real = oracles._join
 
@@ -238,8 +236,28 @@ def test_the_lattice_walk_joins_each_covering_pair_once(monkeypatch):
         return real(table, H, g)
 
     monkeypatch.setattr(oracles, "_join", counting_join)
-    assert len(subgroups(G)) == 67
-    assert len(calls) == 16 + 1 * 15 + 15 * 7 + 35 * 3 + 15 * 1 == 256
+    size = len(subgroups(G))
+    return len(calls), size
+
+
+def test_the_lattice_walk_joins_each_covering_pair_once(monkeypatch):
+    # the cyclic subgroups come from the power walk, not from _join; then one
+    # join per pair H < J of index 2: a join of prime index covers every
+    # other generator in J, which is skipped
+    joins, size = _lattice_joins(monkeypatch, oracles.abelian(2, 2, 2, 2))
+    assert size == 67
+    assert joins == 1 * 15 + 15 * 7 + 35 * 3 + 15 * 1 == 240
+
+
+def test_the_lattice_walk_joins_g_only_once_g_to_the_q_lies_in_h(monkeypatch):
+    # C4 x C4: from the trivial subgroup only the 3 elements of order 2 pass
+    # (the 6 cyclic subgroups of order 4 have g^2 != e); from each of order 2,
+    # the 2-torsion and the 2 cyclic subgroups of order 4 above it; from the
+    # 2-torsion and from each cyclic subgroup of order 4, one join per
+    # subgroup of order 8 above it; from each of order 8, the whole group
+    joins, size = _lattice_joins(monkeypatch, oracles.abelian(4, 4))
+    assert size == 15
+    assert joins == 3 + 3 * 3 + 3 + 6 * 1 + 3 * 1 == 24
 
 
 def test_subgroups_cap():
@@ -513,7 +531,8 @@ def test_the_coset_walk_matches_brute_force_on_the_nonabelian_zoo():
     assert len(groups) == 14
     for G in groups:
         for x in range(G.order):
-            cyclic_subgroup = oracles._join(G.table, (G.identity,), x)  # the walk subgroups uses
+            # the join with the trivial subgroup is the walk the associativity test starts from
+            cyclic_subgroup = oracles._join(G.table, (G.identity,), x)
             assert len(cyclic_subgroup) == _power_loop_order(G, x), (G.name, x)
         for S in subgroups(G):
             for g in range(G.order):

@@ -2,7 +2,9 @@
 import nothing that the `test` extra does not name.  The package also keeps
 off the standard modules that slow every start-up: dataclasses, typing and
 inspect.  The command line takes the oracles and the selfcheck defaults
-through run_selfcheck alone."""
+through run_selfcheck alone, and loads them only for selfcheck: in a fresh
+interpreter, count and table leave padicount.oracles, padicount.selfcheck
+and json unloaded, and json loads only for JSON output or a profile file."""
 
 import ast
 import os
@@ -49,22 +51,42 @@ def test_source_imports_no_module_that_slows_start_up(path):
     assert slow == [], f"{path.name} imports {slow}"
 
 
-# -S skips site-packages, whose .pth files may import typing on their own
-COUNT_THEN_LIST_MODULES = f"""
+LOADED_ON_FIRST_USE = ("json", "padicount.oracles", "padicount.selfcheck")
+# -S skips site-packages, whose .pth files may import typing on their own.
+# Runs the command in argv, then prints its exit status and which of the
+# modules above are loaded.
+RUN_THEN_LIST_MODULES = f"""
 import sys
 from padicount.cli import main
-status = main(["count", "krasner", "--qp", "11", "--e", "1", "--f", "1"])
-print(status, *sorted(name for name in {SLOW_TO_IMPORT!r} if name in sys.modules))
+status = main(sys.argv[1:])
+watched = {SLOW_TO_IMPORT + LOADED_ON_FIRST_USE!r}
+print(status, *sorted(name for name in watched if name in sys.modules))
 """
 
 
-def test_a_count_in_a_fresh_interpreter_loads_no_module_that_slows_start_up():
+def _run_fresh(command: str) -> list[str]:
+    """The stdout lines of command run in a fresh interpreter, the last one
+    listing the exit status and the watched modules it loaded."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     run = subprocess.run(
-        [sys.executable, "-S", "-c", COUNT_THEN_LIST_MODULES],
-        env=env, capture_output=True, text=True, timeout=60, check=True,
+        [sys.executable, "-S", "-c", RUN_THEN_LIST_MODULES, *command.split()],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60, check=True,
     )
-    assert run.stdout.splitlines() == ["1", "0"], run.stdout + run.stderr
+    return run.stdout.splitlines()
+
+
+def test_a_count_in_a_fresh_interpreter_loads_no_module_that_slows_start_up():
+    assert _run_fresh("count krasner --qp 11 --e 1 --f 1") == ["1", "0"]
+
+
+@pytest.mark.parametrize("command, loaded", [
+    ("table --qp 2 --n-max 6", []),
+    ("count krasner --qp 11 --e 1 --f 1 --json", ["json"]),
+    ("count krasner --profile tests/data/shallow_q2.json --e 1 --f 1", ["json"]),
+    ("selfcheck --grid small", ["padicount.oracles", "padicount.selfcheck"]),
+])
+def test_json_and_the_oracle_layers_load_only_for_the_commands_that_use_them(command, loaded):
+    assert _run_fresh(command)[-1].split() == ["0", *loaded]
 
 
 def _package_names(tree):
