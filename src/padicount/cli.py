@@ -41,13 +41,13 @@ KINDS = {
         ("e", "f"),
         lambda p, a: arith.p_valuation(a.e, p).s,
         lambda K, a: theorems.iso_count_ef(K, a.e, a.f, a.bits),
-        lambda K, a: theorems.iso_count_ef_terms(K, a.e, a.f),
+        lambda K, a: theorems.iso_count_ef_terms(K, a.e, a.f, a.bits),
     ),
     "iso-total": Kind(
         ("n",),
         lambda p, a: arith.p_valuation(a.n, p).s,
         lambda K, a: theorems.iso_count_total(K, a.n, a.bits),
-        lambda K, a: theorems.iso_count_total_terms(K, a.n),
+        lambda K, a: theorems.iso_count_total_terms(K, a.n, a.bits),
     ),
     "krasner": Kind(
         ("e", "f"),
@@ -57,12 +57,12 @@ KINDS = {
     "cyclic-ef": Kind(
         ("e", "f"),
         _cyclic_depth,
-        lambda K, a: counting.cyclic_count_ef(K, a.e, a.f),
+        lambda K, a: counting.cyclic_count_ef(K, a.e, a.f, a.bits),
     ),
     "cyclic-total": Kind(
         ("d",),
         _cyclic_depth,
-        lambda K, a: counting.cyclic_count_total(K, a.d),
+        lambda K, a: counting.cyclic_count_total(K, a.d, a.bits),
     ),
     # the per-i summands come from the cross-check, run only when printed
     "tame": Kind(

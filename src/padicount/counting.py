@@ -3,10 +3,11 @@
 All arithmetic is exact; no floating point is used anywhere.  Powers pass
 through a magnitude guard that turns runaway inputs into a clean
 MagnitudeError instead of exhausting memory.  The guarded closed forms
-(sigma_krasner, delta_count, pi_count) and krasner_count take its limit
-as bits, read from PADICOUNT_MAX_BITS by magnitude_bits only when not
-given; the cyclic counts read it once and pass it to pi_count, and ask
-about p^f0 - 1 only through its gcd, arith.gcd_p_power_minus_one.  Every
+(sigma_krasner, delta_count, pi_count), krasner_count and the cyclic
+counts take its limit as bits, read from PADICOUNT_MAX_BITS by
+magnitude_bits only when not given; the cyclic counts pass it to
+pi_count, and ask about p^f0 - 1 only through its gcd,
+arith.gcd_p_power_minus_one.  Every
 division goes through arith.exact_quotient; a remainder means the
 implementation itself is wrong, so it raises ConsistencyError.
 """
@@ -152,7 +153,7 @@ def psi_count(u: int, v: int) -> int:
     return arith.exact_quotient(num, den, "psi_count({}, {})", u, v)
 
 
-def cyclic_count_ef(K: BaseFieldProfile, e: int, f: int) -> int:
+def cyclic_count_ef(K: BaseFieldProfile, e: int, f: int, bits: int | None = None) -> int:
     """Number of cyclic extensions of K with ramification e and inertia f.
 
     Zero when the prime-to-p part h of e does not divide p^f0 - 1,
@@ -162,7 +163,7 @@ def cyclic_count_ef(K: BaseFieldProfile, e: int, f: int) -> int:
     if e < 1 or f < 1:
         raise DomainError("cyclic_count_ef: e and f must be >= 1")
     xi = K.xi
-    bits = magnitude_bits()
+    bits = magnitude_bits() if bits is None else bits
     s, h = arith.p_valuation(e, K.p)
     if arith.gcd_p_power_minus_one(h, K.p, K.f0) != h:
         return 0
@@ -170,7 +171,7 @@ def cyclic_count_ef(K: BaseFieldProfile, e: int, f: int) -> int:
     return arith.exact_quotient(num, arith.euler_phi(e * f), "cyclic_count_ef({}, {})", e, f)
 
 
-def cyclic_count_total(K: BaseFieldProfile, d: int) -> int:
+def cyclic_count_total(K: BaseFieldProfile, d: int, bits: int | None = None) -> int:
     """Number of cyclic extensions of K of degree d, all (e, f) combined.
 
     With d = p^r * k, gcd(k, p) = 1:
@@ -181,7 +182,7 @@ def cyclic_count_total(K: BaseFieldProfile, d: int) -> int:
     if d < 1:
         raise DomainError("cyclic_count_total: d must be >= 1")
     xi = K.xi
-    bits = magnitude_bits()
+    bits = magnitude_bits() if bits is None else bits
     r, k = arith.p_valuation(d, K.p)
     psi = psi_count(k, arith.gcd_p_power_minus_one(k, K.p, K.f0))
     num = psi * pi_count(K.p, K.n0 + 1, r, xi, bits)

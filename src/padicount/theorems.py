@@ -15,18 +15,22 @@ reads it once, and passes it down.  Its helpers are entries of the
 profile's K._bound memo, which a table's cells share: the levels
 (i, e_i, f_i) up to v_p, the divisor pairs of n with their
 p-valuations, prime-to-p parts and totients, and, for iso_count_ef, the
-level sums U_i(e, f1).  f2 enters only through phi(f2), so with
-f * I(K, e, f) = sum of phi(f2) * U_i(e, f1) over i and f/f_i = f1*f2,
-one level sum serves every f.  Both count their summands from the split
-lists before the work and refuse more than MAX_SUMMANDS with
-MagnitudeError.
+level sums U_i(e, f1), stored as integers.  f2 enters only through
+phi(f2), so with f * I(K, e, f) = sum of phi(f2) * U_i(e, f1) over i
+and f/f_i = f1*f2, one level sum serves every f.  Both count their
+summands from the split lists before the work and refuse more than
+MAX_SUMMANDS with MagnitudeError.  A count alone skips every summand
+whose delta layer vanishes (delta_count(p, ., s, i) = 0 for s < i), and
+a level sum decides h2 | p^F - 1 at gcd(F, phi(h2)).
 Terms are summed and divided once at the end (by f, respectively n;
 iso_count_ef divides each level-i value by e_i > 1) through
 arith.exact_quotient: a remainder means a bug and raises ConsistencyError
-rather than being rounded.  The *_terms variants pass the summation a
-list for the summands, namedtuples TermEF or TermTotal in a fixed order
-(ascending level, then ascending divisors); the tame variant builds its
-per-i TermTame summands only when asked, and at most MAX_SUMMANDS.
+rather than being rounded.  The *_terms variants, which --breakdown
+calls, pass the summation a list for the summands, namedtuples TermEF or
+TermTotal in a fixed order (ascending level, then ascending divisors),
+with the vanishing ones as term 0; only they build summand rows.  The
+tame variant builds its per-i TermTame summands only when asked, and at
+most MAX_SUMMANDS.
 """
 
 from __future__ import annotations
@@ -72,27 +76,36 @@ def _levels(K: BaseFieldProfile, s: int) -> list[tuple[int, int, int]]:
     return [(i, *K.level(i)) for i in range(s + 1)]
 
 
-def _level_sum(K: BaseFieldProfile, i: int, e: int, f1: int, bits: int) -> tuple[int, list]:
-    """(U, rows) for level i, e and f1: rows (e1, e2, value) for the splits
-    e/e_i = e1*e2 whose h2 divides p^{f0*f_i*f1} - 1, with value
+def _level_sum(
+    K: BaseFieldProfile, i: int, e: int, f1: int, bits: int, rows: list | None = None
+) -> int:
+    """U_i(e, f1): the sum over the splits e/e_i = e1*e2 whose h2 divides
+    p^{f0*f_i*f1} - 1 of
     phi(h2)/e_i * sigma_krasner(p, N1, v_p(e1)) * delta_count(p, N1, v_p(e2), i)
-    and N1 = n0*e_i*f_i*e1*f1, and U the sum of their values."""
+    with N1 = n0*e_i*f_i*e1*f1.  Its memo entry is this integer.  Given
+    rows, each such summand is also appended as (e1, e2, value), zero ones
+    included; without, the splits with v_p(e2) < i, whose delta layer is 0,
+    are skipped.  The order of p mod h2 divides phi(h2), so h2 | p^F - 1 is
+    decided at gcd(F, phi(h2))."""
     p, memo = K.p, K._memo
     sigma, delta = memo[counting.sigma_krasner], memo[counting.delta_count]
     divides = memo[arith.divides_p_power_minus_one]
     e_i, f_i = K.level(i)
     exponent, n = K.f0 * f_i * f1, K.n0 * e_i * f_i * f1
-    rows, total = [], 0
+    total = 0
     for e1, e2, s1, s2, h2, phi_h2, _ in K._bound[_splits][e // e_i]:
-        if divides[h2, p, exponent]:
+        if s2 < i and rows is None:
+            continue
+        if divides[h2, p, math.gcd(exponent, phi_h2)]:
             value = sigma[p, n * e1, s1, bits] * delta[p, n * e1, s2, i, bits] * phi_h2
             if e_i != 1:
                 # validity makes e_i divide p^{i-1}(p-1), which divides
                 # delta_count(p, ., s2, i) for i >= 1
                 value = arith.exact_quotient(value, e_i, "iso_count_ef: level term by e_i")
-            rows.append((e1, e2, value))
+            if rows is not None:
+                rows.append((e1, e2, value))
             total += value
-    return total, rows
+    return total
 
 
 def _sum_ef(
@@ -117,16 +130,20 @@ def _sum_ef(
             )
         # f2 enters only through phi(f2), so one level sum serves every f
         for f1, f2, _, _, _, _, phi_f2 in f_rows:
-            value, rows = level_sum[i, e, f1, bits]
-            total += value * phi_f2
-            if terms is not None:
-                terms += (TermEF(i, e1, f1, e2, f2, v * phi_f2) for e1, e2, v in rows)
+            if terms is None:
+                total += level_sum[i, e, f1, bits] * phi_f2
+                continue
+            rows = []
+            total += _level_sum(K, i, e, f1, bits, rows) * phi_f2
+            terms += (TermEF(i, e1, f1, e2, f2, v * phi_f2) for e1, e2, v in rows)
     if terms is not None:
         terms.sort(key=lambda t: (t.i, t.e1, t.f1))
     return arith.exact_quotient(total, f, "iso_count_ef(e={}, f={})", e, f)
 
 
-def iso_count_ef_terms(K: BaseFieldProfile, e: int, f: int) -> tuple[int, list[TermEF]]:
+def iso_count_ef_terms(
+    K: BaseFieldProfile, e: int, f: int, bits: int | None = None
+) -> tuple[int, list[TermEF]]:
     """Class count for ramification e and inertia f, with its summands.
 
     Sums over levels 0 <= i <= v_p(e) and splittings e = e1*e2*e_i,
@@ -134,10 +151,11 @@ def iso_count_ef_terms(K: BaseFieldProfile, e: int, f: int) -> tuple[int, list[T
     p^{f0*f_i*f1} - 1.  Each term is the integer
     phi(h2)*phi(f2)/e_i * sigma_krasner(p, N1, v_p(e1)) * delta_count(p, N1, v_p(e2), i)
     with N1 = n0*e_i*f_i*e1*f1.  The profile must cover levels
-    0..v_p(e).
+    0..v_p(e); bits is the magnitude limit, read from the environment
+    when not given.
     """
     terms: list[TermEF] = []
-    return _sum_ef(K, e, f, None, terms), terms
+    return _sum_ef(K, e, f, bits, terms), terms
 
 
 def iso_count_ef(K: BaseFieldProfile, e: int, f: int, bits: int | None = None) -> int:
@@ -170,25 +188,33 @@ def _sum_total(
         h = valuation[rest, p].h
         # d = p^r * k runs over the cofactors d2, which ascend when read backwards
         for _, d, _, r, k, _, _ in reversed(splits[rest]):
-            inner = splits[rest // d]
+            m = rest // d
+            inner = splits[m]
             count += len(inner)
             if count > MAX_SUMMANDS:
                 raise MagnitudeError(
                     f"iso_count_total(n={arith.format_decimal(n)}): {count} summands, "
                     f"more than {MAX_SUMMANDS}"
                 )
+            if r < i and terms is None:
+                continue  # delta_count(p, ., r, i) = 0
+            # e1*f1 = m, so N1 = n0*n_i*m and the delta layer are the same for every row
+            n1 = n0 * n_i * m
+            layer = delta[p, n1 + 1, r, i, bits]
+            inner_total = 0
             for e1, f1, s1, _, _, _, _ in inner:
-                n1 = n0 * n_i * e1 * f1
                 psi_k = psi[k, math.gcd(k, gcd[h, p, f0 * f_i * f1])]
-                term = sigma[p, n1, s1, bits] * delta[p, n1 + 1, r, i, bits]
-                term *= e1 * psi_k
-                total += term
+                term = sigma[p, n1, s1, bits] * e1 * psi_k
+                inner_total += term
                 if terms is not None:
-                    terms.append(TermTotal(i, d, e1, f1, term))
+                    terms.append(TermTotal(i, d, e1, f1, term * layer))
+            total += inner_total * layer
     return arith.exact_quotient(total, n, "iso_count_total(n={})", n)
 
 
-def iso_count_total_terms(K: BaseFieldProfile, n: int) -> tuple[int, list[TermTotal]]:
+def iso_count_total_terms(
+    K: BaseFieldProfile, n: int, bits: int | None = None
+) -> tuple[int, list[TermTotal]]:
     """Class count for degree n, with its summands.
 
     Sums over levels 0 <= i <= v_p(n) and splittings n = d*e1*f1*n_i,
@@ -196,10 +222,11 @@ def iso_count_total_terms(K: BaseFieldProfile, n: int) -> tuple[int, list[TermTo
     e1 * psi(k, p^{f0*f_i*f1} - 1) * sigma_krasner(p, N1, v_p(e1))
     * delta_count(p, N1 + 1, v_p(d), i) with d = p^r*k, gcd(k, p) = 1
     and N1 = n0*n_i*e1*f1; psi is evaluated at gcd(k, p^{f0*f_i*f1} - 1),
-    on which alone it depends.  The profile must cover levels 0..v_p(n).
+    on which alone it depends.  The profile must cover levels 0..v_p(n);
+    bits is the magnitude limit, read from the environment when not given.
     """
     terms: list[TermTotal] = []
-    return _sum_total(K, n, None, terms), terms
+    return _sum_total(K, n, bits, terms), terms
 
 
 def iso_count_total(K: BaseFieldProfile, n: int, bits: int | None = None) -> int:

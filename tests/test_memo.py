@@ -39,21 +39,29 @@ def test_memo_leaves_construction_equality_hash_and_repr_alone():
 GCD_DISTINCT = {"table --qp 2 --n-max 60": 150, "table --qp 3 --e-max 40 --f-max 5": 0}
 # the level sums (e, i, f1) that the cells of iso_count_ef share
 LEVEL_SUMS = {"table --qp 2 --n-max 60": 439, "table --qp 3 --e-max 40 --f-max 5": 240}
+# h2 | p^F - 1 asked at gcd(F, phi(h2)), and only where the delta layer is not 0
+# (150 and 135 when asked at F itself, of every split)
+DIVIDES_DISTINCT = {"table --qp 2 --n-max 60": 54, "table --qp 3 --e-max 40 --f-max 5": 82}
 
 
 @pytest.mark.parametrize(
     "argv, sigma_distinct, delta_distinct",
     [
-        ("table --qp 2 --n-max 60", 116, 379),
-        ("table --qp 3 --e-max 40 --f-max 5", 150, 232),
+        # no sigma or delta of a summand whose delta layer is 0 (379, 150 and
+        # 232 when those were evaluated too)
+        ("table --qp 2 --n-max 60", 116, 207),
+        ("table --qp 3 --e-max 40 --f-max 5", 144, 199),
     ],
 )
 def test_table_computes_each_closed_form_once(
     capsys, monkeypatch, argv, sigma_distinct, delta_distinct
 ):
-    calls = {"sigma_krasner": [], "delta_count": [], "gcd_p_power_minus_one": []}
+    calls = {
+        "sigma_krasner": [], "delta_count": [],
+        "gcd_p_power_minus_one": [], "divides_p_power_minus_one": [],
+    }
     for name, seen in calls.items():
-        module = arith if name == "gcd_p_power_minus_one" else counting
+        module = counting if name in ("sigma_krasner", "delta_count") else arith
         real = getattr(module, name)
         monkeypatch.setattr(
             module, name, lambda *a, real=real, seen=seen: seen.append(a) or real(*a)
@@ -74,6 +82,8 @@ def test_table_computes_each_closed_form_once(
     assert len(first["delta_count"]) == len(set(first["delta_count"])) == delta_distinct
     gcds = first["gcd_p_power_minus_one"]
     assert len(gcds) == len(set(gcds)) == GCD_DISTINCT[argv]
+    tests = first["divides_p_power_minus_one"]
+    assert len(tests) == len(set(tests)) == DIVIDES_DISTINCT[argv]
     sums = first["_level_sum"]
     assert len(sums) == len(set(sums)) == LEVEL_SUMS[argv]
 
@@ -110,7 +120,12 @@ def test_a_table_reads_the_bit_limit_once(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "argv",
-    ["count iso-ef --qp 2 --e 4 --f 2", "count iso-total --qp 2 --n 8", "count krasner --qp 2 --e 4 --f 2"],
+    [
+        "count iso-ef --qp 2 --e 4 --f 2", "count iso-total --qp 2 --n 8",
+        "count krasner --qp 2 --e 4 --f 2", "count cyclic-ef --qp 2 --e 4 --f 2",
+        "count cyclic-total --qp 2 --d 8", "count iso-ef --qp 2 --e 4 --f 2 --breakdown",
+        "count iso-total --qp 2 --n 8 --breakdown",
+    ],
 )
 def test_a_count_reads_the_bit_limit_once(capsys, monkeypatch, argv):
     # main's read is handed to the evaluator, which used to read the limit again
@@ -217,10 +232,15 @@ def test_threads_sharing_a_profile_match_a_serial_run():
 
 
 def test_threads_racing_on_the_rows_of_one_profile_match_fresh_profiles():
-    # the cells (e, .) share the level sums of e; each thread fills them
-    # in its own order, switching as often as the interpreter allows
+    # the counts of the cells (e, .) share the level sums of e, and counts
+    # and breakdowns share the closed forms; each thread fills them in its
+    # own order, switching as often as the interpreter allows
     cells = [(e, f) for e in (8, 12, 16, 24) for f in (1, 2, 3, 4, 6)]
-    expected = {cell: theorems.iso_count_ef_terms(qp_profile(2, 5), *cell) for cell in cells}
+
+    def both(K, cell):
+        return theorems.iso_count_ef(K, *cell), theorems.iso_count_ef_terms(K, *cell)
+
+    expected = {cell: both(qp_profile(2, 5), cell) for cell in cells}
     shared = qp_profile(2, 5)
     barrier = threading.Barrier(6)
     results = [None] * 6
@@ -229,7 +249,7 @@ def test_threads_racing_on_the_rows_of_one_profile_match_fresh_profiles():
         barrier.wait()
         start = 7 * k % len(cells)
         order = cells[start:] + cells[:start]
-        results[k] = {cell: theorems.iso_count_ef_terms(shared, *cell) for cell in order}
+        results[k] = {cell: both(shared, cell) for cell in order}
 
     threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
     interval = sys.getswitchinterval()

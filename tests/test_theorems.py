@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_memo import valid_profiles
 
 from padicount import arith, counting, theorems
 from padicount.counting import cyclic_count_ef, krasner_count
@@ -339,8 +340,11 @@ PROFILE_FILES = ("ramified_quadratic_q3.json", "unramified_quadratic_q2.json")
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(data=st.data(), e=st.integers(1, 36), f=st.integers(1, 36), n=st.integers(1, 36))
 def test_value_only_and_breakdown_paths_agree(data, e, f, n):
-    source = data.draw(st.sampled_from((2, 3, 5) + PROFILE_FILES))
-    if source in PROFILE_FILES:
+    # drawn towers may have f0 = 2 and levels with f_i > 1
+    source = data.draw(st.one_of(st.sampled_from((2, 3, 5) + PROFILE_FILES), valid_profiles()))
+    if isinstance(source, BaseFieldProfile):
+        K = source
+    elif source in PROFILE_FILES:
         K = load_profile(Path(__file__).resolve().parent / "data" / source)
     else:
         need = max(arith.p_valuation(m, source).s for m in (e, n))
