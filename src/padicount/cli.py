@@ -11,12 +11,16 @@ selfcheck cap left unset is not passed, so run_selfcheck's default applies.
 Each command loads only the modules it uses.  count and table load
 arith, errors, profiles, counting and theorems, and json only to write
 JSON or read a profile file; selfcheck alone loads the oracles and
-selfcheck layers, when it runs.
+selfcheck layers, when it runs.  build_parser(argv) adds a command's
+arguments only when its name is a token of argv: argparse enters a
+subparser only by its exact name, so the bytes it writes cannot change.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import shutil
 import sys
 from collections import namedtuple
 
@@ -229,7 +233,7 @@ def _cmd_selfcheck(args) -> int:
         _positive(name.replace("_", "-"), value)  # run_selfcheck refuses it too; this names the flag
     from .selfcheck import run_selfcheck  # the oracle layer loads only for selfcheck
 
-    results = run_selfcheck(grid=args.grid, **caps)
+    results = run_selfcheck(grid=args.grid, bits=args.bits, **caps)
     width = max(len(r.name) for r in results)
     failed = False
     for r in results:
@@ -245,40 +249,33 @@ def _cmd_selfcheck(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="padicount",
-        description="Exact counts of extensions of p-adic fields with prescribed "
-        "ramification and inertia, or prescribed degree.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_field_source(p):
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--qp", type=_integer, metavar="P", help="use the base field Q_p")
+    group.add_argument("--profile", metavar="PATH", help="JSON base-field profile")
 
-    def add_field_source(p):
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--qp", type=_integer, metavar="P", help="use the base field Q_p")
-        group.add_argument("--profile", metavar="PATH", help="JSON base-field profile")
 
-    count = sub.add_parser("count", help="compute a single count")
+def _count_arguments(count):
     count.add_argument("kind", choices=KINDS)
-    add_field_source(count)
+    _add_field_source(count)
     count.add_argument("--e", type=_integer, help="ramification index")
     count.add_argument("--f", type=_integer, help="inertia degree")
     count.add_argument("--n", type=_integer, help="degree (iso-total)")
     count.add_argument("--d", type=_integer, help="degree (cyclic-total)")
     count.add_argument("--breakdown", action="store_true", help="also print the summands")
     count.add_argument("--json", action="store_true", help="machine-readable output")
-    count.set_defaults(handler=_cmd_count)
 
-    table = sub.add_parser("table", help="tabulate counts over a parameter range")
-    add_field_source(table)
+
+def _table_arguments(table):
+    _add_field_source(table)
     table.add_argument("--n-max", type=_integer, help="all (e, f) with e*f <= this degree")
     table.add_argument("--e-max", type=_integer, help="rectangle mode: e upper bound")
     table.add_argument("--f-max", type=_integer, help="rectangle mode: f upper bound")
     table.add_argument("--format", choices=("json", "csv"), default="csv")
     table.add_argument("--out", metavar="PATH", help="write to a file instead of stdout")
-    table.set_defaults(handler=_cmd_table)
 
-    selfcheck = sub.add_parser("selfcheck", help="run the oracle and consistency suites")
+
+def _selfcheck_arguments(selfcheck):
     selfcheck.add_argument("--grid", choices=("small", "full"), default="full")
     selfcheck.add_argument(
         "--max-abelian-order", type=_integer, help="skip enumeration groups larger than this"
@@ -286,13 +283,41 @@ def build_parser() -> argparse.ArgumentParser:
     selfcheck.add_argument(
         "--max-table-order", type=_integer, help="skip Cayley tables larger than this"
     )
-    selfcheck.set_defaults(handler=_cmd_selfcheck)
+
+
+# name: (help, add_arguments(subparser), handler(args))
+COMMANDS = {
+    "count": ("compute a single count", _count_arguments, _cmd_count),
+    "table": ("tabulate counts over a parameter range", _table_arguments, _cmd_table),
+    "selfcheck": ("run the oracle and consistency suites", _selfcheck_arguments, _cmd_selfcheck),
+}
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """A new parser for argv: every command with its help, and the arguments
+    of each command whose name is a token of argv."""
+    # argparse's default formatter reads the width again for every argument
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
+    parser = argparse.ArgumentParser(
+        prog="padicount",
+        description="Exact counts of extensions of p-adic fields with prescribed "
+        "ramification and inertia, or prescribed degree.",
+        formatter_class=formatter,
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, handler) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text, formatter_class=formatter)
+        if name in argv:
+            add_arguments(command)
+        command.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         # read once: a malformed limit is refused whatever the command computes
         args.bits = counting.magnitude_bits()

@@ -121,7 +121,7 @@ def lemma_suite(max_table_order: int = oracles.DEFAULT_TABLE_CAP, small: bool = 
 
 
 def pi_oracle_suite(
-    max_abelian_order: int = DEFAULT_MAX_ABELIAN_ORDER, small: bool = False
+    max_abelian_order: int = DEFAULT_MAX_ABELIAN_ORDER, small: bool = False, bits: int | None = None
 ) -> SuiteResult:
     result = SuiteResult("pi-oracle")
     top = 2 if small else 3
@@ -136,7 +136,7 @@ def pi_oracle_suite(
                         continue
                     for s in range(0, r + 1):
                         with result:
-                            got = counting.pi_count(p, m, s, xi)
+                            got = counting.pi_count(p, m, s, xi, bits)
                             want = hist.get(p**s, 0)
                             result.record(got == want, (
                                 f"pi_count({p},{m},{s},{xi}) = {got} but enumeration "
@@ -165,23 +165,23 @@ def psi_oracle_suite(
     return result
 
 
-def delta_telescoping_suite() -> SuiteResult:
+def delta_telescoping_suite(bits: int | None = None) -> SuiteResult:
     result = SuiteResult("delta-telescoping")
     for p in (2, 3, 5):
         for m in range(1, 4):
             for s in range(0, 4):
                 for j in range(0, s + 1):
                     with result:
-                        partial = sum(counting.delta_count(p, m, s, i) for i in range(j + 1))
-                        want = counting.pi_count(p, m, s, j)
+                        partial = sum(counting.delta_count(p, m, s, i, bits) for i in range(j + 1))
+                        want = counting.pi_count(p, m, s, j, bits)
                         result.record(partial == want, (
                             f"delta rows (p={p},m={m},s={s}) sum to {partial} "
                             f"through i={j}, pi gives {want}"
                         ))
                 for xi in range(s, s + 3):
                     with result:
-                        full = sum(counting.delta_count(p, m, s, i) for i in range(s + 1))
-                        want = counting.pi_count(p, m, s, xi)
+                        full = sum(counting.delta_count(p, m, s, i, bits) for i in range(s + 1))
+                        want = counting.pi_count(p, m, s, xi, bits)
                         result.record(full == want, (
                             f"delta rows (p={p},m={m},s={s}) sum to {full}, "
                             f"pi with xi={xi} gives {want}"
@@ -204,7 +204,7 @@ def _cyclic_profiles() -> list[BaseFieldProfile]:
 
 
 def dual_oracle_suite(
-    max_abelian_order: int = DEFAULT_MAX_ABELIAN_ORDER, small: bool = False
+    max_abelian_order: int = DEFAULT_MAX_ABELIAN_ORDER, small: bool = False, bits: int | None = None
 ) -> SuiteResult:
     result = SuiteResult("dual-oracle")
     d_max = 8 if small else 12
@@ -220,7 +220,7 @@ def dual_oracle_suite(
                     # counted inside the guard: a remainder fails each check of this (K, d)
                     if by_meet is None:
                         by_meet = oracles.dual_cyclic_subgroup_count(Ghat, d)
-                    got, want = counting.cyclic_count_ef(K, e, f), by_meet[f]
+                    got, want = counting.cyclic_count_ef(K, e, f, bits), by_meet[f]
                     result.record(got == want, (
                         f"cyclic_count_ef(p={K.p},n0={K.n0},f0={K.f0},xi={K.xi}; "
                         f"e={e},f={f}) = {got} but subgroup enumeration finds {want}"
@@ -228,14 +228,16 @@ def dual_oracle_suite(
     return result
 
 
-def cyclic_decomposition_suite(small: bool = False) -> SuiteResult:
+def cyclic_decomposition_suite(small: bool = False, bits: int | None = None) -> SuiteResult:
     result = SuiteResult("cyclic-decomposition")
     d_max = 12 if small else 24
     for K in _cyclic_profiles():
         for d in range(1, d_max + 1):
             with result:
-                parts = sum(counting.cyclic_count_ef(K, e, f) for e, f in arith.divisor_pairs(d))
-                total = counting.cyclic_count_total(K, d)
+                parts = sum(
+                    counting.cyclic_count_ef(K, e, f, bits) for e, f in arith.divisor_pairs(d)
+                )
+                total = counting.cyclic_count_total(K, d, bits)
                 result.record(parts == total, (
                     f"sum of cyclic_count_ef over ef={d} is {parts}, "
                     f"cyclic_count_total gives {total} "
@@ -268,37 +270,37 @@ def _degree_grid(small: bool):
             yield K, n
 
 
-def remark_equivalence_suite(small: bool = False) -> SuiteResult:
+def remark_equivalence_suite(small: bool = False, bits: int | None = None) -> SuiteResult:
     result = SuiteResult("remark-equivalence")
     for K, e, f in _tame_grid(small):
         with result:
             tame = theorems.tame_iso_count(K, e, f, cross_check=True)
-            general = theorems.iso_count_ef(K, e, f)
+            general = theorems.iso_count_ef(K, e, f, bits)
             result.record(tame == general, (
                 f"tame_iso_count(Q_{K.p},e={e},f={f}) = {tame} but iso_count_ef gives {general}"
             ))
     return result
 
 
-def theorem_consistency_suite(small: bool = False) -> SuiteResult:
+def theorem_consistency_suite(small: bool = False, bits: int | None = None) -> SuiteResult:
     result = SuiteResult("theorem-consistency")
     for K, n in _degree_grid(small):
         with result:
-            total = theorems.iso_count_total(K, n)
-            parts = sum(theorems.iso_count_ef(K, e, f) for e, f in arith.divisor_pairs(n))
+            total = theorems.iso_count_total(K, n, bits)
+            parts = sum(theorems.iso_count_ef(K, e, f, bits) for e, f in arith.divisor_pairs(n))
             result.record(total == parts, (
                 f"iso_count_total(Q_{K.p},n={n}) = {total} but the (e,f) cells sum to {parts}"
             ))
     return result
 
 
-def sandwich_suite(small: bool = False) -> SuiteResult:
+def sandwich_suite(small: bool = False, bits: int | None = None) -> SuiteResult:
     result = SuiteResult("sandwich")
     cells = [(K, e, f) for K, n in _degree_grid(small) for e, f in arith.divisor_pairs(n)]
     for K, e, f in cells + list(_tame_grid(small)):
         with result:
-            classes = theorems.iso_count_ef(K, e, f)
-            fields = counting.krasner_count(K, e, f)
+            classes = theorems.iso_count_ef(K, e, f, bits)
+            fields = counting.krasner_count(K, e, f, bits)
             result.record(classes <= fields <= e * f * classes, (
                 f"sandwich fails over Q_{K.p} at (e={e},f={f}): "
                 f"classes={classes}, fields={fields}"
@@ -306,19 +308,19 @@ def sandwich_suite(small: bool = False) -> SuiteResult:
     return result
 
 
-def golden_suite() -> SuiteResult:
+def golden_suite(bits: int | None = None) -> SuiteResult:
     result = SuiteResult("golden")
     cases = [
-        ("N(Q_2,e=2,f=1)", lambda: counting.krasner_count(qp_profile(2, 0), 2, 1), 6),
-        ("N(Q_3,e=3,f=1)", lambda: counting.krasner_count(qp_profile(3, 0), 3, 1), 21),
-        ("I(Q_2,e=2,f=1)", lambda: theorems.iso_count_ef(qp_profile(2, 1), 2, 1), 6),
-        ("I(Q_3,e=3,f=1)", lambda: theorems.iso_count_ef(qp_profile(3, 1), 3, 1), 9),
-        ("I(Q_2,n=2)", lambda: theorems.iso_count_total(qp_profile(2, 1), 2), 7),
-        ("I(Q_3,n=3)", lambda: theorems.iso_count_total(qp_profile(3, 1), 3), 10),
+        ("N(Q_2,e=2,f=1)", lambda: counting.krasner_count(qp_profile(2, 0), 2, 1, bits), 6),
+        ("N(Q_3,e=3,f=1)", lambda: counting.krasner_count(qp_profile(3, 0), 3, 1, bits), 21),
+        ("I(Q_2,e=2,f=1)", lambda: theorems.iso_count_ef(qp_profile(2, 1), 2, 1, bits), 6),
+        ("I(Q_3,e=3,f=1)", lambda: theorems.iso_count_ef(qp_profile(3, 1), 3, 1, bits), 9),
+        ("I(Q_2,n=2)", lambda: theorems.iso_count_total(qp_profile(2, 1), 2, bits), 7),
+        ("I(Q_3,n=3)", lambda: theorems.iso_count_total(qp_profile(3, 1), 3, bits), 10),
         ("I(Q_5,e=2,f=1)", lambda: theorems.tame_iso_count(qp_profile(5, 0), 2, 1), 2),
-        ("C(Q_2,e=2,f=1)", lambda: counting.cyclic_count_ef(qp_profile(2, 2), 2, 1), 6),
-        ("C(Q_2,d=2)", lambda: counting.cyclic_count_total(qp_profile(2, 2), 2), 7),
-        ("C(Q_3,d=3)", lambda: counting.cyclic_count_total(qp_profile(3, 1), 3), 4),
+        ("C(Q_2,e=2,f=1)", lambda: counting.cyclic_count_ef(qp_profile(2, 2), 2, 1, bits), 6),
+        ("C(Q_2,d=2)", lambda: counting.cyclic_count_total(qp_profile(2, 2), 2, bits), 7),
+        ("C(Q_3,d=3)", lambda: counting.cyclic_count_total(qp_profile(3, 1), 3, bits), 4),
     ]
     for label, compute, want in cases:
         with result:
@@ -331,23 +333,27 @@ def run_selfcheck(
     grid: str = "full",
     max_abelian_order: int = DEFAULT_MAX_ABELIAN_ORDER,
     max_table_order: int = oracles.DEFAULT_TABLE_CAP,
+    bits: int | None = None,
 ) -> list[SuiteResult]:
     """Run every suite and return the per-suite results.  A cap below 1
-    would empty suites that then read as passing, so it is refused."""
+    would empty suites that then read as passing, so it is refused.  bits
+    is the magnitude limit every suite's counts use, read from the
+    environment once when not given."""
     if grid not in ("small", "full"):
         raise DomainError(f"unknown grid {arith.format_repr(grid)}, expected 'small' or 'full'")
     if min(max_abelian_order, max_table_order) < 1:
         raise DomainError("max_abelian_order and max_table_order must be >= 1")
     small = grid == "small"
+    bits = counting.magnitude_bits() if bits is None else bits
     return [
         lemma_suite(max_table_order=max_table_order, small=small),
-        pi_oracle_suite(max_abelian_order=max_abelian_order, small=small),
+        pi_oracle_suite(max_abelian_order=max_abelian_order, small=small, bits=bits),
         psi_oracle_suite(max_abelian_order=max_abelian_order, small=small),
-        delta_telescoping_suite(),
-        dual_oracle_suite(max_abelian_order=max_abelian_order, small=small),
-        cyclic_decomposition_suite(small=small),
-        remark_equivalence_suite(small=small),
-        theorem_consistency_suite(small=small),
-        sandwich_suite(small=small),
-        golden_suite(),
+        delta_telescoping_suite(bits=bits),
+        dual_oracle_suite(max_abelian_order=max_abelian_order, small=small, bits=bits),
+        cyclic_decomposition_suite(small=small, bits=bits),
+        remark_equivalence_suite(small=small, bits=bits),
+        theorem_consistency_suite(small=small, bits=bits),
+        sandwich_suite(small=small, bits=bits),
+        golden_suite(bits=bits),
     ]

@@ -2,6 +2,7 @@ import contextlib
 import json
 import math
 import re
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -381,6 +382,21 @@ def test_coerced_profile_fields_exit_code(capsys, tmp_path):
     assert "must be an integer" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "count iso-ef --qp 2 --e 4 --f 1", "count --help", "selfcheck --grid tiny"
+])
+def test_a_run_reads_the_terminal_width_once(capsys, monkeypatch, argv):
+    # every parser shares one formatter class; argparse's default one reads
+    # the width again for each argument it is given
+    real = shutil.get_terminal_size
+    calls = []
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(1) or real(*a))
+    with contextlib.suppress(SystemExit):
+        main(argv.split())
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_table_csv_degree_mode(capsys):
     code, out, _ = run_cli(capsys, "table", "--qp", "2", "--n-max", "2", "--format", "csv")
     assert code == 0
@@ -481,14 +497,16 @@ def test_selfcheck_refuses_a_cap_below_one(capsys, flag, cap):
     (["--max-abelian-order", "10", "--max-table-order", "6"], {"max_abelian_order": 10, "max_table_order": 6}),
 ])
 def test_selfcheck_passes_only_the_caps_it_is_given(capsys, monkeypatch, flags, caps):
-    # an unset cap is left to run_selfcheck's own default
+    # an unset cap is left to run_selfcheck's own default; main's read of
+    # the bit limit is always passed on
+    monkeypatch.delenv("PADICOUNT_MAX_BITS", raising=False)
     passed = []
     # _cmd_selfcheck looks run_selfcheck up on its module when it runs
     monkeypatch.setattr(
         selfcheck, "run_selfcheck", lambda **kwargs: passed.append(kwargs) or [SuiteResult("stub")]
     )
     code, out, _ = run_cli(capsys, "selfcheck", "--grid", "small", *flags)
-    assert (code, passed) == (0, [{"grid": "small", **caps}])
+    assert (code, passed) == (0, [{"grid": "small", "bits": counting.DEFAULT_MAX_BITS, **caps}])
     assert out.endswith("selfcheck: all suites pass\n")
 
 

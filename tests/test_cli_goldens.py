@@ -1,9 +1,13 @@
-"""Byte goldens for the command line: exact stdout and exit code per invocation.
+"""Byte goldens for the command line: exact stdout, stderr and exit code
+per invocation.
 
 Every kind with and without --json, --breakdown for the three kinds that
 have it, both table modes in csv and json, profile fields, the small
-selfcheck grid, and refused inputs (exit 2 and 3).  A refactor must keep
-every byte; an intended output change re-records the file with
+selfcheck grid, refused inputs (exit 2 and 3), and what argparse writes:
+help, usage and its errors.  argparse wraps that text to the terminal
+width, so each case runs with COLUMNS set, to COLUMNS_DEFAULT unless the
+case starts with its own COLUMNS=<width>.  A refactor must keep every
+byte; an intended output change re-records the file with
 
     PYTHONPATH=src python tests/test_cli_goldens.py
 
@@ -15,6 +19,7 @@ import io
 import json
 import os
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -24,6 +29,7 @@ HERE = Path(__file__).resolve().parent
 GOLDENS = HERE / "data" / "cli_goldens.json"
 K1 = "data/ramified_quadratic_q3.json"  # paths echo in the output, so relative to HERE
 K2 = "data/unramified_quadratic_q2.json"
+COLUMNS_DEFAULT = "80"
 
 CASES = [
     # every kind, plain and --json
@@ -75,18 +81,39 @@ CASES = [
     "count iso-ef --profile data/missing.json --e 1 --f 1",
     f"count krasner --qp 2 --e {1 << 25} --f 1",
     f"count cyclic-total --qp 2 --d {1_000_000_007 * 1_000_000_009}",
+    # what argparse writes: help, usage and its refusals
+    "--help",
+    "count --help",
+    "table --help",
+    "selfcheck --help",
+    "",
+    "count",
+    "foo",
+    "--x count iso-ef --qp 2 --e 4 --f 1",
+    "count iso-ef --qp 2 --e 4 --f 1 --br",
+    "table --qp 2 --n-max 4 --prof x",
+    "count table --qp 2",
+    "count iso-ef --profile table --e 2 --f 1",
+    "selfcheck --grid tiny",
+    "COLUMNS=60 count --help",
+    "COLUMNS=200 count --help",
 ]
 
 
-def invoke(argv: str) -> dict:
-    """Exit code and stdout of one in-process run; stderr is not pinned."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def invoke(case: str) -> dict:
+    """Exit code, stdout and stderr of one in-process run of case."""
+    columns = COLUMNS_DEFAULT
+    if case.startswith("COLUMNS="):
+        setting, _, case = case.partition(" ")
+        columns = setting.removeprefix("COLUMNS=")
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, COLUMNS=columns), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(argv.split())
-        except SystemExit as exc:  # argparse refusals
+            code = main(case.split())
+        except SystemExit as exc:  # argparse's help and refusals
             code = exc.code
-    return {"exit": code, "stdout": out.getvalue()}
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 def load_goldens() -> dict:
@@ -101,15 +128,15 @@ def test_goldens_cover_every_exit_code_but_failures():
     assert {g["exit"] for g in load_goldens().values()} == {0, 2, 3}
 
 
-@pytest.mark.parametrize("argv", CASES)
-def test_cli_golden(argv, monkeypatch):
+@pytest.mark.parametrize("case", CASES)
+def test_cli_golden(case, monkeypatch):
     monkeypatch.chdir(HERE)
     monkeypatch.delenv("PADICOUNT_MAX_BITS", raising=False)
-    assert invoke(argv) == load_goldens()[argv]
+    assert invoke(case) == load_goldens()[case]
 
 
 if __name__ == "__main__":
     os.chdir(HERE)
     os.environ.pop("PADICOUNT_MAX_BITS", None)
-    record = {argv: invoke(argv) for argv in CASES}
+    record = {case: invoke(case) for case in CASES}
     GOLDENS.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

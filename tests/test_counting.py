@@ -206,6 +206,23 @@ def test_cyclic_decomposition_small():
             )
 
 
+def test_cyclic_counts_over_a_field_with_xi_two():
+    # Q_2(zeta_4): every other cyclic check has xi <= 1, so a count that
+    # capped xi at 1 would pass them all (it gives totals 56 and 224 here)
+    from padicount import oracles
+
+    K = BaseFieldProfile(2, 2, 1, [
+        CyclotomicDatum(1, 1, 1), CyclotomicDatum(2, 1, 1), CyclotomicDatum(3, 2, 1)
+    ])
+    assert K.xi == 2
+    assert (cyclic_count_total(K, 4), cyclic_count_total(K, 8)) == (120, 448)
+    cells = {4: {1: 112, 2: 7, 4: 1}, 8: {1: 384, 2: 56, 4: 7, 8: 1}}
+    for d, by_f in cells.items():
+        by_meet = oracles.dual_cyclic_subgroup_count(oracles.dual_group(K, d), d)
+        assert {f: by_meet[f] for f in by_f} == by_f
+        assert {f: cyclic_count_ef(K, d // f, f) for f in by_f} == by_f
+
+
 @pytest.mark.parametrize("function, args, message", [
     (counting.guarded_power, (2, -1, 64), "guarded_power: exponent -1 must be >= 0"),
     (sigma_krasner, (2, 0, 0), "sigma_krasner: N must be >= 1"),

@@ -137,6 +137,16 @@ def test_a_count_reads_the_bit_limit_once(capsys, monkeypatch, argv):
     assert len(calls) == 1
 
 
+def test_selfcheck_reads_the_bit_limit_once(capsys, monkeypatch):
+    # main's read is handed to every suite; each count in them read it again
+    real = counting.magnitude_bits
+    calls = []
+    monkeypatch.setattr(counting, "magnitude_bits", lambda: calls.append(1) or real())
+    assert main(["selfcheck", "--grid", "small"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_every_memo_entry_is_its_compute_of_its_key(capsys, monkeypatch):
     # a memo holds values of its compute and nothing else: no hand-filled
     # table, no placeholder, and no memo inside a key
