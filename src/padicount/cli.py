@@ -237,7 +237,9 @@ def _cmd_selfcheck(args) -> int:
     width = max(len(r.name) for r in results)
     failed = False
     for r in results:
-        status = "ok" if r.ok else f"FAIL ({r.fail_count} of {r.checks})"
+        status = (
+            "skipped" if not r.checks else "ok" if r.ok else f"FAIL ({r.fail_count} of {r.checks})"
+        )
         print(f"{r.name:<{width}}  {r.checks:>5} checks  {status}")
         if not r.ok:
             failed = True

@@ -24,9 +24,11 @@ with each element, and skips the generators that a join of prime index
 already covers.  One coset walk, _join, closes every other set in a
 table: the generators for the associativity test and the lattice joins.
 The chain-count check reads a lattice index of bitmasks and exponents,
-built once per table, and tests only the pairs that can form a chain:
-no J whose exponent d does not divide, and none at all for T(1).  Caps
-keep the worst cases bounded and raise MagnitudeError when exceeded.
+which subgroups builds with the lattice, once per table, from the
+element orders of its power walk.  It tests only the pairs that can
+form a chain: no J whose exponent d does not divide, and none at all
+for T(1).  Caps keep the worst cases bounded and raise MagnitudeError
+when exceeded.
 """
 
 from __future__ import annotations
@@ -202,7 +204,6 @@ class GroupTable:
         self._inverse = [row.index(identity) for row in rows]
         self._abelian = rows == columns
         self._subgroups = None
-        self._orders = None
         self._lattice_index = None
 
     def conjugate(self, g: int, x: int) -> int:
@@ -277,6 +278,10 @@ def subgroups(G: GroupTable, cap: int = DEFAULT_TABLE_CAP) -> list[tuple[int, ..
     in J outside H, <H, g'> lies between H and J and is larger than H,
     so by Lagrange it is J.  Such generators are skipped for this H, as
     their join is already found, and the fixed point stays the same.
+
+    The first call also keeps G._lattice_index for lemma_check: subgroup
+    order -> (bitmask, element set, exponent) of each subgroup in list
+    order, the exponent the lcm of the orders the power walk recorded.
     """
     if G.order > cap:
         raise MagnitudeError(f"group order {G.order} exceeds cap {arith.format_decimal(cap)}")
@@ -313,8 +318,13 @@ def subgroups(G: GroupTable, cap: int = DEFAULT_TABLE_CAP) -> list[tuple[int, ..
                 if J not in found:
                     found.add(J)
                     work.append(J)
-        G._orders = orders
         G._subgroups = sorted((tuple(sorted(S)) for S in found), key=lambda t: (len(t), t))
+        index = {}
+        for S in G._subgroups:
+            mask = sum(map((1).__lshift__, S))
+            exponent = math.lcm(*map(orders.__getitem__, S))
+            index.setdefault(len(S), []).append((mask, frozenset(S), exponent))
+        G._lattice_index = index
     return G._subgroups
 
 
@@ -353,20 +363,6 @@ def _quotient_has_coset_of_order(G: GroupTable, H: frozenset, J, d: int) -> bool
     return False
 
 
-def _lattice_index(G: GroupTable, subs) -> dict[int, list[tuple[int, frozenset, int]]]:
-    """Subgroup order -> (bitmask, element set, exponent) of each subgroup
-    in subs, the lattice of G, built once per table.  The exponent is the
-    lcm of the element orders that the power walk of subgroups recorded."""
-    if G._lattice_index is None:
-        index = {}
-        for S in subs:
-            mask = sum(map((1).__lshift__, S))
-            exponent = math.lcm(*map(G._orders.__getitem__, S))
-            index.setdefault(len(S), []).append((mask, frozenset(S), exponent))
-        G._lattice_index = index
-    return G._lattice_index
-
-
 def lemma_check(G: GroupTable, n: int, cap: int = DEFAULT_TABLE_CAP) -> LemmaReport:
     """Verify the chain-count identity for index-n subgroups of G.
 
@@ -383,7 +379,8 @@ def lemma_check(G: GroupTable, n: int, cap: int = DEFAULT_TABLE_CAP) -> LemmaRep
     """
     if n < 1 or G.order % n:
         raise DomainError(f"n = {arith.format_decimal(n)} does not divide |G| = {G.order}")
-    by_order = _lattice_index(G, subgroups(G, cap=cap))
+    subgroups(G, cap=cap)  # refuses the cap on every call, cached or not
+    by_order = G._lattice_index
     target = G.order // n
     index_n = by_order.get(target, [])
 

@@ -68,7 +68,8 @@ class BaseFieldProfile:
     names the first 10 violations of each kind (a kind is a message with
     its numbers removed) and how many more there are, so each instance
     describes a field: p is prime, e0, f0 >= 1, and the tower satisfies
-    the level invariants.
+    the level invariants, among them that each step past level 1 has
+    degree 1 or p.
 
     Setting or deleting any attribute raises AttributeError.  Equality,
     hashing, repr, copy and pickle go through one key, (p, e0, f0,
@@ -76,10 +77,11 @@ class BaseFieldProfile:
     _memo maps each function to its own _Memo, so K._memo[f][args] is
     f(*args), computed once while K lives, and _bound does the same for
     functions of K, so K._bound[g][args] is g(K, *args).  Neither is in
-    any key, and a copy starts with both empty.
+    any key, and a copy starts with both empty.  The private _rows, in no
+    key either, is ((0, 1, 1), *cyclotomic): row i is level i as (i, e, f).
     """
 
-    __slots__ = ("p", "e0", "f0", "cyclotomic", "_memo", "_bound")
+    __slots__ = ("p", "e0", "f0", "cyclotomic", "_memo", "_bound", "_rows")
 
     def __init__(self, p: int, e0: int, f0: int, cyclotomic=()):
         try:  # iter runs no generator, so a TypeError a level raises stays its own
@@ -99,7 +101,8 @@ class BaseFieldProfile:
                     got = arith.format_repr(value)
                     raise DomainError(f"invalid profile: {name} must be an integer, got {got}")
         bound = _Memo(lambda g: _Memo(partial(g, self)))
-        for name, value in zip(self.__slots__, (p, e0, f0, cyclotomic, _Memo(_Memo), bound)):
+        rows = ((0, 1, 1), *cyclotomic)
+        for name, value in zip(self.__slots__, (p, e0, f0, cyclotomic, _Memo(_Memo), bound, rows)):
             object.__setattr__(self, name, value)
         problems = validate(self)
         if problems:
@@ -166,15 +169,12 @@ class BaseFieldProfile:
             raise DomainError(f"level index must be an integer, got {arith.format_repr(i)}")
         if i < 0:
             raise DomainError("level index must be >= 0")
-        if i == 0:
-            return (1, 1)
         if i > len(self.cyclotomic):
             raise ProfileTooShortError(
                 f"profile too short: level {arith.format_decimal(i)} required, "
                 f"profile has depth {len(self.cyclotomic)}"
             )
-        datum = self.cyclotomic[i - 1]
-        return (datum.e, datum.f)
+        return self._rows[i][1:]
 
 
 def qp_profile(p: int, max_level: int) -> BaseFieldProfile:
@@ -246,6 +246,13 @@ def validate(profile: BaseFieldProfile) -> list[str]:
             problems.append(
                 f"level {datum.i}: e_{datum.i}*f_{datum.i} does not divide |(Z/p^{datum.i})^*|"
             )
+        # Gal(K(zeta_{p^i})/K(zeta_{p^{i-1}})) embeds in the order-p kernel of
+        # (Z/p^i)^* -> (Z/p^{i-1})^*, so each step past level 1 has degree 1 or p
+        if datum.i >= 2 and p * prev_e * prev_f % degree:
+            problems.append(
+                f"level {datum.i}: e_{datum.i}*f_{datum.i} does not divide "
+                f"p*e_{datum.i - 1}*f_{datum.i - 1}"
+            )
         # Q_p(zeta_{p^i}) lies in K(zeta_{p^i}), and ramification indices multiply
         if s0 is not None and (
             s0 + arith.p_valuation(datum.e, p).s < datum.i - 1 or r0 * datum.e % (p - 1)
@@ -269,10 +276,11 @@ def load_profile(source) -> BaseFieldProfile:
     """Build a profile from a JSON file path or an already-parsed dict.
 
     The file holds a single object {"p", "e0", "f0", "cyclotomic":
-    [{"i", "e", "f"}, ...]} with levels consecutive from 1; any other key
-    is refused.  Every number must be a JSON integer: the constructor
-    refuses floats, strings and booleans, never coerces them.  Building
-    the profile validates it; any violation raises DomainError.
+    [{"i", "e", "f"}, ...]} with levels consecutive from 1; any other key,
+    and a cyclotomic that is not an array, is refused.  Every number must
+    be a JSON integer: the constructor refuses floats, strings and
+    booleans, never coerces them.  Building the profile validates it; any
+    violation raises DomainError.
     """
     if isinstance(source, (str, os.PathLike)):
         import json  # imported only when needed: it slows every start-up
@@ -286,7 +294,11 @@ def load_profile(source) -> BaseFieldProfile:
         raw = source
     try:
         p, e0, f0 = _values(raw, ("p", "e0", "f0"), ("cyclotomic",))
-        levels = (CyclotomicDatum(*_values(d, ("i", "e", "f"))) for d in raw.get("cyclotomic", []))
+        tower = raw.get("cyclotomic", [])
+        if not isinstance(tower, list):  # "{}" or "" is no empty tower
+            got = type(tower).__name__
+            raise DomainError(f"malformed profile: cyclotomic must be a JSON array, got {got}")
+        levels = (CyclotomicDatum(*_values(d, ("i", "e", "f"))) for d in tower)
         return BaseFieldProfile(p, e0, f0, levels)  # a malformed level raises as it is read
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed profile: {exc}") from exc

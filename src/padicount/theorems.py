@@ -11,9 +11,10 @@ Three evaluators:
 A BaseFieldProfile is validated when it is built, so the evaluators take
 p and the tower on trust and re-check neither.  The first two each run
 one private summation: it takes the magnitude limit from its caller, or
-reads it once, and passes it down.  Its helpers are entries of the
-profile's K._bound memo, which a table's cells share: the levels
-(i, e_i, f_i) up to v_p, the divisor pairs of n with their
+reads it once, and passes it down.  It reads the levels (i, e_i, f_i)
+up to v_p from the profile's K._rows, after K.level(v_p) refuses a
+profile too short.  Its helpers are entries of the profile's K._bound
+memo, which a table's cells share: the divisor pairs of n with their
 p-valuations, prime-to-p parts and totients, and, for iso_count_ef, the
 level sums U_i(e, f1), stored as integers.  f2 enters only through
 phi(f2), so with f * I(K, e, f) = sum of phi(f2) * U_i(e, f1) over i
@@ -69,13 +70,6 @@ def _splits(K: BaseFieldProfile, n: int) -> list[tuple[int, int, int, int, int, 
     return rows
 
 
-def _levels(K: BaseFieldProfile, s: int) -> list[tuple[int, int, int]]:
-    """[(i, e_i, f_i)] for 0 <= i <= s.  Level s is read first, so a profile
-    too short is refused at level s, never silently padded."""
-    K.level(s)
-    return [(i, *K.level(i)) for i in range(s + 1)]
-
-
 def _level_sum(
     K: BaseFieldProfile, i: int, e: int, f1: int, bits: int, rows: list | None = None
 ) -> int:
@@ -90,7 +84,7 @@ def _level_sum(
     p, memo = K.p, K._memo
     sigma, delta = memo[counting.sigma_krasner], memo[counting.delta_count]
     divides = memo[arith.divides_p_power_minus_one]
-    e_i, f_i = K.level(i)
+    _, e_i, f_i = K._rows[i]
     exponent, n = K.f0 * f_i * f1, K.n0 * e_i * f_i * f1
     total = 0
     for e1, e2, s1, s2, h2, phi_h2, _ in K._bound[_splits][e // e_i]:
@@ -115,9 +109,11 @@ def _sum_ef(
     if e < 1 or f < 1:
         raise DomainError("iso_count_ef: e and f must be >= 1")
     bits = counting.magnitude_bits() if bits is None else bits
+    s = K._memo[arith.p_valuation][e, K.p].s
+    K.level(s)  # a profile too short is refused here, never silently padded
     splits, level_sum = K._bound[_splits], K._bound[_level_sum]
     count = total = 0
-    for i, e_i, f_i in K._bound[_levels][K._memo[arith.p_valuation][e, K.p].s]:
+    for i, e_i, f_i in K._rows[: s + 1]:
         if e % e_i or f % f_i:
             continue
         # a level's splits are listed only once the levels before are counted
@@ -173,13 +169,14 @@ def _sum_total(
         raise DomainError("iso_count_total: n must be >= 1")
     p, n0, f0, memo = K.p, K.n0, K.f0, K._memo
     valuation = memo[arith.p_valuation]
-    levels = K._bound[_levels][valuation[n, p].s]
+    s = valuation[n, p].s
+    K.level(s)  # a profile too short is refused here, never silently padded
     bits = counting.magnitude_bits() if bits is None else bits
     gcd, psi = memo[arith.gcd_p_power_minus_one], memo[counting.psi_count]
     sigma, delta = memo[counting.sigma_krasner], memo[counting.delta_count]
     splits = K._bound[_splits]
     count = total = 0
-    for i, e_i, f_i in levels:
+    for i, e_i, f_i in K._rows[: s + 1]:
         n_i = e_i * f_i
         if n % n_i:
             continue

@@ -6,10 +6,14 @@ binding the tracer wraps.  A
 loop that stops reaching one of them, or a suite table bound at import
 time, fails here and not only under `bench/run.py --trace 1`.  Every
 layer in bench/tracer.py's LAYERS resolves on the package in a worker
-that has imported only padicount.cli, as the tracer reads it there."""
+that has imported only padicount.cli, as the tracer reads it there, and
+every function and suite that BENCHMARK.json's per_layer metrics name
+still exists under that name."""
 
 import ast
 import importlib
+import inspect
+import json
 import os
 import subprocess
 import sys
@@ -20,6 +24,7 @@ from padicount.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 RUN_PY = ROOT / "bench" / "run.py"
+BENCHMARK_JSON = ROOT / "BENCHMARK.json"
 TRACER_PY = ROOT / "bench" / "tracer.py"
 
 
@@ -103,6 +108,35 @@ def test_run_selfcheck_calls_each_suite_the_tracer_times(monkeypatch):
     results = selfcheck.run_selfcheck(grid="small")
     assert called == list(suites)
     assert tuple(r.name for r in results) == suites
+
+
+def test_every_per_layer_metric_names_a_function_or_suite_that_exists():
+    # bench/run.py --trace 1 refuses a per_layer metric it did not measure, and
+    # the tracer measures only public functions of padicount.<layer>, labelled
+    # <layer>.<qualname>, and suites bound as selfcheck.<suite>_suite
+    spec = json.loads(BENCHMARK_JSON.read_text(encoding="utf-8"))
+    functions, suites = [], []
+    for metric in spec["per_layer"]:
+        layer, *path, stat = metric["name"].split(".")
+        if not path:
+            continue  # a layer's totals, or the tracer's own overhead
+        if (layer, stat) == ("selfcheck", "s"):
+            suites.append(metric["name"])
+            (suite,) = path
+            assert inspect.isfunction(
+                getattr(selfcheck, suite.replace("-", "_") + "_suite", None)
+            ), metric["name"]
+            continue
+        functions.append(metric["name"])
+        assert stat in ("calls", "self_s", "max_bits", "true_ratio"), metric["name"]
+        owner = importlib.import_module(f"padicount.{layer}")
+        for part in path:
+            owner = getattr(owner, part, None)
+        assert inspect.isfunction(owner), metric["name"]
+        assert owner.__module__ == f"padicount.{layer}", metric["name"]
+        assert owner.__qualname__ == ".".join(path), metric["name"]
+        assert not any(part.startswith("_") for part in path), metric["name"]
+    assert functions and suites
 
 
 # what a traced worker does: import padicount.cli only, then read each layer

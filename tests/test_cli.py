@@ -483,6 +483,19 @@ def test_selfcheck_table_cap(capsys):
     assert code == 0
 
 
+def test_selfcheck_says_skipped_for_a_suite_that_ran_no_check(capsys):
+    # every pi-oracle group has order above 1, so the suite checks nothing
+    code, out, _ = run_cli(
+        capsys, "selfcheck", "--grid", "small", "--max-abelian-order", "1", "--max-table-order", "1"
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert "pi-oracle                 0 checks  skipped" in lines
+    assert "lemma                     1 checks  ok" in lines
+    assert lines[-1] == "selfcheck: all suites pass"
+    assert sum(line.endswith("skipped") for line in lines) == 1
+
+
 @pytest.mark.parametrize("flag", ["--max-abelian-order", "--max-table-order"])
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_selfcheck_refuses_a_cap_below_one(capsys, flag, cap):

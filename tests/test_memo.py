@@ -283,18 +283,24 @@ def _divisors(n):
 def valid_profiles(draw):
     """Any profile that passes validation, with p <= 7 and depth <= 2.
 
-    e0 is 1, 2 or 3 times the least value for which phi(p^i) | e0*e_i
-    holds at every level."""
+    Each step past level 1 has degree 1 or p: e_i*f_i divides
+    p*e_{i-1}*f_{i-1}.  e0 is 1, 2 or 3 times the least value for which
+    phi(p^i) | e0*e_i holds at every level."""
     p = draw(st.sampled_from((2, 3, 5, 7)))
     levels = []
     prev_e = prev_f = 1
     e0_step = 1
     for i in range(1, draw(st.integers(0, 2)) + 1):
         units = p ** (i - 1) * (p - 1)
-        e = draw(st.sampled_from(
-            [d for d in _divisors(units) if d % prev_e == 0 and (units // d) % prev_f == 0]
+        # level 1 may have any degree dividing p - 1; f = prev_f keeps every e drawn possible
+        step = p * prev_e * prev_f if i > 1 else units
+        e = draw(st.sampled_from([
+            d for d in _divisors(units)
+            if d % prev_e == 0 and (units // d) % prev_f == 0 and step % (d * prev_f) == 0
+        ]))
+        f = draw(st.sampled_from(
+            [d for d in _divisors(units // e) if d % prev_f == 0 and step % (e * d) == 0]
         ))
-        f = draw(st.sampled_from([d for d in _divisors(units // e) if d % prev_f == 0]))
         levels.append(CyclotomicDatum(i, e, f))
         prev_e, prev_f = e, f
         e0_step = math.lcm(e0_step, units // math.gcd(units, e))

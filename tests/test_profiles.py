@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_memo import valid_profiles
 
-from padicount import profiles
+from padicount import profiles, selfcheck
 from padicount.arith import divisor_pairs
 from padicount.counting import cyclic_count_ef, cyclic_count_total
 from padicount.errors import DomainError, ProfileTooShortError
@@ -120,7 +120,7 @@ def test_validate_refuses_a_tower_no_field_has():
     # phi(p^i) | e0*e_i: Q_p(zeta_{p^i}) lies in K(zeta_{p^i}), and
     # ramification indices multiply
     refused = [
-        (3, 1, ((1, 1), (6, 1)), "phi(p^1) does not divide e0*e_1"),  # zeta_3 in Q_3
+        (3, 1, ((1, 1), (3, 1)), "phi(p^1) does not divide e0*e_1"),  # zeta_3 in Q_3
         (5, 2, ((1, 1), (5, 1)), "phi(p^1) does not divide e0*e_1"),  # 4 does not divide 2
         (2, 1, ((1, 1), (1, 1), (2, 1)), "phi(p^2) does not divide e0*e_2"),  # i in Q_2
     ]
@@ -129,6 +129,31 @@ def test_validate_refuses_a_tower_no_field_has():
         with pytest.raises(DomainError, match=re.escape(message)):
             BaseFieldProfile(p, e0, 1, levels)
         BaseFieldProfile(p, e0 * p * (p - 1), 1, levels)  # enough ramification in the base
+
+
+def test_each_step_past_level_one_has_degree_one_or_p():
+    # [K(zeta_9):K(zeta_3)] divides 3, so Q_3(zeta_3) has level 2 of degree 3, not 6
+    old = (CyclotomicDatum(1, 1, 1), CyclotomicDatum(2, 6, 1))
+    with pytest.raises(DomainError) as refused:
+        BaseFieldProfile(3, 2, 1, old)
+    assert str(refused.value) == "invalid profile: level 2: e_2*f_2 does not divide p*e_1*f_1"
+    K = BaseFieldProfile(3, 2, 1, (CyclotomicDatum(1, 1, 1), CyclotomicDatum(2, 3, 1)))
+    assert K in selfcheck._cyclic_profiles()
+    # the step rule reads the degree e*f, so an unramified step of degree p passes
+    BaseFieldProfile(3, 2, 1, (CyclotomicDatum(1, 1, 2), CyclotomicDatum(2, 3, 2)))
+    BaseFieldProfile(3, 6, 1, (CyclotomicDatum(1, 1, 1), CyclotomicDatum(2, 1, 3)))
+
+
+def test_a_level_below_one_is_reported_once_and_later_levels_read_the_last_good_one():
+    # level 2 would also break the f chain (2 does not divide -1), and level 3
+    # passes every rule against level 1 but not the e chain against level 2
+    tower = (CyclotomicDatum(1, 1, 2), CyclotomicDatum(2, 3, -1), CyclotomicDatum(3, 1, 2))
+    field = SimpleNamespace(p=3, e0=18, f0=1, cyclotomic=tower)
+    assert validate(field) == ["level 2: e and f must be >= 1"]
+    zero = (CyclotomicDatum(1, 1, 2), CyclotomicDatum(2, 0, 0), CyclotomicDatum(3, 1, 2))
+    with pytest.raises(DomainError) as refused:
+        BaseFieldProfile(3, 18, 1, zero)
+    assert str(refused.value) == "invalid profile: level 2: e and f must be >= 1"
 
 
 def test_a_deep_tower_validates_without_forming_p_to_each_level():
@@ -286,9 +311,9 @@ def test_a_file_and_the_constructor_refuse_a_bad_field_in_the_same_words(field, 
     (lambda: qp_profile(3, 1).level(True), "level index must be an integer, got True"),
     (lambda: BaseFieldProfile(3, 1, 1, 5), "invalid profile: cyclotomic is not iterable, got 5"),
     (lambda: qp_profile(2, -1), "max_level must be >= 0"),
-    # each level fits its unit group and phi(7^i) | e0*e_i, but 2 does not divide 3
-    (lambda: BaseFieldProfile(7, 42, 1, [CyclotomicDatum(1, 1, 2), CyclotomicDatum(2, 1, 3)]),
-     "invalid profile: level 2: f_1 = 2 does not divide f_2 = 3"),
+    # each level fits its unit group, phi(7^i) | e0*e_i and 1*7 | 7*1*2, but 2 does not divide 7
+    (lambda: BaseFieldProfile(7, 42, 1, [CyclotomicDatum(1, 1, 2), CyclotomicDatum(2, 1, 7)]),
+     "invalid profile: level 2: f_1 = 2 does not divide f_2 = 7"),
 ])
 def test_profiles_refuse_arguments_outside_their_domain(call, message):
     with pytest.raises(DomainError) as refused:
@@ -327,7 +352,17 @@ def test_a_type_error_inside_the_levels_is_not_read_as_a_tower_that_is_not_itera
         BaseFieldProfile(3, 1, 1, levels())
     with pytest.raises(DomainError) as refused:
         load_profile({"p": 3, "e0": 1, "f0": 1, "cyclotomic": 5})
-    assert str(refused.value) == "malformed profile: 'int' object is not iterable"
+    assert str(refused.value) == "malformed profile: cyclotomic must be a JSON array, got int"
+
+
+@pytest.mark.parametrize("tower, got", [({}, "dict"), ("", "str"), (None, "NoneType"),
+                                        ({"i": 1, "e": 2, "f": 1}, "dict")])
+def test_a_cyclotomic_that_is_not_an_array_is_not_read_as_an_empty_tower(tmp_path, tower, got):
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"p": 3, "e0": 1, "f0": 1, "cyclotomic": tower}), encoding="utf-8")
+    with pytest.raises(DomainError) as refused:
+        load_profile(path)
+    assert str(refused.value) == f"malformed profile: cyclotomic must be a JSON array, got {got}"
 
 
 def test_a_profile_cannot_be_changed():
