@@ -11,8 +11,9 @@ selfcheck cap left unset is not passed, so run_selfcheck's default applies.
 Each command loads only the modules it uses.  count and table load
 arith, errors, profiles, counting and theorems, and json only to write
 JSON or read a profile file; selfcheck alone loads the oracles and
-selfcheck layers, when it runs.  build_parser(argv) adds a command's
-arguments only when its name is a token of argv: argparse enters a
+selfcheck layers, when it runs.  build_parser(argv) builds a command's
+parser, with its arguments, only when its name is a token of argv; any
+other command is only its name and line of the help.  argparse enters a
 subparser only by its exact name, so the bytes it writes cannot change.
 """
 
@@ -295,9 +296,15 @@ COMMANDS = {
 }
 
 
+def _command_parser(named, **kwargs):
+    """add_parser's parser_class: a parser only for a command that argv names,
+    the only ones argparse can enter; None for the others."""
+    return argparse.ArgumentParser(**kwargs) if named else None
+
+
 def build_parser(argv) -> argparse.ArgumentParser:
-    """A new parser for argv: every command with its help, and the arguments
-    of each command whose name is a token of argv."""
+    """A new parser for argv: every command's name and help line, and a parser,
+    with its arguments and handler, only for each command named by a token of argv."""
     # argparse's default formatter reads the width again for every argument
     formatter = functools.partial(
         argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
@@ -308,12 +315,14 @@ def build_parser(argv) -> argparse.ArgumentParser:
         "ramification and inertia, or prescribed degree.",
         formatter_class=formatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_command_parser)
     for name, (help_text, add_arguments, handler) in COMMANDS.items():
-        command = sub.add_parser(name, help=help_text, formatter_class=formatter)
-        if name in argv:
+        command = sub.add_parser(
+            name, help=help_text, formatter_class=formatter, named=name in argv
+        )
+        if command is not None:
             add_arguments(command)
-        command.set_defaults(handler=handler)
+            command.set_defaults(handler=handler)
     return parser
 
 

@@ -219,7 +219,9 @@ def validate(profile: BaseFieldProfile) -> list[str]:
     s0 = r0 = None
     if p >= 2 and e0 >= 1:
         s0, r0 = arith.p_valuation(e0, p).s, e0 % (p - 1)
-    prev_e, prev_f = 1, 1
+    # the last valid level j, which the next level is checked against;
+    # j = 0 stands for K itself
+    j, prev_e, prev_f = 0, 1, 1
     for pos, datum in enumerate(profile.cyclotomic, start=1):
         if datum.i != pos:
             found = arith.format_decimal(datum.i)
@@ -233,32 +235,30 @@ def validate(profile: BaseFieldProfile) -> list[str]:
         # datum.i is pos from here on, a position, so only e and f can be long
         if datum.e % prev_e:
             prev, e = arith.format_decimal(prev_e), arith.format_decimal(datum.e)
-            problems.append(
-                f"level {datum.i}: e_{datum.i - 1} = {prev} does not divide e_{datum.i} = {e}"
-            )
+            problems.append(f"level {datum.i}: e_{j} = {prev} does not divide e_{datum.i} = {e}")
         if datum.f % prev_f:
             prev, f = arith.format_decimal(prev_f), arith.format_decimal(datum.f)
-            problems.append(
-                f"level {datum.i}: f_{datum.i - 1} = {prev} does not divide f_{datum.i} = {f}"
-            )
+            problems.append(f"level {datum.i}: f_{j} = {prev} does not divide f_{datum.i} = {f}")
         degree = datum.e * datum.f
         if p >= 2 and pow(p, datum.i - 1, degree) * (p - 1) % degree:
             problems.append(
                 f"level {datum.i}: e_{datum.i}*f_{datum.i} does not divide |(Z/p^{datum.i})^*|"
             )
-        # Gal(K(zeta_{p^i})/K(zeta_{p^{i-1}})) embeds in the order-p kernel of
-        # (Z/p^i)^* -> (Z/p^{i-1})^*, so each step past level 1 has degree 1 or p
-        if datum.i >= 2 and p * prev_e * prev_f % degree:
+        # Gal(K(zeta_{p^i})/K(zeta_{p^j})) embeds in the order-p^(i-j) kernel of
+        # (Z/p^i)^* -> (Z/p^j)^*, so each step past level 1 has degree 1 or p;
+        # with no valid level j >= 1, phi(p^i) above already bounds level i
+        if j >= 1 and pow(p, datum.i - j, degree) * prev_e * prev_f % degree:
+            power = "p" if datum.i - j == 1 else f"p^{datum.i - j}"
             problems.append(
                 f"level {datum.i}: e_{datum.i}*f_{datum.i} does not divide "
-                f"p*e_{datum.i - 1}*f_{datum.i - 1}"
+                f"{power}*e_{j}*f_{j}"
             )
         # Q_p(zeta_{p^i}) lies in K(zeta_{p^i}), and ramification indices multiply
         if s0 is not None and (
             s0 + arith.p_valuation(datum.e, p).s < datum.i - 1 or r0 * datum.e % (p - 1)
         ):
             problems.append(f"level {datum.i}: phi(p^{datum.i}) does not divide e0*e_{datum.i}")
-        prev_e, prev_f = datum.e, datum.f
+        j, prev_e, prev_f = datum.i, datum.e, datum.f
     return problems
 
 

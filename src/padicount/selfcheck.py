@@ -192,13 +192,16 @@ def delta_telescoping_suite(bits: int | None = None) -> SuiteResult:
 def _cyclic_profiles() -> list[BaseFieldProfile]:
     """Nine base fields with n0 <= 2 and xi <= 1, through level 2: level i
     is trivial for i <= xi, else totally ramified of degree
-    phi(p^i)/phi(p^xi).  Every tower obeys phi(p^i) | e0*e_i, so xi = 1
-    needs p = 2 or e0 = 2, and each step past level 1 has degree 1 or p:
-    over Q_3(zeta_3), level 2 is 3, not 6."""
+    phi(p^i)/phi(p^xi), except over Q_3(sqrt 3), where K(zeta_3) =
+    K(sqrt -1) is unramified over K: its levels are (1, 2), (3, 2), as in
+    tests/data/ramified_quadratic_q3.json.  Every tower obeys
+    phi(p^i) | e0*e_i, so xi = 1 needs p = 2 or e0 = 2, and each step past
+    level 1 has degree 1 or p: over Q_3(zeta_3), level 2 is 3, not 6."""
     shapes = ((1, 1), (2, 1), (1, 2))
     phi = arith.euler_phi
+    q3_sqrt3 = [CyclotomicDatum(1, 1, 2), CyclotomicDatum(2, 3, 2)]
     return [
-        BaseFieldProfile(p, e0, f0, [
+        BaseFieldProfile(p, e0, f0, q3_sqrt3 if (p, e0, xi) == (3, 2, 0) else [
             CyclotomicDatum(i, 1 if i <= xi else phi(p**i) // phi(p**xi), 1) for i in (1, 2)
         ])
         for p, xi, bases in ((2, 1, shapes), (3, 0, shapes), (3, 1, ((2, 1),)), (5, 0, shapes[::2]))

@@ -12,11 +12,12 @@ A BaseFieldProfile is validated when it is built, so the evaluators take
 p and the tower on trust and re-check neither.  The first two each run
 one private summation: it takes the magnitude limit from its caller, or
 reads it once, and passes it down.  It reads the levels (i, e_i, f_i)
-up to v_p from the profile's K._rows, after K.level(v_p) refuses a
-profile too short.  Its helpers are entries of the profile's K._bound
-memo, which a table's cells share: the divisor pairs of n with their
-p-valuations, prime-to-p parts and totients, and, for iso_count_ef, the
-level sums U_i(e, f1), stored as integers.  f2 enters only through
+up to v_p from the profile's K._rows; only when they end before v_p
+does it call K.level(v_p), which refuses a profile too short.  Its
+helpers are entries of the profile's K._bound memo, which a table's
+cells share: the divisor pairs of n with their p-valuations, prime-to-p
+parts and totients, and, for iso_count_ef, the level sums U_i(e, f1),
+stored as integers.  f2 enters only through
 phi(f2), so with f * I(K, e, f) = sum of phi(f2) * U_i(e, f1) over i
 and f/f_i = f1*f2, one level sum serves every f.  Both count their
 summands from the split lists before the work and refuse more than
@@ -110,7 +111,8 @@ def _sum_ef(
         raise DomainError("iso_count_ef: e and f must be >= 1")
     bits = counting.magnitude_bits() if bits is None else bits
     s = K._memo[arith.p_valuation][e, K.p].s
-    K.level(s)  # a profile too short is refused here, never silently padded
+    if s >= len(K._rows):
+        K.level(s)  # refuses a profile too short, never silently padded
     splits, level_sum = K._bound[_splits], K._bound[_level_sum]
     count = total = 0
     for i, e_i, f_i in K._rows[: s + 1]:
@@ -170,7 +172,8 @@ def _sum_total(
     p, n0, f0, memo = K.p, K.n0, K.f0, K._memo
     valuation = memo[arith.p_valuation]
     s = valuation[n, p].s
-    K.level(s)  # a profile too short is refused here, never silently padded
+    if s >= len(K._rows):
+        K.level(s)  # refuses a profile too short, never silently padded
     bits = counting.magnitude_bits() if bits is None else bits
     gcd, psi = memo[arith.gcd_p_power_minus_one], memo[counting.psi_count]
     sigma, delta = memo[counting.sigma_krasner], memo[counting.delta_count]

@@ -1,0 +1,156 @@
+"""Byte goldens for the command line: exact stdout, stderr and exit code
+per invocation.
+
+Every kind with and without --json, --breakdown for the three kinds that
+have it, both table modes in csv and json, profile fields, the small
+selfcheck grid, refused inputs (exit 2 and 3), and what argparse writes:
+help, usage and its errors.  argparse wraps that text to the terminal
+width, so each case runs with COLUMNS set, to COLUMNS_DEFAULT unless the
+case starts with its own COLUMNS=<width>.
+
+This module needs no pytest, so any installed interpreter can replay the
+goldens; tests/test_cli_goldens.py runs the same cases under pytest.  A
+refactor must keep every byte:
+
+    PYTHONPATH=src python tests/cli_goldens.py --check
+
+replays every case and exits 1 on any mismatch.  An intended output
+change re-records the file with
+
+    PYTHONPATH=src python tests/cli_goldens.py
+
+and the diff of tests/data/cli_goldens.json shows what moved.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+from unittest import mock
+
+from padicount.cli import main
+
+HERE = Path(__file__).resolve().parent
+GOLDENS = HERE / "data" / "cli_goldens.json"
+K1 = "data/ramified_quadratic_q3.json"  # paths echo in the output, so relative to HERE
+K2 = "data/unramified_quadratic_q2.json"
+COLUMNS_DEFAULT = "80"
+
+CASES = [
+    # every kind, plain and --json
+    "count iso-ef --qp 3 --e 3 --f 1",
+    "count iso-ef --qp 2 --e 4 --f 2 --json",
+    "count iso-total --qp 2 --n 8",
+    "count iso-total --qp 3 --n 6 --json",
+    "count krasner --qp 2 --e 2 --f 1",
+    "count krasner --qp 3 --e 9 --f 2 --json",
+    "count cyclic-ef --qp 2 --e 2 --f 1",
+    "count cyclic-ef --qp 3 --e 3 --f 2 --json",
+    "count cyclic-total --qp 2 --d 8",
+    "count cyclic-total --qp 5 --d 10 --json",
+    "count tame --qp 5 --e 2 --f 1",
+    "count tame --qp 2 --e 3 --f 4 --json",
+    # --breakdown, text and json
+    "count iso-ef --qp 2 --e 2 --f 1 --breakdown",
+    "count iso-ef --qp 2 --e 8 --f 2 --breakdown --json",
+    "count iso-total --qp 2 --n 4 --breakdown",
+    "count iso-total --qp 3 --n 9 --breakdown --json",
+    "count tame --qp 7 --e 4 --f 6 --breakdown",
+    "count tame --qp 2 --e 3 --f 4 --breakdown --json",
+    # profile fields
+    f"count iso-ef --profile {K1} --e 3 --f 1 --json",
+    f"count iso-ef --profile {K1} --e 6 --f 2 --breakdown",
+    f"count iso-total --profile {K2} --n 4",
+    f"count cyclic-total --profile {K1} --d 6 --json",
+    f"count tame --profile {K2} --e 3 --f 2 --breakdown",
+    # tables
+    "table --qp 2 --n-max 6",
+    "table --qp 3 --n-max 4 --format json",
+    "table --qp 1000003 --e-max 3 --f-max 2 --format csv",
+    "table --qp 2 --e-max 3 --f-max 3 --format json",
+    f"table --profile {K1} --n-max 4 --format json",
+    f"table --profile {K2} --e-max 4 --f-max 2",
+    "selfcheck --grid small",
+    # refused inputs
+    "count iso-ef --qp 9 --e 2 --f 1",
+    "count tame --qp 3 --e 6 --f 1",
+    "count krasner --qp 2 --e 2 --f 1 --breakdown",
+    "count iso-total --qp 3",
+    "count iso-ef --qp 3 --e 3 --f 1 --n 5",
+    "count cyclic-total --qp 3 --d 0",
+    "count bogus --qp 3 --e 1 --f 1",
+    "table --qp 2",
+    "table --qp 2 --e-max 2",
+    "count iso-ef --profile data/invalid_unit_overflow.json --e 3 --f 1",
+    "count iso-ef --profile data/shallow_q2.json --e 2 --f 1",
+    "count iso-ef --profile data/missing.json --e 1 --f 1",
+    f"count krasner --qp 2 --e {1 << 25} --f 1",
+    f"count cyclic-total --qp 2 --d {1_000_000_007 * 1_000_000_009}",
+    # what argparse writes: help, usage and its refusals
+    "--help",
+    "count --help",
+    "table --help",
+    "selfcheck --help",
+    "",
+    "count",
+    "foo",
+    "--x count iso-ef --qp 2 --e 4 --f 1",
+    "count iso-ef --qp 2 --e 4 --f 1 --br",
+    "table --qp 2 --n-max 4 --prof x",
+    "count table --qp 2",
+    "count iso-ef --profile table --e 2 --f 1",
+    "selfcheck --grid tiny",
+    "COLUMNS=60 count --help",
+    "COLUMNS=200 count --help",
+    # a command named but never entered
+    "--help count",
+    "selfcheck count",
+]
+
+
+def invoke(case: str) -> dict:
+    """Exit code, stdout and stderr of one in-process run of case."""
+    columns = COLUMNS_DEFAULT
+    if case.startswith("COLUMNS="):
+        setting, _, case = case.partition(" ")
+        columns = setting.removeprefix("COLUMNS=")
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, COLUMNS=columns), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(case.split())
+        except SystemExit as exc:  # argparse's help and refusals
+            code = exc.code
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def load_goldens() -> dict:
+    return json.loads(GOLDENS.read_text(encoding="utf-8"))
+
+
+def replay(check: bool) -> int:
+    """Run every case from HERE with the bit limit unset; write the record
+    to GOLDENS, or, with check, compare it and return 1 on any mismatch."""
+    os.chdir(HERE)
+    os.environ.pop("PADICOUNT_MAX_BITS", None)
+    record = {case: invoke(case) for case in CASES}
+    if not check:
+        GOLDENS.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+        return 0
+    goldens = load_goldens()
+    stale = sorted(goldens.keys() - record.keys())
+    moved = [case for case in CASES if goldens.get(case) != record[case]]
+    for case in moved:
+        print(f"mismatch: {case!r}")
+    for case in stale:
+        print(f"no such case: {case!r}")
+    print(f"{len(CASES) - len(moved)} of {len(CASES)} cases match ({sys.version.split()[0]})")
+    return 1 if moved or stale else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] not in ([], ["--check"]):
+        sys.exit("usage: python tests/cli_goldens.py [--check]")
+    sys.exit(replay(check=sys.argv[1:] == ["--check"]))

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import json
 import math
@@ -395,6 +396,25 @@ def test_a_run_reads_the_terminal_width_once(capsys, monkeypatch, argv):
         main(argv.split())
     capsys.readouterr()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv, parsers", [
+    ("--help", 1), ("count iso-ef --qp 2 --e 4 --f 1", 2), ("count table --qp 2", 3)
+])
+def test_a_run_builds_a_parser_only_for_each_command_argv_names(
+    capsys, monkeypatch, argv, parsers
+):
+    # the top level, then one per command named by a token of argv; argparse
+    # enters no other, so the others are only lines of the help
+    real = argparse.ArgumentParser.__init__
+    calls = []
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "__init__", lambda *a, **k: calls.append(1) or real(*a, **k)
+    )
+    with contextlib.suppress(SystemExit):
+        main(argv.split())
+    capsys.readouterr()
+    assert len(calls) == parsers
 
 
 def test_table_csv_degree_mode(capsys):

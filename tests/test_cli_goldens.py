@@ -1,123 +1,17 @@
-"""Byte goldens for the command line: exact stdout, stderr and exit code
-per invocation.
+"""Byte goldens for the command line, under pytest.
 
-Every kind with and without --json, --breakdown for the three kinds that
-have it, both table modes in csv and json, profile fields, the small
-selfcheck grid, refused inputs (exit 2 and 3), and what argparse writes:
-help, usage and its errors.  argparse wraps that text to the terminal
-width, so each case runs with COLUMNS set, to COLUMNS_DEFAULT unless the
-case starts with its own COLUMNS=<width>.  A refactor must keep every
-byte; an intended output change re-records the file with
-
-    PYTHONPATH=src python tests/test_cli_goldens.py
-
-and the diff of tests/data/cli_goldens.json shows what moved.
+The cases, invoke and load_goldens live in tests/cli_goldens.py, which
+needs no pytest, so `python tests/cli_goldens.py --check` replays the
+same goldens under any installed interpreter and
+`python tests/cli_goldens.py` re-records them.
 """
 
-import contextlib
-import io
 import json
-import os
-from pathlib import Path
-from unittest import mock
 
 import pytest
 
-from padicount.cli import main
-
-HERE = Path(__file__).resolve().parent
-GOLDENS = HERE / "data" / "cli_goldens.json"
-K1 = "data/ramified_quadratic_q3.json"  # paths echo in the output, so relative to HERE
-K2 = "data/unramified_quadratic_q2.json"
-COLUMNS_DEFAULT = "80"
-
-CASES = [
-    # every kind, plain and --json
-    "count iso-ef --qp 3 --e 3 --f 1",
-    "count iso-ef --qp 2 --e 4 --f 2 --json",
-    "count iso-total --qp 2 --n 8",
-    "count iso-total --qp 3 --n 6 --json",
-    "count krasner --qp 2 --e 2 --f 1",
-    "count krasner --qp 3 --e 9 --f 2 --json",
-    "count cyclic-ef --qp 2 --e 2 --f 1",
-    "count cyclic-ef --qp 3 --e 3 --f 2 --json",
-    "count cyclic-total --qp 2 --d 8",
-    "count cyclic-total --qp 5 --d 10 --json",
-    "count tame --qp 5 --e 2 --f 1",
-    "count tame --qp 2 --e 3 --f 4 --json",
-    # --breakdown, text and json
-    "count iso-ef --qp 2 --e 2 --f 1 --breakdown",
-    "count iso-ef --qp 2 --e 8 --f 2 --breakdown --json",
-    "count iso-total --qp 2 --n 4 --breakdown",
-    "count iso-total --qp 3 --n 9 --breakdown --json",
-    "count tame --qp 7 --e 4 --f 6 --breakdown",
-    "count tame --qp 2 --e 3 --f 4 --breakdown --json",
-    # profile fields
-    f"count iso-ef --profile {K1} --e 3 --f 1 --json",
-    f"count iso-ef --profile {K1} --e 6 --f 2 --breakdown",
-    f"count iso-total --profile {K2} --n 4",
-    f"count cyclic-total --profile {K1} --d 6 --json",
-    f"count tame --profile {K2} --e 3 --f 2 --breakdown",
-    # tables
-    "table --qp 2 --n-max 6",
-    "table --qp 3 --n-max 4 --format json",
-    "table --qp 1000003 --e-max 3 --f-max 2 --format csv",
-    "table --qp 2 --e-max 3 --f-max 3 --format json",
-    f"table --profile {K1} --n-max 4 --format json",
-    f"table --profile {K2} --e-max 4 --f-max 2",
-    "selfcheck --grid small",
-    # refused inputs
-    "count iso-ef --qp 9 --e 2 --f 1",
-    "count tame --qp 3 --e 6 --f 1",
-    "count krasner --qp 2 --e 2 --f 1 --breakdown",
-    "count iso-total --qp 3",
-    "count iso-ef --qp 3 --e 3 --f 1 --n 5",
-    "count cyclic-total --qp 3 --d 0",
-    "count bogus --qp 3 --e 1 --f 1",
-    "table --qp 2",
-    "table --qp 2 --e-max 2",
-    "count iso-ef --profile data/invalid_unit_overflow.json --e 3 --f 1",
-    "count iso-ef --profile data/shallow_q2.json --e 2 --f 1",
-    "count iso-ef --profile data/missing.json --e 1 --f 1",
-    f"count krasner --qp 2 --e {1 << 25} --f 1",
-    f"count cyclic-total --qp 2 --d {1_000_000_007 * 1_000_000_009}",
-    # what argparse writes: help, usage and its refusals
-    "--help",
-    "count --help",
-    "table --help",
-    "selfcheck --help",
-    "",
-    "count",
-    "foo",
-    "--x count iso-ef --qp 2 --e 4 --f 1",
-    "count iso-ef --qp 2 --e 4 --f 1 --br",
-    "table --qp 2 --n-max 4 --prof x",
-    "count table --qp 2",
-    "count iso-ef --profile table --e 2 --f 1",
-    "selfcheck --grid tiny",
-    "COLUMNS=60 count --help",
-    "COLUMNS=200 count --help",
-]
-
-
-def invoke(case: str) -> dict:
-    """Exit code, stdout and stderr of one in-process run of case."""
-    columns = COLUMNS_DEFAULT
-    if case.startswith("COLUMNS="):
-        setting, _, case = case.partition(" ")
-        columns = setting.removeprefix("COLUMNS=")
-    out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, COLUMNS=columns), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(case.split())
-        except SystemExit as exc:  # argparse's help and refusals
-            code = exc.code
-    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
-
-
-def load_goldens() -> dict:
-    return json.loads(GOLDENS.read_text(encoding="utf-8"))
+import cli_goldens
+from cli_goldens import CASES, HERE, invoke, load_goldens
 
 
 def test_every_case_has_a_golden():
@@ -135,8 +29,15 @@ def test_cli_golden(case, monkeypatch):
     assert invoke(case) == load_goldens()[case]
 
 
-if __name__ == "__main__":
-    os.chdir(HERE)
-    os.environ.pop("PADICOUNT_MAX_BITS", None)
-    record = {case: invoke(case) for case in CASES}
-    GOLDENS.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+def test_the_check_replay_exits_1_on_a_moved_byte(tmp_path, monkeypatch, capsys):
+    goldens = load_goldens()
+    goldens["count"]["stderr"] += " "
+    moved = tmp_path / "cli_goldens.json"
+    moved.write_text(json.dumps(goldens), encoding="utf-8")
+    monkeypatch.chdir(HERE)  # replay changes directory; monkeypatch restores it
+    monkeypatch.delenv("PADICOUNT_MAX_BITS", raising=False)
+    monkeypatch.setattr(cli_goldens, "GOLDENS", moved)
+    assert cli_goldens.replay(check=True) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("mismatch: 'count'\n")
+    assert f"{len(CASES) - 1} of {len(CASES)} cases match" in out

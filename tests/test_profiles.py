@@ -3,6 +3,7 @@ import json
 import pickle
 import re
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -144,6 +145,15 @@ def test_each_step_past_level_one_has_degree_one_or_p():
     BaseFieldProfile(3, 6, 1, (CyclotomicDatum(1, 1, 1), CyclotomicDatum(2, 1, 3)))
 
 
+def test_the_cyclic_suites_read_q3_sqrt3_with_its_true_tower():
+    # the only ramified quadratic K over Q_3 without zeta_3 is Q_3(sqrt 3), where
+    # K(zeta_3) = K(sqrt -1) is unramified over K
+    data = Path(__file__).resolve().parent / "data" / "ramified_quadratic_q3.json"
+    K = load_profile(data)
+    assert (K.p, K.e0, K.f0, K.xi) == (3, 2, 1, 0)
+    assert [L for L in selfcheck._cyclic_profiles() if (L.p, L.e0, L.xi) == (3, 2, 0)] == [K]
+
+
 def test_a_level_below_one_is_reported_once_and_later_levels_read_the_last_good_one():
     # level 2 would also break the f chain (2 does not divide -1), and level 3
     # passes every rule against level 1 but not the e chain against level 2
@@ -154,6 +164,29 @@ def test_a_level_below_one_is_reported_once_and_later_levels_read_the_last_good_
     with pytest.raises(DomainError) as refused:
         BaseFieldProfile(3, 18, 1, zero)
     assert str(refused.value) == "invalid profile: level 2: e and f must be >= 1"
+
+
+def test_a_level_after_a_gap_names_the_level_it_is_checked_against():
+    # level 3 is read against level 1, the last good one, so f_1 = 2, not f_2
+    tower = (CyclotomicDatum(1, 1, 2), CyclotomicDatum(2, 3, -1), CyclotomicDatum(3, 3, 3))
+    with pytest.raises(DomainError) as refused:
+        BaseFieldProfile(3, 18, 1, tower)
+    assert str(refused.value) == (
+        "invalid profile: level 2: e and f must be >= 1; level 3: f_1 = 2 does not divide f_3 = 3"
+    )
+    # across the gap the step rule is e_3*f_3 | p^2*e_1*f_1 = 9, though phi(3^3) = 18
+    for e_3, step in ((9, []), (18, ["level 3: e_3*f_3 does not divide p^2*e_1*f_1"])):
+        tower = (CyclotomicDatum(1, 1, 1), CyclotomicDatum(2, 0, 1), CyclotomicDatum(3, e_3, 1))
+        field = SimpleNamespace(p=3, e0=2, f0=1, cyclotomic=tower)
+        assert validate(field) == ["level 2: e and f must be >= 1", *step]
+
+
+def test_the_step_rule_needs_a_valid_level_to_step_from():
+    # no level >= 1 is valid before level 2, and phi(3^2) = 6 already bounds it
+    tower = (CyclotomicDatum(1, 0, 1), CyclotomicDatum(2, 6, 1))
+    with pytest.raises(DomainError) as refused:
+        BaseFieldProfile(3, 1, 1, tower)
+    assert str(refused.value) == "invalid profile: level 1: e and f must be >= 1"
 
 
 def test_a_deep_tower_validates_without_forming_p_to_each_level():
