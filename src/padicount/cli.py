@@ -11,10 +11,11 @@ selfcheck cap left unset is not passed, so run_selfcheck's default applies.
 Each command loads only the modules it uses.  count and table load
 arith, errors, profiles, counting and theorems, and json only to write
 JSON or read a profile file; selfcheck alone loads the oracles and
-selfcheck layers, when it runs.  build_parser(argv) builds a command's
-parser, with its arguments, only when its name is a token of argv; any
-other command is only its name and line of the help.  argparse enters a
-subparser only by its exact name, so the bytes it writes cannot change.
+selfcheck layers, when it runs.  parse_args dispatches a command line
+as argparse does: one that starts with a command's name is parsed by
+that command's parser alone, the only one built.  Help, errors and any
+other line, one with tokens left over included, go through
+build_parser(), the whole command line, which writes every top-level byte.
 """
 
 from __future__ import annotations
@@ -296,39 +297,48 @@ COMMANDS = {
 }
 
 
-def _command_parser(named, **kwargs):
-    """add_parser's parser_class: a parser only for a command that argv names,
-    the only ones argparse can enter; None for the others."""
-    return argparse.ArgumentParser(**kwargs) if named else None
+def _formatter():
+    """The formatter class for every parser: argparse's default one reads
+    the terminal width again for every argument."""
+    return functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
 
 
-def build_parser(argv) -> argparse.ArgumentParser:
-    """A new parser for argv: every command's name and help line, and a parser,
-    with its arguments and handler, only for each command named by a token of argv."""
-    # argparse's default formatter reads the width again for every argument
-    formatter = functools.partial(
-        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
-    )
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command line: every command, with its arguments and handler."""
+    formatter = _formatter()
     parser = argparse.ArgumentParser(
         prog="padicount",
         description="Exact counts of extensions of p-adic fields with prescribed "
         "ramification and inertia, or prescribed degree.",
         formatter_class=formatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_command_parser)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments, handler) in COMMANDS.items():
-        command = sub.add_parser(
-            name, help=help_text, formatter_class=formatter, named=name in argv
-        )
-        if command is not None:
-            add_arguments(command)
-            command.set_defaults(handler=handler)
+        command = sub.add_parser(name, help=help_text, formatter_class=formatter)
+        add_arguments(command)
+        command.set_defaults(handler=handler)
     return parser
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """argv parsed as build_parser().parse_args(argv) parses it.  A line that
+    starts with a command's name is parsed by that command's parser, as
+    argparse would dispatch it; if tokens are left over, the whole parser
+    parses the line again to refuse them with the top-level usage."""
+    if argv and argv[0] in COMMANDS:
+        _, add_arguments, handler = COMMANDS[argv[0]]
+        command = argparse.ArgumentParser(prog=f"padicount {argv[0]}", formatter_class=_formatter())
+        add_arguments(command)
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command, args.handler = argv[0], handler
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    args = parse_args(argv)
     try:
         # read once: a malformed limit is refused whatever the command computes
         args.bits = counting.magnitude_bits()

@@ -399,13 +399,21 @@ def test_a_run_reads_the_terminal_width_once(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("argv, parsers", [
-    ("--help", 1), ("count iso-ef --qp 2 --e 4 --f 1", 2), ("count table --qp 2", 3)
+    ("count iso-ef --qp 2 --e 4 --f 1", 1),
+    ("table --qp 2 --n-max 2", 1),
+    ("selfcheck --grid tiny", 1),
+    ("count table --qp 2", 1),
+    ("--help", 4),
+    ("", 4),
+    ("foo", 4),
+    ("count iso-ef --qp 2 --e 4 --f 1 extra", 5),
 ])
 def test_a_run_builds_a_parser_only_for_each_command_argv_names(
     capsys, monkeypatch, argv, parsers
 ):
-    # the top level, then one per command named by a token of argv; argparse
-    # enters no other, so the others are only lines of the help
+    # a line that starts with a command's name builds only that command's
+    # parser; any other, or one with a token left over, builds the whole
+    # parser too: the top level and one per command
     real = argparse.ArgumentParser.__init__
     calls = []
     monkeypatch.setattr(

@@ -1,7 +1,7 @@
 """Random `count` and `table` invocations, over Q_p and over random profile
 files: every run ends in a documented exit code, no other exception
 escapes, and nothing reaches stdout unless the run succeeds.  Random
-command lines parse the same whichever commands have their arguments."""
+command lines parse as the whole parser, build_parser(), parses them."""
 
 import contextlib
 import io
@@ -10,7 +10,7 @@ import json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from padicount.cli import COMMANDS, KINDS, build_parser, main
+from padicount.cli import COMMANDS, KINDS, build_parser, main, parse_args
 
 RARELY = st.integers(0, 5).map(lambda k: k == 5)
 
@@ -110,19 +110,19 @@ def test_every_invocation_exits_0_to_4_and_prints_only_on_success(tmp_path, case
 
 WORDS = st.sampled_from([
     *COMMANDS, *KINDS, "--qp", "--e", "--f", "--n", "--n-max", "--grid", "--br", "-h", "--",
-    "2", "3", "0", "-1", "small", "x", "--x",
+    "--qp=2", "--e=4", "2", "3", "0", "-1", "small", "x", "--x", "extra",
 ])
 COMMAND_LINES = st.tuples(
     st.sampled_from([[], *([name] for name in COMMANDS)]), st.lists(WORDS, max_size=7)
 ).map(lambda parts: parts[0] + parts[1])
 
 
-def _parse(parser, argv):
+def _parse(parse, argv):
     """The namespace argv parses to, or argparse's exit code and output."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            return parser.parse_args(argv)
+            return parse(argv)
         except SystemExit as exc:
             return exc.code, out.getvalue(), err.getvalue()
 
@@ -130,5 +130,5 @@ def _parse(parser, argv):
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(argv=COMMAND_LINES)
 def test_a_command_line_parses_as_with_every_commands_arguments(argv):
-    # build_parser(argv) adds the arguments only of the commands named in argv
-    assert _parse(build_parser(argv), argv) == _parse(build_parser(list(COMMANDS)), argv)
+    # parse_args builds only the parser of the command argv starts with
+    assert _parse(parse_args, argv) == _parse(build_parser().parse_args, argv)
