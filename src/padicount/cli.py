@@ -24,7 +24,7 @@ import argparse
 import functools
 import shutil
 import sys
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from . import arith, counting, theorems
 from .errors import ConsistencyError, DomainError, MagnitudeError
@@ -170,39 +170,35 @@ def _cmd_table(args) -> int:
     profile, echo = _field_for(
         args, lambda p: max(arith.p_valuation(m, p).s for m in range(1, top + 1))
     )
-    pairs = profile._memo[arith.divisor_pairs]
-
     if degree_mode:
-        total_keys = range(1, args.n_max + 1)
-        cell_keys = [pair for n in total_keys for pair in pairs[n]]
+        pairs = profile._memo[arith.divisor_pairs]
+        degrees = range(1, args.n_max + 1)
+        cell_keys = [pair for n in degrees for pair in pairs[n]]
+        sizes = {"n_max": args.n_max}
     else:
-        total_keys = ()
+        degrees = ()
         cell_keys = [(e, f) for e in range(1, args.e_max + 1) for f in range(1, args.f_max + 1)]
+        sizes = {"e_max": args.e_max, "f_max": args.f_max}
     cells = []
-    classes = {}
+    from_cells = Counter()  # degree e*f -> the sum of its cells' class counts
     for e, f in cell_keys:
         fields = counting.krasner_count(profile, e, f, args.bits)
-        classes[e, f] = count = theorems.iso_count_ef(profile, e, f, args.bits)
+        count = theorems.iso_count_ef(profile, e, f, args.bits)
+        from_cells[e * f] += count
         cells.append((e, f, arith.format_decimal(fields), arith.format_decimal(count)))
-    totals = []
-    for n in total_keys:
+    totals = []  # after every cell: under a bit limit, a cell's refusal comes first
+    for n in degrees:
         # the total route stays independent of the cells it is checked against
         from_total = theorems.iso_count_total(profile, n, args.bits)
-        from_cells = sum(classes[e, f] for e, f in pairs[n])
-        if from_total != from_cells:
+        if from_total != from_cells[n]:
             raise ConsistencyError(
                 f"degree {n}: total route gives {arith.format_decimal(from_total)}, "
-                f"(e,f) cells give {arith.format_decimal(from_cells)}"
+                f"(e,f) cells give {arith.format_decimal(from_cells[n])}"
             )
-        totals.append((n, arith.format_decimal(from_total), arith.format_decimal(from_cells)))
+        totals.append((n, arith.format_decimal(from_total), arith.format_decimal(from_cells[n])))
 
     if args.format == "json":
-        query = {"command": "table", **echo}
-        if degree_mode:
-            query["n_max"] = args.n_max
-        else:
-            query["e_max"] = args.e_max
-            query["f_max"] = args.f_max
+        query = {"command": "table", **echo, **sizes}
         # the bytes of to_json({"query": query, "cells": ..., "totals": ...}):
         # the query goes through the encoder, and each row, whose keys are
         # fixed and whose values are ints or digit strings, through its template

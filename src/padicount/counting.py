@@ -92,6 +92,10 @@ def krasner_count(K: BaseFieldProfile, e: int, f: int, bits: int | None = None) 
     fixed algebraic closure, fields counted individually rather than up to
     isomorphism: e * sigma_krasner(p, n0*e*f, v_p(e)), both fetched through
     K's memo, where the class counts find the same values."""
+    if type(e) is not int or type(f) is not int:  # bool is a subclass of int
+        raise DomainError(
+            f"krasner_count: e and f must be integers, got {arith.format_repr((e, f))}"
+        )
     if e < 1 or f < 1:
         raise DomainError("krasner_count: e and f must be >= 1")
     p, memo = K.p, K._memo
@@ -160,6 +164,10 @@ def cyclic_count_ef(K: BaseFieldProfile, e: int, f: int, bits: int | None = None
     else e*phi(h)*phi(f)/phi(e*f) * pi_count(p, n0, v_p(e), xi).  K must
     be deep enough to determine xi, even where the count is zero.
     """
+    if type(e) is not int or type(f) is not int:  # bool is a subclass of int
+        raise DomainError(
+            f"cyclic_count_ef: e and f must be integers, got {arith.format_repr((e, f))}"
+        )
     if e < 1 or f < 1:
         raise DomainError("cyclic_count_ef: e and f must be >= 1")
     xi = K.xi
@@ -179,6 +187,8 @@ def cyclic_count_total(K: BaseFieldProfile, d: int, bits: int | None = None) -> 
     on its second argument only through its gcd with k, so that gcd is
     passed instead of the power.
     """
+    if type(d) is not int:  # bool is a subclass of int
+        raise DomainError(f"cyclic_count_total: d must be an integer, got {arith.format_repr(d)}")
     if d < 1:
         raise DomainError("cyclic_count_total: d must be >= 1")
     xi = K.xi

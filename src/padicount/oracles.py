@@ -118,11 +118,11 @@ def dual_group(K: BaseFieldProfile, d: int, cap: int = DEFAULT_ABELIAN_CAP) -> A
     return AbelianGroup(factors, cap=cap)
 
 
-def dual_cyclic_subgroup_count(Ghat: AbelianGroup, d: int) -> Counter:
+def dual_cyclic_subgroup_count(Ghat: AbelianGroup) -> Counter:
     """Cyclic subgroups H of Ghat of order d, counted by |H intersect B|.
 
-    B is the distinguished first factor, which must be C_d, embedded
-    coordinate-wise.  Maps each intersection order f to the number of
+    B is the distinguished first factor, C_d, embedded coordinate-wise, and
+    d is read off it.  Maps each intersection order f to the number of
     subgroups H meeting B in a subgroup of order f.
 
     Counts without building a subgroup.  Write x = (x_B, x_rest) with
@@ -135,11 +135,9 @@ def dual_cyclic_subgroup_count(Ghat: AbelianGroup, d: int) -> Counter:
     by the number of generators of a cyclic group of order d, read off
     the C_d histogram; a remainder raises ConsistencyError.
     """
-    if Ghat.factors[:1] != (d,):
-        d, factors = arith.format_decimal(d), arith.format_repr(Ghat.factors)
-        raise DomainError(f"distinguished first factor must be C_{d}, factors are {factors}")
-    if type(d) is not int:  # bool is a subclass of int; a float may equal the factor
-        raise DomainError(f"d must be an integer, got {arith.format_repr(d)}")
+    if not Ghat.factors:
+        raise DomainError("the dual group has no factors, so no distinguished first factor")
+    d = Ghat.factors[0]
     first = AbelianGroup(Ghat.factors[:1], cap=Ghat.order).order_histogram()
     rest = AbelianGroup(Ghat.factors[1:], cap=Ghat.order).order_histogram()
     elements = Counter()

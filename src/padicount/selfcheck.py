@@ -29,8 +29,6 @@ from . import arith, counting, oracles, theorems
 from .errors import ConsistencyError, DomainError, MagnitudeError
 from .profiles import BaseFieldProfile, CyclotomicDatum, qp_profile
 
-DEFAULT_MAX_ABELIAN_ORDER = 1_000_000
-
 
 class SuiteResult:
     def __init__(self, name: str):
@@ -107,7 +105,8 @@ def lemma_group_zoo(max_table_order: int, small: bool = False) -> list[oracles.G
     return groups
 
 
-def lemma_suite(max_table_order: int = oracles.DEFAULT_TABLE_CAP, small: bool = False) -> SuiteResult:
+def lemma_suite(max_table_order: int, small: bool = False) -> SuiteResult:
+    """Chain-count identity checks; run_selfcheck holds the default of the required cap."""
     result = SuiteResult("lemma")
     for G in lemma_group_zoo(max_table_order, small=small):
         for n in arith.divisors(G.order):
@@ -121,8 +120,9 @@ def lemma_suite(max_table_order: int = oracles.DEFAULT_TABLE_CAP, small: bool = 
 
 
 def pi_oracle_suite(
-    max_abelian_order: int = DEFAULT_MAX_ABELIAN_ORDER, small: bool = False, bits: int | None = None
+    max_abelian_order: int, small: bool = False, bits: int | None = None
 ) -> SuiteResult:
+    """pi_count against enumeration; run_selfcheck holds the default of the required cap."""
     result = SuiteResult("pi-oracle")
     top = 2 if small else 3
     for p in (2, 3):
@@ -145,9 +145,8 @@ def pi_oracle_suite(
     return result
 
 
-def psi_oracle_suite(
-    max_abelian_order: int = DEFAULT_MAX_ABELIAN_ORDER, small: bool = False
-) -> SuiteResult:
+def psi_oracle_suite(max_abelian_order: int, small: bool = False) -> SuiteResult:
+    """psi_count against enumeration; run_selfcheck holds the default of the required cap."""
     result = SuiteResult("psi-oracle")
     bound = 12 if small else 30
     for u in range(1, bound + 1):
@@ -210,8 +209,9 @@ def _cyclic_profiles() -> list[BaseFieldProfile]:
 
 
 def dual_oracle_suite(
-    max_abelian_order: int = DEFAULT_MAX_ABELIAN_ORDER, small: bool = False, bits: int | None = None
+    max_abelian_order: int, small: bool = False, bits: int | None = None
 ) -> SuiteResult:
+    """cyclic_count_ef against dual groups; run_selfcheck holds the default of the required cap."""
     result = SuiteResult("dual-oracle")
     d_max = 8 if small else 12
     for K in _cyclic_profiles():
@@ -225,7 +225,7 @@ def dual_oracle_suite(
                 with result:
                     # counted inside the guard: a remainder fails each check of this (K, d)
                     if by_meet is None:
-                        by_meet = oracles.dual_cyclic_subgroup_count(Ghat, d)
+                        by_meet = oracles.dual_cyclic_subgroup_count(Ghat)
                     got, want = counting.cyclic_count_ef(K, e, f, bits), by_meet[f]
                     result.record(got == want, (
                         f"cyclic_count_ef(p={K.p},n0={K.n0},f0={K.f0},xi={K.xi}; "
@@ -280,7 +280,7 @@ def remark_equivalence_suite(small: bool = False, bits: int | None = None) -> Su
     result = SuiteResult("remark-equivalence")
     for K, e, f in _tame_grid(small):
         with result:
-            tame = theorems.tame_iso_count(K, e, f, cross_check=True)
+            tame, _ = theorems.tame_iso_count_terms(K, e, f, cross_check=True)
             general = theorems.iso_count_ef(K, e, f, bits)
             result.record(tame == general, (
                 f"tame_iso_count(Q_{K.p},e={e},f={f}) = {tame} but iso_count_ef gives {general}"
@@ -337,14 +337,15 @@ def golden_suite(bits: int | None = None) -> SuiteResult:
 
 def run_selfcheck(
     grid: str = "full",
-    max_abelian_order: int = DEFAULT_MAX_ABELIAN_ORDER,
+    max_abelian_order: int = 1_000_000,
     max_table_order: int = oracles.DEFAULT_TABLE_CAP,
     bits: int | None = None,
 ) -> list[SuiteResult]:
-    """Run every suite and return the per-suite results.  A cap below 1
-    would empty suites that then read as passing, so it is refused.  bits
-    is the magnitude limit every suite's counts use, read from the
-    environment once when not given."""
+    """Run every suite and return the per-suite results.  The caps'
+    defaults live here alone: the suites take each cap as a required
+    argument.  A cap below 1 would empty suites that then read as
+    passing, so it is refused.  bits is the magnitude limit every suite's
+    counts use, read from the environment once when not given."""
     if grid not in ("small", "full"):
         raise DomainError(f"unknown grid {arith.format_repr(grid)}, expected 'small' or 'full'")
     if min(max_abelian_order, max_table_order) < 1:

@@ -107,6 +107,10 @@ def _sum_ef(
     K: BaseFieldProfile, e: int, f: int, bits: int | None, terms: list | None = None
 ) -> int:
     """iso_count_ef; each summand is also appended to terms when given."""
+    if type(e) is not int or type(f) is not int:  # bool is a subclass of int
+        raise DomainError(
+            f"iso_count_ef: e and f must be integers, got {arith.format_repr((e, f))}"
+        )
     if e < 1 or f < 1:
         raise DomainError("iso_count_ef: e and f must be >= 1")
     bits = counting.magnitude_bits() if bits is None else bits
@@ -167,6 +171,8 @@ def _sum_total(
     K: BaseFieldProfile, n: int, bits: int | None, terms: list | None = None
 ) -> int:
     """iso_count_total; each summand is also appended to terms when given."""
+    if type(n) is not int:  # bool is a subclass of int
+        raise DomainError(f"iso_count_total: n must be an integer, got {arith.format_repr(n)}")
     if n < 1:
         raise DomainError("iso_count_total: n must be >= 1")
     p, n0, f0, memo = K.p, K.n0, K.f0, K._memo
@@ -249,6 +255,10 @@ def tame_iso_count_terms(
     it the summands are None.  The cross-check refuses f past
     MAX_SUMMANDS with MagnitudeError.
     """
+    if type(e) is not int or type(f) is not int:  # bool is a subclass of int
+        raise DomainError(
+            f"tame_iso_count: e and f must be integers, got {arith.format_repr((e, f))}"
+        )
     if e < 1 or f < 1:
         raise DomainError("tame_iso_count: e and f must be >= 1")
     p = K.p
@@ -280,7 +290,8 @@ def tame_iso_count_terms(
     return arith.exact_quotient(total, f, "tame_iso_count(e={}, f={})", e, f), terms
 
 
-def tame_iso_count(K: BaseFieldProfile, e: int, f: int, cross_check: bool = False) -> int:
+def tame_iso_count(K: BaseFieldProfile, e: int, f: int) -> int:
     """Number of isomorphism classes with ramification e and inertia f when
-    p does not divide e."""
-    return tame_iso_count_terms(K, e, f, cross_check=cross_check)[0]
+    p does not divide e: the divisor sum of tame_iso_count_terms alone,
+    which is also where the gcd-sum cross-check is asked for."""
+    return tame_iso_count_terms(K, e, f)[0]

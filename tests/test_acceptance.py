@@ -70,7 +70,7 @@ def test_criterion_3_element_count_oracles():
         pi = selfcheck.pi_oracle_suite(max_abelian_order=1_000_000, small=False)
         _assert_suite(pi)
         assert pi.checks == 2 * 3 * 4 * (2 + 3 + 4)  # p, xi, and sum of (r+1) over r
-        psi = selfcheck.psi_oracle_suite(small=False)
+        psi = selfcheck.psi_oracle_suite(max_abelian_order=1_000_000, small=False)
         _assert_suite(psi)
         assert psi.checks == 30 * 30
         delta = selfcheck.delta_telescoping_suite()

@@ -6,6 +6,7 @@ same goldens under any installed interpreter and
 `python tests/cli_goldens.py` re-records them.
 """
 
+import argparse
 import json
 
 import pytest
@@ -41,3 +42,19 @@ def test_the_check_replay_exits_1_on_a_moved_byte(tmp_path, monkeypatch, capsys)
     out = capsys.readouterr().out
     assert out.startswith("mismatch: 'count'\n")
     assert f"{len(CASES) - 1} of {len(CASES)} cases match" in out
+
+
+def _unquoted_check_value(self, action, value):
+    """argparse's invalid-choice refusal in CPython 3.13.13's wording: each choice unquoted."""
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(str, action.choices))
+        raise argparse.ArgumentError(action, f"invalid choice: {value!r} (choose from {choices})")
+
+
+def test_the_check_replay_reads_invalid_choices_in_the_running_wording(monkeypatch, capsys):
+    monkeypatch.setattr(argparse.ArgumentParser, "_check_value", _unquoted_check_value)
+    monkeypatch.chdir(HERE)
+    monkeypatch.delenv("PADICOUNT_MAX_BITS", raising=False)
+    assert invoke("foo") != load_goldens()["foo"]  # the recorded line quotes each choice
+    assert cli_goldens.replay(check=True) == 0
+    assert f"{len(CASES)} of {len(CASES)} cases match" in capsys.readouterr().out

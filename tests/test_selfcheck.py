@@ -82,7 +82,7 @@ def test_table_order_cap_filters_zoo():
 def test_dual_oracle_skips_groups_past_the_abelian_cap():
     capped = selfcheck.dual_oracle_suite(max_abelian_order=10, small=True)
     assert capped.ok
-    assert 0 < capped.checks < selfcheck.dual_oracle_suite(small=True).checks
+    assert 0 < capped.checks < selfcheck.dual_oracle_suite(max_abelian_order=10**6, small=True).checks
 
 
 def test_psi_oracle_skips_groups_past_the_abelian_cap():
@@ -158,7 +158,7 @@ def test_an_internal_error_fails_one_check_and_the_suite_goes_on(monkeypatch, ca
         return real(u, v)
 
     monkeypatch.setattr(counting, "psi_count", planted)
-    psi = selfcheck.psi_oracle_suite(small=True)
+    psi = selfcheck.psi_oracle_suite(max_abelian_order=10**6, small=True)
     assert (psi.checks, psi.fail_count) == (144, 1)
     assert psi.failures == ["internal exactness violation: planted"]
 
@@ -173,7 +173,7 @@ def test_a_remainder_in_the_dual_count_fails_its_checks_and_not_the_run(monkeypa
     # do not split into cyclic subgroups of 2 generators each
     real = oracles.AbelianGroup.order_histogram
     monkeypatch.setattr(oracles.AbelianGroup, "order_histogram", lambda G: real(G) + Counter({3: 1}))
-    dual = selfcheck.dual_oracle_suite(small=True)
+    dual = selfcheck.dual_oracle_suite(max_abelian_order=10**6, small=True)
     assert dual.checks == 180
     assert dual.failures[0].startswith(
         "internal exactness violation: cyclic subgroups of order 3 in (3, 1, 1, 1)"

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from test_memo import valid_profiles
 
 from padicount import arith, counting, theorems
-from padicount.counting import cyclic_count_ef, krasner_count
+from padicount.counting import cyclic_count_ef, cyclic_count_total, krasner_count
 from padicount.errors import ConsistencyError, DomainError, MagnitudeError, ProfileTooShortError
 from padicount.profiles import BaseFieldProfile, CyclotomicDatum, load_profile, qp_profile
 from padicount.theorems import (
@@ -90,6 +90,30 @@ def test_evaluators_refuse_a_degree_below_one(function, args, message):
     assert str(refused.value) == message
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "2"])
+@pytest.mark.parametrize("function, refusal, K, args", [
+    (krasner_count, "krasner_count: e and f", qp_profile(2, 3), (2, 2)),
+    (cyclic_count_ef, "cyclic_count_ef: e and f", qp_profile(2, 3), (2, 2)),
+    (cyclic_count_total, "cyclic_count_total: d", qp_profile(2, 3), (2,)),
+    (iso_count_ef, "iso_count_ef: e and f", qp_profile(2, 3), (2, 2)),
+    (iso_count_ef_terms, "iso_count_ef: e and f", qp_profile(2, 3), (2, 2)),
+    (iso_count_total, "iso_count_total: n", qp_profile(2, 3), (2,)),
+    (iso_count_total_terms, "iso_count_total: n", qp_profile(2, 3), (2,)),
+    (tame_iso_count, "tame_iso_count: e and f", qp_profile(5, 0), (2, 2)),
+    (tame_iso_count_terms, "tame_iso_count: e and f", qp_profile(5, 0), (2, 2)),
+])
+def test_counts_refuse_an_argument_that_is_not_an_int(function, refusal, K, args, bad):
+    # a float or a bool is never coerced: 2.0 and True once counted as 2 and 1
+    for at in range(len(args)):
+        given = args[:at] + (bad,) + args[at + 1:]
+        with pytest.raises(DomainError) as refused:
+            function(K, *given)
+        if len(args) > 1:
+            assert str(refused.value) == f"{refusal} must be integers, got {given!r}"
+        else:
+            assert str(refused.value) == f"{refusal} must be an integer, got {bad!r}"
+
+
 def test_profile_too_short_is_a_hard_error():
     with pytest.raises(ProfileTooShortError):
         iso_count_ef(qp_profile(2, 0), 2, 1)
@@ -151,7 +175,7 @@ def test_tame_cross_check_compares_the_two_forms(monkeypatch):
     K = qp_profile(2, 0)
     assert tame_iso_count(K, 3, 4) == 3  # alone, the divisor sum cannot see it
     with pytest.raises(ConsistencyError):
-        tame_iso_count(K, 3, 4, cross_check=True)
+        tame_iso_count_terms(K, 3, 4, cross_check=True)
 
 
 def test_tame_matches_general_evaluator():
@@ -161,7 +185,7 @@ def test_tame_matches_general_evaluator():
             if e % p == 0:
                 continue
             for f in range(1, 7):
-                assert tame_iso_count(K, e, f, cross_check=True) == iso_count_ef(K, e, f)
+                assert tame_iso_count_terms(K, e, f, cross_check=True)[0] == iso_count_ef(K, e, f)
 
 
 def test_total_equals_sum_over_ef_cells():
@@ -249,7 +273,7 @@ def test_nontrivial_base_fields_cross_checks():
             if e % K.p == 0:
                 continue
             for f in range(1, 5):
-                assert tame_iso_count(K, e, f, cross_check=True) == iso_count_ef(K, e, f)
+                assert tame_iso_count_terms(K, e, f, cross_check=True)[0] == iso_count_ef(K, e, f)
 
 
 def _profile_file(name):
