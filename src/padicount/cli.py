@@ -166,10 +166,13 @@ def _cmd_table(args) -> int:
         _positive(name.replace("_", "-"), getattr(args, name))
 
     top = args.n_max if degree_mode else args.e_max
-    # the deepest level any cell or total can demand
-    profile, echo = _field_for(
-        args, lambda p: max(arith.p_valuation(m, p).s for m in range(1, top + 1))
-    )
+
+    def deepest(p):  # the deepest level any cell or total can demand
+        return max(arith.p_valuation(m, p).s for m in range(1, top + 1))
+
+    profile, echo = _field_for(args, deepest)
+    if args.qp is None:  # a profile file too short is refused before the first cell
+        profile.level(deepest(profile.p))
     if degree_mode:
         pairs = profile._memo[arith.divisor_pairs]
         degrees = range(1, args.n_max + 1)

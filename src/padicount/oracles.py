@@ -16,19 +16,19 @@ factors one at a time; each C_f is enumerated element by element, and
 its (order, count) pairs are kept for the 256 factors used last, the
 module's one cache.  The cyclic subgroups of the dual group are counted
 from two such histograms, one for the distinguished factor and one for
-the rest, without building a subgroup.  A table's cyclic subgroups come
-from one power walk, each walked once, which also records every
-element's order.  The subgroup lattice joins each subgroup H with each
-cyclic subgroup <g> of prime-power order q^a whose <g^q> lies in H, not
-with each element, and skips the generators that a join of prime index
-already covers.  One coset walk, _join, closes every other set in a
-table: the generators for the associativity test and the lattice joins.
-The chain-count check reads a lattice index of bitmasks and exponents,
-which subgroups builds with the lattice, once per table, from the
-element orders of its power walk.  It tests only the pairs that can
-form a chain: no J whose exponent d does not divide, and none at all
-for T(1).  Caps keep the worst cases bounded and raise MagnitudeError
-when exceeded.
+the rest, without building a subgroup.  A set of table elements is an
+int bitmask, bit x for element x.  One power walk finds a table's
+cyclic subgroups, each walked once, and keeps the bitmask of each <x>.
+The subgroup lattice joins each subgroup H with each cyclic subgroup
+<g> of prime-power order q^a whose <g^q> lies in H, not with each
+element, and skips the generators that a join of prime index already
+covers.  One coset walk, _join, closes every other set in a table: the
+generators for the associativity test and the lattice joins.  The
+chain-count check reads a lattice index of bitmasks and exponents,
+built with the lattice once per table, and tests only the pairs that
+can form a chain: no J whose exponent d does not divide, and none at
+all for T(1).  Caps keep the worst cases bounded and raise
+MagnitudeError when exceeded.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import functools
 import math
 from collections import Counter, namedtuple
 from itertools import chain, combinations, permutations, repeat
+from operator import itemgetter
 
 from . import arith
 from .errors import DomainError, MagnitudeError
@@ -168,32 +169,31 @@ class GroupTable:
         rows = [list(row) for row in table]
         if any(len(row) != order for row in rows):
             raise DomainError("group table must be square")
-        if (
-            set(map(type, chain.from_iterable(rows))) != {int}  # bool is a subclass of int
-            or min(map(min, rows)) < 0
-            or max(map(max, rows)) >= order
-        ):
+        if set(map(type, chain.from_iterable(rows))) != {int}:  # bool is a subclass of int
             raise DomainError("table entries must be element indices")
 
         columns = list(map(list, zip(*rows)))
         indices = list(range(order))
+        everything = set(indices)
+        # the lines that are not permutations, row x before column x; with
+        # none, every entry is an index, so the range is read only after one
+        broken = [f"{kind} {x} is not a permutation" for x in indices for kind, line in
+                  (("row", rows[x]), ("column", columns[x])) if set(line) != everything]
+        if broken and (min(map(min, rows)) < 0 or max(map(max, rows)) >= order):
+            raise DomainError("table entries must be element indices")
         identity = next((e for e in indices if rows[e] == indices and columns[e] == indices), None)
         if identity is None:
             raise DomainError("table has no identity element")
-        everything = set(indices)
-        for x in indices:
-            if set(rows[x]) != everything:
-                raise DomainError(f"row {x} is not a permutation")
-            if set(columns[x]) != everything:
-                raise DomainError(f"column {x} is not a permutation")
+        if broken:
+            raise DomainError(broken[0])
+        as_tuples = list(map(tuple, rows))
         for b in _magma_generators(rows, identity):
-            rb = rows[b]
-            for a in indices:
-                ra = rows[a]
-                rab = rows[ra[b]]
-                if rab != list(map(ra.__getitem__, rb)):
-                    c = next(c for c in indices if rab[c] != ra[rb[c]])
-                    raise DomainError(f"table is not associative at ({a}, {b}, {c})")
+            # for every a, row a*b is row a read at the entries of row b
+            read = list(map(itemgetter(*rows[b]), as_tuples))
+            if list(map(as_tuples.__getitem__, columns[b])) != read:
+                a, c = next((a, c) for a in indices for c in indices
+                            if rows[rows[a][b]][c] != rows[a][rows[b][c]])
+                raise DomainError(f"table is not associative at ({a}, {b}, {c})")
 
         self.table = rows
         self.order = order
@@ -201,12 +201,7 @@ class GroupTable:
         self.name = name or f"group of order {order}"
         self._inverse = [row.index(identity) for row in rows]
         self._abelian = rows == columns
-        self._subgroups = None
-        self._lattice_index = None
-
-    def conjugate(self, g: int, x: int) -> int:
-        """g * x * g^-1."""
-        return self.table[self.table[g][x]][self._inverse[g]]
+        self._subgroups = self._lattice_index = self._cyclic = None  # written by subgroups
 
     def is_abelian(self) -> bool:
         return self._abelian
@@ -215,39 +210,40 @@ class GroupTable:
         return f"GroupTable({self.name}, order={self.order})"
 
 
-def _join(table, H, g) -> frozenset:
-    """The subgroup generated by the subgroup H (holding the identity) and g.
+def _join(table, mask: int, H, g) -> tuple[int, list[int]]:
+    """<H, g> as its bitmask and its element list, for H the subgroup of
+    bitmask mask and element list H (holding the identity).
 
-    Walks left cosets: each element reached is multiplied by g on the
-    right, and a product y outside the set brings in its whole coset yH.
-    The set stays a union of left cosets of H, closed under right
-    multiplication by H; once it is closed under g as well it is <H, g>:
-    two lookups per element, abelian or not.  On a table not yet known
-    to be associative each element reached is still a product of H and
-    g; cosets may then overlap, but each one brings a new element, so
-    the to-do list stays below (order + 1) * |H| entries.
+    Walks left cosets down g's column: each element reached is multiplied
+    by g on the right, and a product z outside the mask brings in its
+    coset zH, whose bits are ORed in.  The set stays a union of left
+    cosets of H, closed under right multiplication by H; once it is
+    closed under g as well it is <H, g>: two lookups per element, abelian
+    or not.  On a table not yet known to be associative each element
+    reached is still a product of H and g; cosets may then overlap, but
+    each one brings a new bit, so the list stays below (order + 1) * |H|
+    entries.
     """
-    joined = set(H)
-    todo = list(H)
-    for y in todo:
+    coset_of = itemgetter(*H) if len(H) > 1 else lambda row: (row[H[0]],)  # row z -> zH
+    joined = list(H)
+    for y in joined:
         z = table[y][g]
-        if z not in joined:
-            row = table[z]
-            coset = [row[h] for h in H]
-            joined.update(coset)
-            todo.extend(coset)
-    return frozenset(joined)
+        if not mask >> z & 1:
+            coset = coset_of(table[z])
+            mask |= sum(map((1).__lshift__, coset))
+            joined += coset
+    return mask, joined
 
 
 def _magma_generators(rows, identity: int) -> list[int]:
     """A set that generates the table under its product alone: each
     element not yet reached joins it, and the walk extends the reached set."""
-    reached = frozenset([identity])
-    generators = []
+    reached, H, generators = 1 << identity, [identity], []
     for g in range(len(rows)):
-        if g not in reached:
+        if not reached >> g & 1:
             generators.append(g)
-            reached = _join(rows, reached, g)
+            reached, H = _join(rows, reached, H, g)
+            H = list(dict.fromkeys(H))  # cosets may overlap before associativity is known
     return generators
 
 
@@ -256,10 +252,9 @@ def subgroups(G: GroupTable, cap: int = DEFAULT_TABLE_CAP) -> list[tuple[int, ..
 
     One power walk lists the cyclic subgroups: each element not yet
     reached is walked to the identity, x, x^2, ..., x^n = e, and every
-    generator x^k with gcd(k, n) = 1 is marked as reached with order n,
-    so each cyclic subgroup is walked once and each element's order is
-    read from it.  Of each cyclic subgroup <g> of prime-power order
-    n = q^a, g is kept together with g^q.
+    generator x^k with gcd(k, n) = 1 is given the bitmask of <x>, so
+    each cyclic subgroup is walked once.  Of each cyclic subgroup <g> of
+    prime-power order n = q^a, g is kept together with g^q.
 
     The lattice walk starts from the trivial subgroup and joins every
     known subgroup H with each kept g outside H whose g^q lies in H (one
@@ -277,52 +272,55 @@ def subgroups(G: GroupTable, cap: int = DEFAULT_TABLE_CAP) -> list[tuple[int, ..
     so by Lagrange it is J.  Such generators are skipped for this H, as
     their join is already found, and the fixed point stays the same.
 
-    The first call also keeps G._lattice_index for lemma_check: subgroup
-    order -> (bitmask, element set, exponent) of each subgroup in list
-    order, the exponent the lcm of the orders the power walk recorded.
+    The walk keeps each subgroup as bitmask -> element list.  The first
+    call writes, from those, G._subgroups and, for lemma_check,
+    G._lattice_index: subgroup order -> (bitmask, element tuple,
+    exponent) of each subgroup in list order, the exponent the lcm of the
+    orders |<x>| over its elements; and G._cyclic, x -> bitmask of <x>.
     """
     if G.order > cap:
         raise MagnitudeError(f"group order {G.order} exceeds cap {arith.format_decimal(cap)}")
     if G._subgroups is None:
         table, identity = G.table, G.identity
-        orders = [0] * G.order
+        cyclic = [0] * G.order  # x -> the bitmask of <x>
         generators = []
         for x in range(G.order):
-            if orders[x]:
+            if cyclic[x]:
                 continue
             powers = [identity]  # x^0, x^1, ..., x^(n-1)
             while (y := table[powers[-1]][x]) != identity:
                 powers.append(y)
             n = len(powers)
+            mask = sum(map((1).__lshift__, powers))
             for k in range(n):
                 if math.gcd(k, n) == 1:
-                    orders[powers[k]] = n
+                    cyclic[powers[k]] = mask
             factors = arith.prime_factors(n)
             if len(factors) == 1:
-                generators.append((x, powers[factors[0][0] % n]))
+                generators.append((x, 1 << x, 1 << powers[factors[0][0] % n]))
         primes = {q for q, _ in arith.prime_factors(G.order)}
-        trivial = frozenset([identity])
-        found = {trivial}
-        work = [trivial]
+        found = {1 << identity: [identity]}  # bitmask -> element list
+        work = [1 << identity]
         while work:
-            H = work.pop()
-            covered = set(H)
-            for g, root in generators:
-                if g in covered or root not in H:
+            h = work.pop()
+            H = found[h]
+            covered = h
+            for g, bit, root in generators:
+                if covered & bit or not h & root:
                     continue
-                J = _join(table, H, g)
+                j, J = _join(table, h, H, g)
                 if len(J) // len(H) in primes:
-                    covered |= J
-                if J not in found:
-                    found.add(J)
-                    work.append(J)
-        G._subgroups = sorted((tuple(sorted(S)) for S in found), key=lambda t: (len(t), t))
+                    covered |= j
+                if j not in found:
+                    found[j] = J
+                    work.append(j)
         index = {}
-        for S in G._subgroups:
-            mask = sum(map((1).__lshift__, S))
-            exponent = math.lcm(*map(orders.__getitem__, S))
-            index.setdefault(len(S), []).append((mask, frozenset(S), exponent))
+        for _, S, mask in sorted((len(S), tuple(sorted(S)), mask) for mask, S in found.items()):
+            exponent = math.lcm(*map(int.bit_count, map(cyclic.__getitem__, S)))
+            index.setdefault(len(S), []).append((mask, S, exponent))
+        G._subgroups = [S for level in index.values() for _, S, _ in level]
         G._lattice_index = index
+        G._cyclic = cyclic
     return G._subgroups
 
 
@@ -335,28 +333,26 @@ counts chains H normal-in J <= G with (G:H) = n and J/H cyclic of
 order d; equal is lhs == rhs."""
 
 
-def _is_normal_in(G: GroupTable, H: frozenset, J) -> bool:
-    table = G.table
-    inverse = G._inverse
+def _is_normal_in(G: GroupTable, mask: int, H, J) -> bool:
+    """Whether j H j^-1 lies in H, of bitmask mask, for every j in J."""
+    table, inverse = G.table, G._inverse
     for j in J:
         row = table[j]
         inv_j = inverse[j]
         for h in H:
-            if table[row[h]][inv_j] not in H:
+            if not mask >> table[row[h]][inv_j] & 1:
                 return False
     return True
 
 
-def _quotient_has_coset_of_order(G: GroupTable, H: frozenset, J, d: int) -> bool:
-    """Whether J/H (H normal in J) contains a coset of order exactly d:
-    some jH whose t-th power first lies in H at t = d."""
-    table = G.table
+def _quotient_has_coset_of_order(G: GroupTable, mask: int, J, d: int) -> bool:
+    """Whether J/H (H normal in J, of bitmask mask) contains a coset of order
+    exactly d: some jH whose t-th power first lies in H at t = d, that is,
+    with |<j>| = d * |<j> meet H|, the sizes read as bit counts."""
+    cyclic = G._cyclic
     for j in J:
-        x, t = j, 1
-        while x not in H:
-            x = table[x][j]
-            t += 1
-        if t == d:
+        c = cyclic[j]
+        if c.bit_count() == d * (c & mask).bit_count():
             return True
     return False
 
@@ -373,7 +369,9 @@ def lemma_check(G: GroupTable, n: int, cap: int = DEFAULT_TABLE_CAP) -> LemmaRep
     Only pairs that can form a chain are tested.  T(1) counts the index-n
     subgroups themselves, since H <= J with |J| = |H| means J = H.  For
     d > 1, a coset jH of order d needs d | ord(j), so a J whose exponent
-    d does not divide is skipped; containment is one test on bitmasks.
+    d does not divide is skipped.  Subgroups are compared as bitmasks:
+    containment is one AND, a conjugate is named by its bitmask, and a
+    membership test reads one bit.
     """
     if n < 1 or G.order % n:
         raise DomainError(f"n = {arith.format_decimal(n)} does not divide |G| = {G.order}")
@@ -386,14 +384,15 @@ def lemma_check(G: GroupTable, n: int, cap: int = DEFAULT_TABLE_CAP) -> LemmaRep
     if abelian:  # every subgroup is its own conjugacy class
         lhs = len(index_n)
     else:
-        seen = set()
+        table, inverse = G.table, G._inverse
+        seen = set()  # the bitmasks of the conjugates of each class counted
         lhs = 0
-        for _, H, _ in index_n:
-            if H in seen:
+        for h, H, _ in index_n:
+            if h in seen:
                 continue
             lhs += 1
-            for g in range(G.order):
-                seen.add(frozenset(G.conjugate(g, x) for x in H))
+            for row, inv_g in zip(table, inverse):
+                seen.add(sum(1 << table[row[x]][inv_g] for x in H))
 
     chain_counts = {1: len(index_n)}
     for d in arith.divisors(n)[1:]:
@@ -401,12 +400,8 @@ def lemma_check(G: GroupTable, n: int, cap: int = DEFAULT_TABLE_CAP) -> LemmaRep
         count = 0
         for h, H, _ in index_n:
             for j, J in above:
-                if h & j != h:
-                    continue
-                if not abelian and not _is_normal_in(G, H, J):
-                    continue
-                if _quotient_has_coset_of_order(G, H, J, d):
-                    count += 1
+                if h & j == h and (abelian or _is_normal_in(G, h, H, J)):
+                    count += _quotient_has_coset_of_order(G, h, J, d)
         chain_counts[d] = count
 
     weighted = sum(arith.euler_phi(d) * c for d, c in chain_counts.items())
@@ -419,9 +414,8 @@ def _product_table(factors, name: str) -> GroupTable:
     # (a, x) in (product so far) x C_f has index a*f + x: the order of itertools.product
     table = [[0]]
     for f in factors:
-        table = [
-            [t * f + (x + y) % f for t in row for y in range(f)] for row in table for x in range(f)
-        ]
+        shifts = [[(x + y) % f for y in range(f)] for x in range(f)]
+        table = [[t * f + z for t in row for z in shift] for row in table for shift in shifts]
     return GroupTable(table, name=name)
 
 

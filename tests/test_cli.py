@@ -302,6 +302,25 @@ def test_both_evaluators_refuse_a_too_short_profile_at_level_v_p(capsys, query):
     assert err == "error: profile too short: level 4 required, profile has depth 0\n"
 
 
+@pytest.mark.parametrize("limit", [None, "3"], ids=["unset", "bits-3"])
+def test_table_refuses_a_too_short_profile_before_its_first_cell(capsys, monkeypatch, limit):
+    # v_2(16) = 4 and the profile has depth 3; the depth is read before any
+    # cell, so the refusal is the same with or without a bit limit
+    def no_cell(*args):
+        raise AssertionError(f"cell {args[1:3]} evaluated")
+
+    monkeypatch.setattr(counting, "krasner_count", no_cell)
+    monkeypatch.setattr(theorems, "iso_count_ef", no_cell)
+    if limit is None:
+        monkeypatch.delenv(counting.MAX_BITS_ENV, raising=False)
+    else:
+        monkeypatch.setenv(counting.MAX_BITS_ENV, limit)
+    path = Path(__file__).parent / "data" / "unramified_quadratic_q2.json"
+    code, out, err = run_cli(capsys, "table", "--profile", str(path), "--n-max", "24")
+    assert (code, out) == (2, "")
+    assert err == "error: profile too short: level 4 required, profile has depth 3\n"
+
+
 @pytest.mark.parametrize(
     "query",
     [("cyclic-ef", "--e", "3", "--f", "1"), ("cyclic-total", "--d", "2")],

@@ -147,6 +147,13 @@ def test_group_table_rejects_junk():
     (GroupTable, ([[0, 1], [1]],), "group table must be square"),
     # every row is a permutation, but column 1 reads 1, 0, 0
     (GroupTable, ([[0, 1, 2], [1, 0, 2], [2, 0, 1]],), "column 1 is not a permutation"),
+    # an entry out of range is refused before the identity is looked for
+    (GroupTable, ([[0, 2], [1, 0]],), "table entries must be element indices"),
+    (GroupTable, ([[0, -1], [1, 0]],), "table entries must be element indices"),
+    (GroupTable, ([[1, 2], [0, 0]],), "table entries must be element indices"),
+    # in range, but no row and column both read 0, 1: no identity, before any permutation test
+    (GroupTable, ([[1, 1], [0, 0]],), "table has no identity element"),
+    (GroupTable, ([[0, 1, 2], [1, 2, 2], [2, 0, 1]],), "row 1 is not a permutation"),
 ])
 def test_oracles_refuse_malformed_arguments(function, args, message):
     with pytest.raises(DomainError) as refused:
@@ -222,9 +229,9 @@ def _lattice_joins(monkeypatch, G):
     calls = []
     real = oracles._join
 
-    def counting_join(table, H, g):
+    def counting_join(table, mask, H, g):
         calls.append(g)
-        return real(table, H, g)
+        return real(table, mask, H, g)
 
     monkeypatch.setattr(oracles, "_join", counting_join)
     size = len(subgroups(G))
@@ -260,9 +267,10 @@ def test_subgroups_cap():
 def test_subgroups_closed_under_join_and_conjugation():
     for G in (symmetric(3), dihedral(4), alternating(4), quaternion8()):
         subs = {frozenset(S) for S in subgroups(G)}
+        inverse = [row.index(G.identity) for row in G.table]
         for A in subs:
             for g in range(G.order):
-                assert frozenset(G.conjugate(g, x) for x in A) in subs
+                assert frozenset(G.table[G.table[g][x]][inverse[g]] for x in A) in subs
             for B in subs:
                 joined = A | B
                 # close the union by multiplication
@@ -493,7 +501,7 @@ def test_lemma_check_refuses_the_cap_once_the_index_is_cached():
 def test_the_lemma_suite_fails_when_every_quotient_is_called_cyclic(monkeypatch):
     # a planted fault: the pruned pairs still reach the coset test, which
     # decides the check
-    monkeypatch.setattr(oracles, "_quotient_has_coset_of_order", lambda G, H, J, d: True)
+    monkeypatch.setattr(oracles, "_quotient_has_coset_of_order", lambda G, mask, J, d: True)
     result = selfcheck.lemma_suite(max_table_order=oracles.DEFAULT_TABLE_CAP)
     assert result.checks == 373
     assert result.fail_count > 0
@@ -510,6 +518,10 @@ def _closure(G, generators):
         S = grown
 
 
+def _mask(elements):
+    return sum(1 << x for x in set(elements))
+
+
 def _power_loop_order(G, x):
     order, cur = 1, x
     while cur != G.identity:
@@ -523,13 +535,15 @@ def test_the_coset_walk_matches_brute_force_on_the_nonabelian_zoo():
     for G in groups:
         for x in range(G.order):
             # the join with the trivial subgroup is the walk the associativity test starts from
-            cyclic_subgroup = oracles._join(G.table, (G.identity,), x)
+            mask, cyclic_subgroup = oracles._join(G.table, 1 << G.identity, [G.identity], x)
             assert len(cyclic_subgroup) == _power_loop_order(G, x), (G.name, x)
+            assert mask == _mask(cyclic_subgroup), (G.name, x)
         for S in subgroups(G):
             for g in range(G.order):
-                assert oracles._join(G.table, frozenset(S), g) == _closure(G, {*S, g}), (
-                    G.name, S, g,
-                )
+                mask, joined = oracles._join(G.table, _mask(S), list(S), g)
+                # each element once, and the bitmask holds exactly the elements listed
+                assert len(joined) == len(set(joined)) and mask == _mask(joined), (G.name, S, g)
+                assert frozenset(joined) == _closure(G, {*S, g}), (G.name, S, g)
 
 
 def _pi_oracle_groups():
