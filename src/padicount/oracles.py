@@ -10,25 +10,22 @@ Two substrates:
   alternating build named, verified tables, writing the index of each
   product from a formula, or for permutations by lookup.
 
-Everything proceeds by exhaustive enumeration, and no count here uses a
-closed form from the paper.  The order histogram combines the cyclic
-factors one at a time; each C_f is enumerated element by element, and
-its (order, count) pairs are kept for the 256 factors used last, the
-module's one cache.  The cyclic subgroups of the dual group are counted
-from two such histograms, one for the distinguished factor and one for
-the rest, without building a subgroup.  A set of table elements is an
-int bitmask, bit x for element x.  One power walk finds a table's
-cyclic subgroups, each walked once, and keeps the bitmask of each <x>.
-The subgroup lattice joins each subgroup H with each cyclic subgroup
-<g> of prime-power order q^a whose <g^q> lies in H, not with each
-element, and skips the generators that a join of prime index already
-covers.  One coset walk, _join, closes every other set in a table: the
-generators for the associativity test and the lattice joins.  The
-chain-count check reads a lattice index of bitmasks and exponents,
-built with the lattice once per table, and tests only the pairs that
-can form a chain: no J whose exponent d does not divide, and none at
-all for T(1).  Caps keep the worst cases bounded and raise
-MagnitudeError when exceeded.
+Everything is exhaustive enumeration; no count here uses a closed form
+from the paper.  The order histogram combines the cyclic factors one at
+a time, each C_f enumerated element by element; the (order, count)
+pairs of the 256 factors used last are the module's one cache.  The
+dual group's cyclic subgroups are counted from two such histograms, of
+the distinguished factor and of the rest, without building a subgroup.
+A set of table elements is an int bitmask, bit x for element x.  One
+power walk finds a table's cyclic subgroups.  The lattice walk takes the
+subgroups by increasing order and joins each H with each cyclic <g> of
+prime-power order q^a whose <g^q> lies in H, skipping the generators of
+every known subgroup of prime index over H.  One coset walk, _join,
+closes every other set in a table: the generators for the associativity
+test and the lattice joins.  The chain-count check reads a lattice
+index of bitmasks and exponents, built once per table, and tests only
+the pairs that can form a chain.  Caps keep the worst cases bounded and
+raise MagnitudeError when exceeded.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ import functools
 import math
 from collections import Counter, namedtuple
 from itertools import chain, combinations, permutations, repeat
-from operator import itemgetter
+from operator import itemgetter, or_
 
 from . import arith
 from .errors import DomainError, MagnitudeError
@@ -80,18 +77,20 @@ class AbelianGroup:
         """order -> element count.
 
         An element's order is the lcm of its coordinate orders, so the
-        histogram of a product is built one cyclic factor at a time: each
-        pair (order a with n_a elements so far, order b with n_b
-        coordinates in the next factor) adds n_a * n_b to lcm(a, b).
-        This counts every element once without visiting each one.
+        histogram of a product is built one cyclic factor at a time from
+        the first one's: each pair (order a with n_a elements so far, order
+        b with n_b coordinates in the next factor) adds n_a * n_b to
+        lcm(a, b).  This counts every element once without visiting each.
         """
-        hist = {1: 1}
-        for f in self.factors:
-            combined = {}
+        factors, lcm = iter(self.factors), math.lcm
+        hist = dict(_cyclic_orders(next(factors, 1)))
+        for f in factors:
+            combined, pairs = {}, _cyclic_orders(f)
+            get = combined.get
             for a, n_a in hist.items():
-                for b, n_b in _cyclic_orders(f):
-                    m = math.lcm(a, b)
-                    combined[m] = combined.get(m, 0) + n_a * n_b
+                for b, n_b in pairs:
+                    m = lcm(a, b)
+                    combined[m] = get(m, 0) + n_a * n_b
             hist = combined
         return Counter(hist)
 
@@ -201,7 +200,7 @@ class GroupTable:
         self.name = name or f"group of order {order}"
         self._inverse = [row.index(identity) for row in rows]
         self._abelian = rows == columns
-        self._subgroups = self._lattice_index = self._cyclic = None  # written by subgroups
+        self._subgroups = self._lattice_index = self._cyclic = self._orders = None  # by subgroups
 
     def is_abelian(self) -> bool:
         return self._abelian
@@ -256,27 +255,27 @@ def subgroups(G: GroupTable, cap: int = DEFAULT_TABLE_CAP) -> list[tuple[int, ..
     each cyclic subgroup is walked once.  Of each cyclic subgroup <g> of
     prime-power order n = q^a, g is kept together with g^q.
 
-    The lattice walk starts from the trivial subgroup and joins every
-    known subgroup H with each kept g outside H whose g^q lies in H (one
-    new generator at a time) until no new subgroup appears.  The fixed
-    point is complete.  Every element is a product of commuting powers of
-    itself of prime-power order, so every subgroup S is generated by its
-    cyclic subgroups of prime-power order.  Add them to the trivial
-    subgroup in order of increasing order: <g^q> has order q^(a-1) and
-    lies in S, so it is one of those added before <g> (or trivial), and
-    g^q lies in the subgroup built so far.  Each step of that chain is a
-    join the walk makes, so S is found.
+    The lattice walk takes the known subgroups H by increasing order,
+    from the trivial one, and joins each with every kept g outside H
+    whose g^q lies in H; a join only adds larger subgroups, which the
+    walk reaches later.  It finds every subgroup S: S is generated by
+    its cyclic subgroups of prime-power order, as every element is a
+    product of commuting powers of itself of prime-power order.  Add
+    them to the trivial subgroup by increasing order: <g^q> has order
+    q^(a-1) and lies in S, so it is one added before <g> (or trivial),
+    and g^q lies in the subgroup built so far.  Each step of that chain
+    is a join the walk makes or one whose result it knows.
 
-    A join J = <H, g> of prime index over H covers the rest of J: for g'
-    in J outside H, <H, g'> lies between H and J and is larger than H,
-    so by Lagrange it is J.  Such generators are skipped for this H, as
-    their join is already found, and the fixed point stays the same.
+    A subgroup J of prime index over H covers J outside H: for g' there,
+    H < <H, g'> <= J, so <H, g'> = J by Lagrange.  Every such J found so
+    far, and every such join H makes, is ORed into H's covered bits, and
+    covered generators are not joined: each skipped join's result is known.
 
     The walk keeps each subgroup as bitmask -> element list.  The first
     call writes, from those, G._subgroups and, for lemma_check,
     G._lattice_index: subgroup order -> (bitmask, element tuple,
-    exponent) of each subgroup in list order, the exponent the lcm of the
-    orders |<x>| over its elements; and G._cyclic, x -> bitmask of <x>.
+    exponent) of each subgroup in list order, the exponent the lcm of
+    its element orders; G._cyclic, x -> bitmask of <x>; G._orders, x -> |<x>|.
     """
     if G.order > cap:
         raise MagnitudeError(f"group order {G.order} exceeds cap {arith.format_decimal(cap)}")
@@ -300,27 +299,29 @@ def subgroups(G: GroupTable, cap: int = DEFAULT_TABLE_CAP) -> list[tuple[int, ..
                 generators.append((x, 1 << x, 1 << powers[factors[0][0] % n]))
         primes = {q for q, _ in arith.prime_factors(G.order)}
         found = {1 << identity: [identity]}  # bitmask -> element list
-        work = [1 << identity]
-        while work:
-            h = work.pop()
-            H = found[h]
-            covered = h
-            for g, bit, root in generators:
-                if covered & bit or not h & root:
-                    continue
-                j, J = _join(table, h, H, g)
-                if len(J) // len(H) in primes:
-                    covered |= j
-                if j not in found:
-                    found[j] = J
-                    work.append(j)
+        by_order = {1: [1 << identity]}  # order -> the bitmasks found so far
+        for size in range(1, G.order + 1):
+            for h in by_order.get(size, ()):
+                H = found[h]
+                covered = functools.reduce(or_, (j for q in primes for j in by_order.get(size * q, ())
+                                                 if h & j == h), h)
+                for g, bit, root in generators:
+                    if covered & bit or not h & root:
+                        continue
+                    j, J = _join(table, h, H, g)
+                    if len(J) // size in primes:
+                        covered |= j
+                    if j not in found:
+                        found[j] = J
+                        by_order.setdefault(len(J), []).append(j)
+        orders = list(map(int.bit_count, cyclic))  # x -> |<x>|
         index = {}
         for _, S, mask in sorted((len(S), tuple(sorted(S)), mask) for mask, S in found.items()):
-            exponent = math.lcm(*map(int.bit_count, map(cyclic.__getitem__, S)))
+            exponent = math.lcm(*map(orders.__getitem__, S))
             index.setdefault(len(S), []).append((mask, S, exponent))
         G._subgroups = [S for level in index.values() for _, S, _ in level]
         G._lattice_index = index
-        G._cyclic = cyclic
+        G._cyclic, G._orders = cyclic, orders
     return G._subgroups
 
 
@@ -348,11 +349,10 @@ def _is_normal_in(G: GroupTable, mask: int, H, J) -> bool:
 def _quotient_has_coset_of_order(G: GroupTable, mask: int, J, d: int) -> bool:
     """Whether J/H (H normal in J, of bitmask mask) contains a coset of order
     exactly d: some jH whose t-th power first lies in H at t = d, that is,
-    with |<j>| = d * |<j> meet H|, the sizes read as bit counts."""
-    cyclic = G._cyclic
+    with |<j>| = d * |<j> meet H|, the meet's size read as a bit count."""
+    cyclic, orders = G._cyclic, G._orders
     for j in J:
-        c = cyclic[j]
-        if c.bit_count() == d * (c & mask).bit_count():
+        if orders[j] == d * (cyclic[j] & mask).bit_count():
             return True
     return False
 
