@@ -5,11 +5,12 @@ longer than a fixed bound; an input past it raises MagnitudeError:
 
 * primality is deterministic Miller-Rabin, exact below MR_BOUND (about
   3.3e24) and refused past it;
-* factoring is one trial-division loop up to TRIAL_BOUND (10^6) with a
-  primality shortcut for the cofactor, so every n below 10^12 factors,
-  and so does any n below MR_BOUND all of whose prime factors but the
-  largest are at most 10^6; it returns each prime with its exponent,
-  which p_valuation finds as it strips the prime, in rounds;
+* factoring is trial division up to TRIAL_BOUND (10^6), with a
+  primality shortcut for the cofactor past SHORTCUT_FROM, so every n
+  below 10^12 factors, and so does any n below MR_BOUND all of whose
+  prime factors but the largest are at most 10^6; it returns each prime
+  with its exponent, which p_valuation finds as it strips the prime, in
+  rounds;
 * divisor lists are built from the factorisation, under the same bound,
   and are refused past MAX_DIVISORS entries, counted before any is built;
 * gcd_p_power_minus_one reduces p^F modulo its other argument, so huge
@@ -20,6 +21,9 @@ longer than a fixed bound; an input past it raises MagnitudeError:
   costs a few long divisions, not one per factor;
 * exact_quotient is the one checked division: a remainder raises
   ConsistencyError;
+* require_counts is the one argument check of the counts and closed
+  forms: a value that is not an int, or one below its floor, raises
+  DomainError;
 * parse_decimal is the one reader of integer inputs, ASCII -?[0-9]+ only,
   and format_decimal the one writer, of any length: a message writes
   each int that input can make long through it, and each repr that may
@@ -46,6 +50,8 @@ MR_BOUND = 3317044064679887385961981
 # none goes past TRIAL_BOUND.
 SHORTCUT_FROM = 1000
 TRIAL_BOUND = 10**6
+# 2 and every odd number up to SHORTCUT_FROM: the trial divisors before the shortcut.
+_SMALL_TRIAL_DIVISORS = (2, *range(3, SHORTCUT_FROM + 1, 2))
 # A divisor list longer than this is refused before it is built.
 MAX_DIVISORS = 10**5
 
@@ -94,32 +100,38 @@ def prime_factors(n: int) -> list[tuple[int, int]]:
     """The factorisation of n: each prime q with its exponent a, as pairs
     (q, a), ascending in q.
 
-    Trial division; a prime found is divided out once, and p_valuation
-    strips the rest of its power.  Past SHORTCUT_FROM the cofactor is
-    tested with is_prime on the way past and again after each factor
-    found, so a large prime cofactor ends the search at once.  A composite
-    cofactor with no prime factor up to TRIAL_BOUND raises MagnitudeError,
-    so every n < TRIAL_BOUND^2 factors.
+    Trial division, in two loops: up to SHORTCUT_FROM, then past it.  A
+    prime found is divided out once, and p_valuation strips the rest of
+    its power.  Past SHORTCUT_FROM the cofactor is tested with is_prime on
+    the way in and again after each factor found, so a large prime
+    cofactor ends the search at once, and the scan between two tests does
+    nothing but divide.  A composite cofactor with no prime factor up to
+    TRIAL_BOUND raises MagnitudeError, so every n < TRIAL_BOUND^2 factors.
     """
     if n < 1:
         raise DomainError("prime_factors: n must be >= 1")
-    out = []
-    rest, p, tested = n, 2, None
-    while p * p <= rest:
-        if p > SHORTCUT_FROM:
-            if rest != tested:  # rest is new since the last test
-                tested = rest
-                if is_prime(rest):
-                    break
-            if p > TRIAL_BOUND:  # rest is composite, and its factors all lie past p
-                raise MagnitudeError(
-                    f"prime_factors: {rest} has no prime factor up to {TRIAL_BOUND}"
-                )
+    out, rest = [], n
+    for p in _SMALL_TRIAL_DIVISORS:
+        if p * p > rest:
+            break
         if rest % p == 0:
             rest //= p
             s, rest = p_valuation(rest, p) if rest % p == 0 else (0, rest)
             out.append((p, s + 1))
-        p += 1 if p == 2 else 2
+    else:  # past SHORTCUT_FROM
+        p = _SMALL_TRIAL_DIVISORS[-1] + 2
+        while p * p <= rest and not is_prime(rest):
+            # rest is composite with no prime factor below p: one lies in [p, sqrt(rest)]
+            for p in range(p, TRIAL_BOUND + 1, 2):
+                if rest % p == 0:
+                    break
+            else:
+                raise MagnitudeError(
+                    f"prime_factors: {rest} has no prime factor up to {TRIAL_BOUND}"
+                )
+            rest //= p
+            s, rest = p_valuation(rest, p) if rest % p == 0 else (0, rest)
+            out.append((p, s + 1))
     if rest > 1:
         out.append((rest, 1))
     return out
@@ -168,6 +180,24 @@ def exact_quotient(total: int, divisor: int, where: str, *args) -> int:
             f"{where}: {format_decimal(total)} is not divisible by {format_decimal(divisor)}"
         )
     return q
+
+
+def require_counts(where: str, names: str, *values, low: int | None = 1) -> None:
+    """Refuse values that are not all ints, bools included, and then, unless
+    low is None, any below low, each with DomainError:
+    "<where>: <names> must be integers, got <values>" ("an integer, got
+    <value>" for one) and "<where>: <names> must be >= <low>".
+
+    The counts and closed forms call it only once their own inline test,
+    the same one, has failed: a call costs more than the test, and they
+    run thousands of times per selfcheck."""
+    for value in values:
+        if type(value) is not int:  # bool is a subclass of int
+            if len(values) > 1:
+                raise DomainError(f"{where}: {names} must be integers, got {format_repr(values)}")
+            raise DomainError(f"{where}: {names} must be an integer, got {format_repr(value)}")
+    if low is not None and min(values) < low:
+        raise DomainError(f"{where}: {names} must be >= {low}")
 
 
 def parse_decimal(text: str) -> int | None:

@@ -65,6 +65,8 @@ def sigma_krasner(p: int, N: int, s: int, bits: int | None = None) -> int:
     vouches that p is prime; only p >= 2 is checked here, because the
     exponent divides by p - 1.
     """
+    if not type(p) is type(N) is type(s) is int:  # bool is a subclass of int
+        arith.require_counts("sigma_krasner", "p, N and s", p, N, s, low=None)
     if N < 1:
         raise DomainError("sigma_krasner: N must be >= 1")
     if s < 0:
@@ -92,12 +94,8 @@ def krasner_count(K: BaseFieldProfile, e: int, f: int, bits: int | None = None) 
     fixed algebraic closure, fields counted individually rather than up to
     isomorphism: e * sigma_krasner(p, n0*e*f, v_p(e)), both fetched through
     K's memo, where the class counts find the same values."""
-    if type(e) is not int or type(f) is not int:  # bool is a subclass of int
-        raise DomainError(
-            f"krasner_count: e and f must be integers, got {arith.format_repr((e, f))}"
-        )
-    if e < 1 or f < 1:
-        raise DomainError("krasner_count: e and f must be >= 1")
+    if not type(e) is type(f) is int or e < 1 or f < 1:  # bool is a subclass of int
+        arith.require_counts("krasner_count", "e and f", e, f)
     p, memo = K.p, K._memo
     bits = magnitude_bits() if bits is None else bits
     return e * memo[sigma_krasner][p, K.n0 * e * f, memo[arith.p_valuation][e, p].s, bits]
@@ -109,6 +107,8 @@ def pi_count(p: int, m: int, s: int, xi: int, bits: int | None = None) -> int:
     Independent of r as long as r >= s: 1 for s = 0, otherwise
     p^{m*s + min(xi,s)} - p^{m*(s-1) + min(xi,s-1)}.
     """
+    if not type(p) is type(m) is type(s) is type(xi) is int:  # bool is a subclass of int
+        arith.require_counts("pi_count", "p, m, s and xi", p, m, s, xi, low=None)
     if s == 0:
         return 1
     bits = magnitude_bits() if bits is None else bits
@@ -123,6 +123,8 @@ def delta_count(p: int, m: int, s: int, i: int, bits: int | None = None) -> int:
     pi_count(p, m, s, i) - pi_count(p, m, s, i-1) for i > 0, as a closed
     form: the main term plus one correction layer per cyclotomic level.
     """
+    if not type(p) is type(m) is type(s) is type(i) is int:  # bool is a subclass of int
+        arith.require_counts("delta_count", "p, m, s and i", p, m, s, i, low=None)
     bits = magnitude_bits() if bits is None else bits
     if i > s:
         return 0
@@ -141,6 +143,8 @@ def psi_count(u: int, v: int) -> int:
     u*(u,v) * prod over primes l | u of (1 - 1/l) when l | u/(u,v), else
     (1 - 1/l^2), evaluated as an exact integer quotient.
     """
+    if not type(u) is type(v) is int:  # bool is a subclass of int
+        arith.require_counts("psi_count", "u and v", u, v, low=None)
     if u < 1 or v < 0:
         raise DomainError("psi_count: u must be >= 1 and v >= 0")
     g = math.gcd(u, v)
@@ -164,12 +168,8 @@ def cyclic_count_ef(K: BaseFieldProfile, e: int, f: int, bits: int | None = None
     else e*phi(h)*phi(f)/phi(e*f) * pi_count(p, n0, v_p(e), xi).  K must
     be deep enough to determine xi, even where the count is zero.
     """
-    if type(e) is not int or type(f) is not int:  # bool is a subclass of int
-        raise DomainError(
-            f"cyclic_count_ef: e and f must be integers, got {arith.format_repr((e, f))}"
-        )
-    if e < 1 or f < 1:
-        raise DomainError("cyclic_count_ef: e and f must be >= 1")
+    if not type(e) is type(f) is int or e < 1 or f < 1:  # bool is a subclass of int
+        arith.require_counts("cyclic_count_ef", "e and f", e, f)
     xi = K.xi
     bits = magnitude_bits() if bits is None else bits
     s, h = arith.p_valuation(e, K.p)
@@ -187,10 +187,8 @@ def cyclic_count_total(K: BaseFieldProfile, d: int, bits: int | None = None) -> 
     on its second argument only through its gcd with k, so that gcd is
     passed instead of the power.
     """
-    if type(d) is not int:  # bool is a subclass of int
-        raise DomainError(f"cyclic_count_total: d must be an integer, got {arith.format_repr(d)}")
-    if d < 1:
-        raise DomainError("cyclic_count_total: d must be >= 1")
+    if type(d) is not int or d < 1:  # bool is a subclass of int
+        arith.require_counts("cyclic_count_total", "d", d)
     xi = K.xi
     bits = magnitude_bits() if bits is None else bits
     r, k = arith.p_valuation(d, K.p)

@@ -45,11 +45,12 @@ DEFAULT_TABLE_CAP = 48
 
 
 def _require_integers(*args) -> None:
-    if any(type(a) is not int for a in args):  # bool is a subclass of int
-        raise DomainError(
-            f"group constructor arguments must be integers, got {arith.format_repr(args)}"
-        )
-    if any(a < 1 for a in args):
+    for a in args:
+        if type(a) is not int:  # bool is a subclass of int
+            raise DomainError(
+                f"group constructor arguments must be integers, got {arith.format_repr(args)}"
+            )
+    if min(args, default=1) < 1:
         raise DomainError(
             f"group constructor arguments must be >= 1, got {arith.format_repr(args)}"
         )
@@ -92,7 +93,9 @@ class AbelianGroup:
                     m = lcm(a, b)
                     combined[m] = get(m, 0) + n_a * n_b
             hist = combined
-        return Counter(hist)
+        counts = Counter()
+        dict.update(counts, hist)  # Counter(hist) would first test hist against the Mapping ABC
+        return counts
 
 
 @functools.lru_cache(maxsize=256)
@@ -159,6 +162,12 @@ class GroupTable:
     form a submagma, so they are the whole table once the generators
     pass.  The generating set is built greedily by the coset walk, which
     forms products alone, since inverses are not known to exist yet.
+
+    The rows are tested first, the columns only when a row is broken or
+    Light's test fails: an identity, rows that are permutations and a
+    pass of Light's test make a group, whose columns are permutations.
+    So each refusal is the one a test of every line, row x before
+    column x, ahead of the associativity test would give.
     """
 
     def __init__(self, table, name: str = ""):
@@ -174,22 +183,21 @@ class GroupTable:
         columns = list(map(list, zip(*rows)))
         indices = list(range(order))
         everything = set(indices)
-        # the lines that are not permutations, row x before column x; with
-        # none, every entry is an index, so the range is read only after one
-        broken = [f"{kind} {x} is not a permutation" for x in indices for kind, line in
-                  (("row", rows[x]), ("column", columns[x])) if set(line) != everything]
-        if broken and (min(map(min, rows)) < 0 or max(map(max, rows)) >= order):
+        # with every row a permutation, every entry is an index
+        rows_broken = any(set(row) != everything for row in rows)
+        if rows_broken and (min(map(min, rows)) < 0 or max(map(max, rows)) >= order):
             raise DomainError("table entries must be element indices")
         identity = next((e for e in indices if rows[e] == indices and columns[e] == indices), None)
         if identity is None:
             raise DomainError("table has no identity element")
-        if broken:
-            raise DomainError(broken[0])
+        if rows_broken:
+            _refuse_a_broken_line(rows, columns)
         as_tuples = list(map(tuple, rows))
         for b in _magma_generators(rows, identity):
             # for every a, row a*b is row a read at the entries of row b
             read = list(map(itemgetter(*rows[b]), as_tuples))
             if list(map(as_tuples.__getitem__, columns[b])) != read:
+                _refuse_a_broken_line(rows, columns)
                 a, c = next((a, c) for a in indices for c in indices
                             if rows[rows[a][b]][c] != rows[a][rows[b][c]])
                 raise DomainError(f"table is not associative at ({a}, {b}, {c})")
@@ -209,6 +217,16 @@ class GroupTable:
         return f"GroupTable({self.name}, order={self.order})"
 
 
+def _refuse_a_broken_line(rows, columns) -> None:
+    """Raise DomainError naming the first line that is not a permutation,
+    row x before column x, if there is one."""
+    everything = set(range(len(rows)))
+    for x, lines in enumerate(zip(rows, columns)):
+        for kind, line in zip(("row", "column"), lines):
+            if set(line) != everything:
+                raise DomainError(f"{kind} {x} is not a permutation")
+
+
 def _join(table, mask: int, H, g) -> tuple[int, list[int]]:
     """<H, g> as its bitmask and its element list, for H the subgroup of
     bitmask mask and element list H (holding the identity).
@@ -221,7 +239,8 @@ def _join(table, mask: int, H, g) -> tuple[int, list[int]]:
     or not.  On a table not yet known to be associative each element
     reached is still a product of H and g; cosets may then overlap, but
     each one brings a new bit, so the list stays below (order + 1) * |H|
-    entries.
+    entries.  The rows must be permutations: a coset with a repeated
+    element would carry into the wrong bits when summed.
     """
     coset_of = itemgetter(*H) if len(H) > 1 else lambda row: (row[H[0]],)  # row z -> zH
     joined = list(H)
@@ -253,7 +272,9 @@ def subgroups(G: GroupTable, cap: int = DEFAULT_TABLE_CAP) -> list[tuple[int, ..
     reached is walked to the identity, x, x^2, ..., x^n = e, and every
     generator x^k with gcd(k, n) = 1 is given the bitmask of <x>, so
     each cyclic subgroup is walked once.  Of each cyclic subgroup <g> of
-    prime-power order n = q^a, g is kept together with g^q.
+    prime-power order n = q^a, g is kept together with g^q; n divides
+    |G|, so it is a power of q when q is the one prime of |G| dividing it,
+    and nothing is factored but |G|.
 
     The lattice walk takes the known subgroups H by increasing order,
     from the trivial one, and joins each with every kept g outside H
@@ -281,6 +302,7 @@ def subgroups(G: GroupTable, cap: int = DEFAULT_TABLE_CAP) -> list[tuple[int, ..
         raise MagnitudeError(f"group order {G.order} exceeds cap {arith.format_decimal(cap)}")
     if G._subgroups is None:
         table, identity = G.table, G.identity
+        primes = [q for q, _ in arith.prime_factors(G.order)]
         cyclic = [0] * G.order  # x -> the bitmask of <x>
         generators = []
         for x in range(G.order):
@@ -294,10 +316,9 @@ def subgroups(G: GroupTable, cap: int = DEFAULT_TABLE_CAP) -> list[tuple[int, ..
             for k in range(n):
                 if math.gcd(k, n) == 1:
                     cyclic[powers[k]] = mask
-            factors = arith.prime_factors(n)
-            if len(factors) == 1:
-                generators.append((x, 1 << x, 1 << powers[factors[0][0] % n]))
-        primes = {q for q, _ in arith.prime_factors(G.order)}
+            dividing = [q for q in primes if n % q == 0]
+            if len(dividing) == 1:
+                generators.append((x, 1 << x, 1 << powers[dividing[0] % n]))
         found = {1 << identity: [identity]}  # bitmask -> element list
         by_order = {1: [1 << identity]}  # order -> the bitmasks found so far
         for size in range(1, G.order + 1):
@@ -369,7 +390,9 @@ def lemma_check(G: GroupTable, n: int, cap: int = DEFAULT_TABLE_CAP) -> LemmaRep
     Only pairs that can form a chain are tested.  T(1) counts the index-n
     subgroups themselves, since H <= J with |J| = |H| means J = H.  For
     d > 1, a coset jH of order d needs d | ord(j), so a J whose exponent
-    d does not divide is skipped.  Subgroups are compared as bitmasks:
+    d does not divide is skipped.  A quotient J/H of prime order d is
+    cyclic by Lagrange, so the coset walk runs only for composite d.
+    Subgroups are compared as bitmasks:
     containment is one AND, a conjugate is named by its bitmask, and a
     membership test reads one bit.
     """
@@ -397,11 +420,11 @@ def lemma_check(G: GroupTable, n: int, cap: int = DEFAULT_TABLE_CAP) -> LemmaRep
     chain_counts = {1: len(index_n)}
     for d in arith.divisors(n)[1:]:
         above = [(j, J) for j, J, exponent in by_order.get(target * d, ()) if exponent % d == 0]
-        count = 0
+        prime, count = arith.is_prime(d), 0
         for h, H, _ in index_n:
             for j, J in above:
                 if h & j == h and (abelian or _is_normal_in(G, h, H, J)):
-                    count += _quotient_has_coset_of_order(G, h, J, d)
+                    count += prime or _quotient_has_coset_of_order(G, h, J, d)
         chain_counts[d] = count
 
     weighted = sum(arith.euler_phi(d) * c for d, c in chain_counts.items())

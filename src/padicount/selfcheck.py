@@ -16,14 +16,20 @@ brute-force oracle or a cross-formula identity:
 
 The suites run on a "full" grid (the acceptance grid) or a reduced
 "small" grid.  Each check is written in place as one guarded block,
-``with result: ... result.record(passed, message)``, and failures carry
-a printable counterexample.  An internal exactness violation
-(ConsistencyError) raised inside the block is recorded by the guard as
-that check's failure and the suite goes on, so a corrupted build still
-produces an orderly failing report instead of a crash.
+``with result: ... result.record(passed, lambda: message)``; the
+printable counterexample is formatted only when the check fails.  An
+internal exactness violation (ConsistencyError) raised inside the block
+is recorded by the guard as that check's failure and the suite goes on,
+so a corrupted build still produces an orderly failing report instead
+of a crash.
+
+One run builds each base field once, and its suites share the field and
+its memo (see run_selfcheck); a suite called on its own builds its own.
 """
 
 from __future__ import annotations
+
+import functools
 
 from . import arith, counting, oracles, theorems
 from .errors import ConsistencyError, DomainError, MagnitudeError
@@ -38,12 +44,14 @@ class SuiteResult:
     def ok(self) -> bool:
         return self.fail_count == 0
 
-    def record(self, passed: bool, message: str) -> None:
+    def record(self, passed: bool, message) -> None:
+        """Count one check; message() builds its counterexample, called only
+        for the first five failures."""
         self.checks += 1
         if not passed:
             self.fail_count += 1
             if len(self.failures) < 5:
-                self.failures.append(message)
+                self.failures.append(message())
 
     def __enter__(self) -> SuiteResult:
         return self
@@ -51,7 +59,7 @@ class SuiteResult:
     def __exit__(self, kind, exc, traceback) -> bool:
         """A ConsistencyError inside a check's block is that check's failure."""
         if isinstance(exc, ConsistencyError):
-            self.record(False, f"internal exactness violation: {exc}")
+            self.record(False, lambda: f"internal exactness violation: {exc}")
             return True
         return False
 
@@ -112,7 +120,7 @@ def lemma_suite(max_table_order: int, small: bool = False) -> SuiteResult:
         for n in arith.divisors(G.order):
             with result:
                 report = oracles.lemma_check(G, n, cap=max_table_order)
-                result.record(report.equal, (
+                result.record(report.equal, lambda: (
                     f"chain-count identity fails for {G.name}, n={n}: "
                     f"classes={report.lhs}, weighted chains/n={report.rhs}"
                 ))
@@ -138,7 +146,7 @@ def pi_oracle_suite(
                         with result:
                             got = counting.pi_count(p, m, s, xi, bits)
                             want = hist.get(p**s, 0)
-                            result.record(got == want, (
+                            result.record(got == want, lambda: (
                                 f"pi_count({p},{m},{s},{xi}) = {got} but enumeration "
                                 f"with r={r} finds {want}"
                             ))
@@ -158,7 +166,7 @@ def psi_oracle_suite(max_abelian_order: int, small: bool = False) -> SuiteResult
             with result:
                 got = counting.psi_count(u, v)
                 want = hist.get(u, 0)
-                result.record(got == want, (
+                result.record(got == want, lambda: (
                     f"psi_count({u},{v}) = {got} but enumeration of C_{u} x C_{v} finds {want}"
                 ))
     return result
@@ -173,7 +181,7 @@ def delta_telescoping_suite(bits: int | None = None) -> SuiteResult:
                     with result:
                         partial = sum(counting.delta_count(p, m, s, i, bits) for i in range(j + 1))
                         want = counting.pi_count(p, m, s, j, bits)
-                        result.record(partial == want, (
+                        result.record(partial == want, lambda: (
                             f"delta rows (p={p},m={m},s={s}) sum to {partial} "
                             f"through i={j}, pi gives {want}"
                         ))
@@ -181,40 +189,42 @@ def delta_telescoping_suite(bits: int | None = None) -> SuiteResult:
                     with result:
                         full = sum(counting.delta_count(p, m, s, i, bits) for i in range(s + 1))
                         want = counting.pi_count(p, m, s, xi, bits)
-                        result.record(full == want, (
+                        result.record(full == want, lambda: (
                             f"delta rows (p={p},m={m},s={s}) sum to {full}, "
                             f"pi with xi={xi} gives {want}"
                         ))
     return result
 
 
-def _cyclic_profiles() -> list[BaseFieldProfile]:
+def _cyclic_profiles(qp=qp_profile) -> list[BaseFieldProfile]:
     """Nine base fields with n0 <= 2 and xi <= 1, through level 2: level i
     is trivial for i <= xi, else totally ramified of degree
     phi(p^i)/phi(p^xi), except over Q_3(sqrt 3), where K(zeta_3) =
     K(sqrt -1) is unramified over K: its levels are (1, 2), (3, 2), as in
     tests/data/ramified_quadratic_q3.json.  Every tower obeys
     phi(p^i) | e0*e_i, so xi = 1 needs p = 2 or e0 = 2, and each step past
-    level 1 has degree 1 or p: over Q_3(zeta_3), level 2 is 3, not 6."""
+    level 1 has degree 1 or p: over Q_3(zeta_3), level 2 is 3, not 6.
+    The three with e0 = f0 = 1 are Q_p through level 2, built by qp."""
     shapes = ((1, 1), (2, 1), (1, 2))
     phi = arith.euler_phi
     q3_sqrt3 = [CyclotomicDatum(1, 1, 2), CyclotomicDatum(2, 3, 2)]
     return [
         BaseFieldProfile(p, e0, f0, q3_sqrt3 if (p, e0, xi) == (3, 2, 0) else [
             CyclotomicDatum(i, 1 if i <= xi else phi(p**i) // phi(p**xi), 1) for i in (1, 2)
-        ])
+        ]) if e0 * f0 > 1 else qp(p, 2)
         for p, xi, bases in ((2, 1, shapes), (3, 0, shapes), (3, 1, ((2, 1),)), (5, 0, shapes[::2]))
         for e0, f0 in bases
     ]
 
 
 def dual_oracle_suite(
-    max_abelian_order: int, small: bool = False, bits: int | None = None
+    max_abelian_order: int, small: bool = False, bits: int | None = None, fields=None
 ) -> SuiteResult:
-    """cyclic_count_ef against dual groups; run_selfcheck holds the default of the required cap."""
+    """cyclic_count_ef against dual groups, over fields or _cyclic_profiles();
+    run_selfcheck holds the default of the required cap."""
     result = SuiteResult("dual-oracle")
     d_max = 8 if small else 12
-    for K in _cyclic_profiles():
+    for K in fields or _cyclic_profiles():
         for d in range(1, d_max + 1):
             try:
                 Ghat = oracles.dual_group(K, d, cap=max_abelian_order)
@@ -227,24 +237,26 @@ def dual_oracle_suite(
                     if by_meet is None:
                         by_meet = oracles.dual_cyclic_subgroup_count(Ghat)
                     got, want = counting.cyclic_count_ef(K, e, f, bits), by_meet[f]
-                    result.record(got == want, (
+                    result.record(got == want, lambda: (
                         f"cyclic_count_ef(p={K.p},n0={K.n0},f0={K.f0},xi={K.xi}; "
                         f"e={e},f={f}) = {got} but subgroup enumeration finds {want}"
                     ))
     return result
 
 
-def cyclic_decomposition_suite(small: bool = False, bits: int | None = None) -> SuiteResult:
+def cyclic_decomposition_suite(
+    small: bool = False, bits: int | None = None, fields=None
+) -> SuiteResult:
     result = SuiteResult("cyclic-decomposition")
     d_max = 12 if small else 24
-    for K in _cyclic_profiles():
+    for K in fields or _cyclic_profiles():
         for d in range(1, d_max + 1):
             with result:
                 parts = sum(
                     counting.cyclic_count_ef(K, e, f, bits) for e, f in arith.divisor_pairs(d)
                 )
                 total = counting.cyclic_count_total(K, d, bits)
-                result.record(parts == total, (
+                result.record(parts == total, lambda: (
                     f"sum of cyclic_count_ef over ef={d} is {parts}, "
                     f"cyclic_count_total gives {total} "
                     f"(p={K.p},n0={K.n0},f0={K.f0},xi={K.xi})"
@@ -252,86 +264,92 @@ def cyclic_decomposition_suite(small: bool = False, bits: int | None = None) -> 
     return result
 
 
-def _tame_grid(small: bool):
-    """(K, e, f) over Q_p for p in {3, 5, 7} (small: {3, 5}), p not dividing
-    e <= 10 (small: 6), f <= 6 (small: 4)."""
+def _tame_grid(small: bool, qp=qp_profile):
+    """(K, e, f) over Q_p = qp(p, 0) for p in {3, 5, 7} (small: {3, 5}), p
+    not dividing e <= 10 (small: 6), f <= 6 (small: 4)."""
     primes = (3, 5) if small else (3, 5, 7)
     e_max = 6 if small else 10
     f_max = 4 if small else 6
     for p in primes:
-        K = qp_profile(p, 0)
+        K = qp(p, 0)
         for e in range(1, e_max + 1):
             if e % p:
                 for f in range(1, f_max + 1):
                     yield K, e, f
 
 
-def _degree_grid(small: bool):
-    """(K, n) over Q_2 and Q_3 for n <= 12 (small: 8), one K per prime, as
-    deep as its largest n needs."""
+def _degree_grid(small: bool, qp=qp_profile):
+    """(K, n) over Q_2 and Q_3 for n <= 12 (small: 8), one K = qp(p, depth)
+    per prime, as deep as its largest n needs."""
     degrees = range(1, (8 if small else 12) + 1)
     for p in (2, 3):
-        K = qp_profile(p, max(arith.p_valuation(n, p).s for n in degrees))
+        K = qp(p, max(arith.p_valuation(n, p).s for n in degrees))
         for n in degrees:
             yield K, n
 
 
-def remark_equivalence_suite(small: bool = False, bits: int | None = None) -> SuiteResult:
+def remark_equivalence_suite(
+    small: bool = False, bits: int | None = None, qp=qp_profile
+) -> SuiteResult:
     result = SuiteResult("remark-equivalence")
-    for K, e, f in _tame_grid(small):
+    for K, e, f in _tame_grid(small, qp):
         with result:
             tame, _ = theorems.tame_iso_count_terms(K, e, f, cross_check=True)
             general = theorems.iso_count_ef(K, e, f, bits)
-            result.record(tame == general, (
+            result.record(tame == general, lambda: (
                 f"tame_iso_count(Q_{K.p},e={e},f={f}) = {tame} but iso_count_ef gives {general}"
             ))
     return result
 
 
-def theorem_consistency_suite(small: bool = False, bits: int | None = None) -> SuiteResult:
+def theorem_consistency_suite(
+    small: bool = False, bits: int | None = None, qp=qp_profile
+) -> SuiteResult:
     result = SuiteResult("theorem-consistency")
-    for K, n in _degree_grid(small):
+    for K, n in _degree_grid(small, qp):
         with result:
             total = theorems.iso_count_total(K, n, bits)
             parts = sum(theorems.iso_count_ef(K, e, f, bits) for e, f in arith.divisor_pairs(n))
-            result.record(total == parts, (
+            result.record(total == parts, lambda: (
                 f"iso_count_total(Q_{K.p},n={n}) = {total} but the (e,f) cells sum to {parts}"
             ))
     return result
 
 
-def sandwich_suite(small: bool = False, bits: int | None = None) -> SuiteResult:
+def sandwich_suite(
+    small: bool = False, bits: int | None = None, qp=qp_profile
+) -> SuiteResult:
     result = SuiteResult("sandwich")
-    cells = [(K, e, f) for K, n in _degree_grid(small) for e, f in arith.divisor_pairs(n)]
-    for K, e, f in cells + list(_tame_grid(small)):
+    cells = [(K, e, f) for K, n in _degree_grid(small, qp) for e, f in arith.divisor_pairs(n)]
+    for K, e, f in cells + list(_tame_grid(small, qp)):
         with result:
             classes = theorems.iso_count_ef(K, e, f, bits)
             fields = counting.krasner_count(K, e, f, bits)
-            result.record(classes <= fields <= e * f * classes, (
+            result.record(classes <= fields <= e * f * classes, lambda: (
                 f"sandwich fails over Q_{K.p} at (e={e},f={f}): "
                 f"classes={classes}, fields={fields}"
             ))
     return result
 
 
-def golden_suite(bits: int | None = None) -> SuiteResult:
+def golden_suite(bits: int | None = None, qp=qp_profile) -> SuiteResult:
     result = SuiteResult("golden")
     cases = [
-        ("N(Q_2,e=2,f=1)", lambda: counting.krasner_count(qp_profile(2, 0), 2, 1, bits), 6),
-        ("N(Q_3,e=3,f=1)", lambda: counting.krasner_count(qp_profile(3, 0), 3, 1, bits), 21),
-        ("I(Q_2,e=2,f=1)", lambda: theorems.iso_count_ef(qp_profile(2, 1), 2, 1, bits), 6),
-        ("I(Q_3,e=3,f=1)", lambda: theorems.iso_count_ef(qp_profile(3, 1), 3, 1, bits), 9),
-        ("I(Q_2,n=2)", lambda: theorems.iso_count_total(qp_profile(2, 1), 2, bits), 7),
-        ("I(Q_3,n=3)", lambda: theorems.iso_count_total(qp_profile(3, 1), 3, bits), 10),
-        ("I(Q_5,e=2,f=1)", lambda: theorems.tame_iso_count(qp_profile(5, 0), 2, 1), 2),
-        ("C(Q_2,e=2,f=1)", lambda: counting.cyclic_count_ef(qp_profile(2, 2), 2, 1, bits), 6),
-        ("C(Q_2,d=2)", lambda: counting.cyclic_count_total(qp_profile(2, 2), 2, bits), 7),
-        ("C(Q_3,d=3)", lambda: counting.cyclic_count_total(qp_profile(3, 1), 3, bits), 4),
+        ("N(Q_2,e=2,f=1)", lambda: counting.krasner_count(qp(2, 0), 2, 1, bits), 6),
+        ("N(Q_3,e=3,f=1)", lambda: counting.krasner_count(qp(3, 0), 3, 1, bits), 21),
+        ("I(Q_2,e=2,f=1)", lambda: theorems.iso_count_ef(qp(2, 1), 2, 1, bits), 6),
+        ("I(Q_3,e=3,f=1)", lambda: theorems.iso_count_ef(qp(3, 1), 3, 1, bits), 9),
+        ("I(Q_2,n=2)", lambda: theorems.iso_count_total(qp(2, 1), 2, bits), 7),
+        ("I(Q_3,n=3)", lambda: theorems.iso_count_total(qp(3, 1), 3, bits), 10),
+        ("I(Q_5,e=2,f=1)", lambda: theorems.tame_iso_count(qp(5, 0), 2, 1), 2),
+        ("C(Q_2,e=2,f=1)", lambda: counting.cyclic_count_ef(qp(2, 2), 2, 1, bits), 6),
+        ("C(Q_2,d=2)", lambda: counting.cyclic_count_total(qp(2, 2), 2, bits), 7),
+        ("C(Q_3,d=3)", lambda: counting.cyclic_count_total(qp(3, 1), 3, bits), 4),
     ]
     for label, compute, want in cases:
         with result:
             got = compute()
-            result.record(got == want, f"{label} = {got}, expected {want}")
+            result.record(got == want, lambda: f"{label} = {got}, expected {want}")
     return result
 
 
@@ -345,22 +363,26 @@ def run_selfcheck(
     defaults live here alone: the suites take each cap as a required
     argument.  A cap below 1 would empty suites that then read as
     passing, so it is refused.  bits is the magnitude limit every suite's
-    counts use, read from the environment once when not given."""
+    counts use, read from the environment once when not given.  The suites
+    share, for this run only, one Q_p builder that keeps what it builds and
+    one list of the cyclic suites' fields."""
     if grid not in ("small", "full"):
         raise DomainError(f"unknown grid {arith.format_repr(grid)}, expected 'small' or 'full'")
     if min(max_abelian_order, max_table_order) < 1:
         raise DomainError("max_abelian_order and max_table_order must be >= 1")
     small = grid == "small"
     bits = counting.magnitude_bits() if bits is None else bits
+    qp = functools.cache(qp_profile)
+    fields = _cyclic_profiles(qp)
     return [
         lemma_suite(max_table_order=max_table_order, small=small),
         pi_oracle_suite(max_abelian_order=max_abelian_order, small=small, bits=bits),
         psi_oracle_suite(max_abelian_order=max_abelian_order, small=small),
         delta_telescoping_suite(bits=bits),
-        dual_oracle_suite(max_abelian_order=max_abelian_order, small=small, bits=bits),
-        cyclic_decomposition_suite(small=small, bits=bits),
-        remark_equivalence_suite(small=small, bits=bits),
-        theorem_consistency_suite(small=small, bits=bits),
-        sandwich_suite(small=small, bits=bits),
-        golden_suite(bits=bits),
+        dual_oracle_suite(max_abelian_order, small=small, bits=bits, fields=fields),
+        cyclic_decomposition_suite(small=small, bits=bits, fields=fields),
+        remark_equivalence_suite(small=small, bits=bits, qp=qp),
+        theorem_consistency_suite(small=small, bits=bits, qp=qp),
+        sandwich_suite(small=small, bits=bits, qp=qp),
+        golden_suite(bits=bits, qp=qp),
     ]

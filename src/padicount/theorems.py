@@ -107,12 +107,8 @@ def _sum_ef(
     K: BaseFieldProfile, e: int, f: int, bits: int | None, terms: list | None = None
 ) -> int:
     """iso_count_ef; each summand is also appended to terms when given."""
-    if type(e) is not int or type(f) is not int:  # bool is a subclass of int
-        raise DomainError(
-            f"iso_count_ef: e and f must be integers, got {arith.format_repr((e, f))}"
-        )
-    if e < 1 or f < 1:
-        raise DomainError("iso_count_ef: e and f must be >= 1")
+    if not type(e) is type(f) is int or e < 1 or f < 1:  # bool is a subclass of int
+        arith.require_counts("iso_count_ef", "e and f", e, f)
     bits = counting.magnitude_bits() if bits is None else bits
     s = K._memo[arith.p_valuation][e, K.p].s
     if s >= len(K._rows):
@@ -171,10 +167,8 @@ def _sum_total(
     K: BaseFieldProfile, n: int, bits: int | None, terms: list | None = None
 ) -> int:
     """iso_count_total; each summand is also appended to terms when given."""
-    if type(n) is not int:  # bool is a subclass of int
-        raise DomainError(f"iso_count_total: n must be an integer, got {arith.format_repr(n)}")
-    if n < 1:
-        raise DomainError("iso_count_total: n must be >= 1")
+    if type(n) is not int or n < 1:  # bool is a subclass of int
+        arith.require_counts("iso_count_total", "n", n)
     p, n0, f0, memo = K.p, K.n0, K.f0, K._memo
     valuation = memo[arith.p_valuation]
     s = valuation[n, p].s
@@ -255,12 +249,8 @@ def tame_iso_count_terms(
     it the summands are None.  The cross-check refuses f past
     MAX_SUMMANDS with MagnitudeError.
     """
-    if type(e) is not int or type(f) is not int:  # bool is a subclass of int
-        raise DomainError(
-            f"tame_iso_count: e and f must be integers, got {arith.format_repr((e, f))}"
-        )
-    if e < 1 or f < 1:
-        raise DomainError("tame_iso_count: e and f must be >= 1")
+    if not type(e) is type(f) is int or e < 1 or f < 1:  # bool is a subclass of int
+        arith.require_counts("tame_iso_count", "e and f", e, f)
     p = K.p
     if e % p == 0:
         raise DomainError(

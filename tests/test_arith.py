@@ -214,6 +214,30 @@ def test_prime_factors_of_prime_powers_past_the_shortcut():
         assert arith.prime_factors(n) == sorted(sympy.factorint(n).items()), n
 
 
+def _plain_trial_division(n):
+    out, q = [], 2
+    while q * q <= n:
+        a = 0
+        while n % q == 0:
+            n, a = n // q, a + 1
+        if a:
+            out.append((q, a))
+        q += 1
+    return out + [(n, 1)] * (n > 1)
+
+
+def test_prime_factors_equals_plain_trial_division_across_the_shortcut():
+    # factors below, at and past SHORTCUT_FROM, in one n and in both loops
+    assert (991, 997, 1009, 1013) == tuple(q for q in range(990, 1014) if arith.is_prime(q))
+    below, past = (2, 3, 991, 997), (1009, 1013, 1019, 10007, 999_983)
+    numbers = [b**a * q**c for b in below for q in past for a in (1, 2) for c in (1, 2, 3)]
+    numbers += [991 * 997 * 1009 * 1013, 997**2 * 1009**2, 2**5 * 1009 * 10007 * 999_983]
+    numbers += list(range(arith.SHORTCUT_FROM**2 - 50, arith.SHORTCUT_FROM**2 + 50))
+    numbers += list(range(1, 3000))
+    for n in numbers:
+        assert arith.prime_factors(n) == _plain_trial_division(n), n
+
+
 @pytest.mark.parametrize("function, args, message", [
     (arith.prime_factors, (0,), "prime_factors: n must be >= 1"),
     (arith.mult_order, (2, 0), "mult_order: modulus must be >= 1"),

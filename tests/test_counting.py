@@ -237,6 +237,23 @@ def test_counting_refuses_arguments_below_its_domain(function, args, message):
     assert str(refused.value) == message
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "2"])
+@pytest.mark.parametrize("function, refusal, args", [
+    (sigma_krasner, "sigma_krasner: p, N and s", (2, 4, 1)),
+    (pi_count, "pi_count: p, m, s and xi", (2, 2, 1, 1)),
+    (delta_count, "delta_count: p, m, s and i", (2, 2, 1, 0)),
+    (psi_count, "psi_count: u and v", (2, 3)),
+])
+def test_closed_forms_refuse_an_argument_that_is_not_an_int(function, refusal, args, bad):
+    # each once coerced or crashed: sigma_krasner(2, 4.0, 1) raised a bare
+    # AttributeError, and psi_count(True, 3) returned 1
+    for at in range(len(args)):
+        given = args[:at] + (bad,) + args[at + 1:]
+        with pytest.raises(DomainError) as refused:
+            function(*given)
+        assert str(refused.value) == f"{refusal} must be integers, got {given!r}"
+
+
 def test_counts_are_nonnegative():
     for F in (Q2, Q3):
         for e in range(1, 7):

@@ -515,13 +515,32 @@ def test_lemma_check_refuses_the_cap_once_the_index_is_cached():
 
 
 def test_the_lemma_suite_fails_when_every_quotient_is_called_cyclic(monkeypatch):
-    # a planted fault: the pruned pairs still reach the coset test, which
-    # decides the check
+    # a planted fault: the pruned pairs of composite quotient order still
+    # reach the coset test, which decides the check
     monkeypatch.setattr(oracles, "_quotient_has_coset_of_order", lambda G, mask, J, d: True)
     result = selfcheck.lemma_suite(max_table_order=oracles.DEFAULT_TABLE_CAP)
     assert result.checks == 373
     assert result.fail_count > 0
     assert all("chain-count" in message for message in result.failures)
+
+
+def test_only_the_order_is_factored_and_only_composite_quotients_walk_cosets(monkeypatch):
+    zoo = selfcheck.lemma_group_zoo(24)
+    factored, walked = [], Counter()
+    real_factors, real_walk = arith.prime_factors, oracles._quotient_has_coset_of_order
+    monkeypatch.setattr(arith, "prime_factors", lambda n: factored.append(n) or real_factors(n))
+    for G in zoo:
+        subgroups(G)
+    assert factored == [G.order for G in zoo]
+
+    def walk(G, mask, J, d):
+        walked[d] += 1
+        return real_walk(G, mask, J, d)
+
+    monkeypatch.setattr(oracles, "_quotient_has_coset_of_order", walk)
+    assert all(lemma_check(G, n).equal for G in zoo for n in arith.divisors(G.order))
+    # a quotient of prime order is cyclic by Lagrange
+    assert sorted(walked) == [4, 6, 8, 9, 10, 12, 14, 15, 16, 18, 20, 21, 22, 24]
 
 
 def _closure(G, generators):

@@ -2,9 +2,10 @@ from collections import Counter
 
 import pytest
 
-from padicount import counting, oracles, selfcheck
+from padicount import arith, counting, oracles, selfcheck, theorems
 from padicount.cli import main
 from padicount.errors import ConsistencyError, DomainError
+from padicount.profiles import BaseFieldProfile
 
 
 def test_small_grid_passes():
@@ -181,3 +182,114 @@ def test_a_remainder_in_the_dual_count_fails_its_checks_and_not_the_run(monkeypa
 
     assert main(["selfcheck", "--grid", "small"]) == 1
     assert "dual-oracle" in capsys.readouterr().out
+
+
+def test_a_fault_planted_between_two_runs_fails_the_second(monkeypatch):
+    # mult_order is reached only inside memoized level sums, so fields kept
+    # from the first run would answer the second from their memos and pass
+    assert all(r.ok for r in selfcheck.run_selfcheck(grid="small"))
+    monkeypatch.setattr(arith, "mult_order", lambda p, modulus: 1)
+    failing = [r.name for r in selfcheck.run_selfcheck(grid="small") if not r.ok]
+    assert failing == ["remark-equivalence", "theorem-consistency"]
+
+
+@pytest.mark.parametrize("grid, fields", [("small", 15), ("full", 16)])
+def test_one_run_builds_each_base_field_once(monkeypatch, grid, fields):
+    built = Counter()
+    real_init = BaseFieldProfile.__init__
+
+    def counting_init(self, *args):
+        real_init(self, *args)
+        built[self._key()] += 1
+
+    monkeypatch.setattr(BaseFieldProfile, "__init__", counting_init)
+    assert all(r.ok for r in selfcheck.run_selfcheck(grid=grid))
+    assert len(built) == fields and set(built.values()) == {1}
+    # a second run starts from fresh fields
+    selfcheck.run_selfcheck(grid=grid)
+    assert set(built.values()) == {2}
+
+
+def _bump(module, name, when, by=1):
+    real = getattr(module, name)
+
+    def planted(*args):
+        value = real(*args)
+        return value + by if when(*args) else value
+
+    return module, name, planted
+
+
+def _false_lemma_report():
+    real = oracles.lemma_check
+
+    def planted(G, n, cap):
+        report = real(G, n, cap)
+        if (G.name, n) == ("dihedral(4)", 2):
+            return report._replace(lhs=report.lhs + 1, equal=False)
+        return report
+
+    return oracles, "lemma_check", planted
+
+
+# one planted fault per suite, with the suite's fail and check counts and
+# its first counterexample, recorded before messages were built lazily
+PLANTED_FAULTS = {
+    "lemma": (_false_lemma_report(), (1, 99),
+              "chain-count identity fails for dihedral(4), n=2: classes=4, weighted chains/n=3"),
+    "pi-oracle": (_bump(counting, "pi_count", lambda p, m, s, xi, bits: (p, s) == (3, 1)), (12, 60),
+                  "pi_count(3,1,1,0) = 3 but enumeration with r=1 finds 2"),
+    "psi-oracle": (_bump(counting, "psi_count", lambda u, v: (u, v) == (4, 6)), (1, 144),
+                   "psi_count(4,6) = 5 but enumeration of C_4 x C_6 finds 4"),
+    "delta-telescoping": (
+        _bump(counting, "delta_count", lambda p, m, s, i, bits: (p, m, s, i) == (3, 2, 2, 1)), (5, 198),
+        "delta rows (p=3,m=2,s=2) sum to 217 through i=1, pi gives 216"),
+    "dual-oracle": (
+        _bump(counting, "cyclic_count_ef", lambda K, e, f, bits: (K.p, K.f0, e, f) == (3, 2, 2, 2)),
+        (1, 180),
+        "cyclic_count_ef(p=3,n0=2,f0=2,xi=0; e=2,f=2) = 2 but subgroup enumeration finds 1"),
+    "cyclic-decomposition": (
+        _bump(counting, "cyclic_count_total", lambda K, d, bits: (K.p, K.e0, d) == (2, 2, 4)), (1, 108),
+        "sum of cyclic_count_ef over ef=4 is 56, cyclic_count_total gives 57 (p=2,n0=2,f0=1,xi=1)"),
+    "remark-equivalence": (
+        _bump(theorems, "iso_count_ef", lambda K, e, f, bits: (K.p, e, f) == (5, 3, 2)), (1, 36),
+        "tame_iso_count(Q_5,e=3,f=2) = 2 but iso_count_ef gives 3"),
+    "theorem-consistency": (
+        _bump(theorems, "iso_count_total", lambda K, n, bits: (K.p, n) == (3, 6)), (1, 16),
+        "iso_count_total(Q_3,n=6) = 76 but the (e,f) cells sum to 75"),
+    "sandwich": (
+        _bump(counting, "krasner_count", lambda K, e, f, bits: (K.p, e, f) == (2, 4, 1), by=10**6),
+        (1, 76), "sandwich fails over Q_2 at (e=4,f=1): classes=48, fields=1000092"),
+    "golden": (_bump(counting, "sigma_krasner", lambda p, N, s, bits: (p, N) == (3, 3)), (3, 10),
+               "N(Q_3,e=3,f=1) = 24, expected 21"),
+}
+
+
+@pytest.mark.parametrize("suite", PLANTED_FAULTS)
+def test_each_suite_reports_a_planted_fault_in_its_recorded_words(monkeypatch, suite):
+    (module, name, planted), counts, first = PLANTED_FAULTS[suite]
+    monkeypatch.setattr(module, name, planted)
+    result = {r.name: r for r in selfcheck.run_selfcheck(grid="small")}[suite]
+    assert (result.fail_count, result.checks) == counts
+    assert result.failures[0] == first
+
+
+def test_a_passing_check_never_builds_its_message(monkeypatch):
+    built = []
+    real = selfcheck.SuiteResult.record
+
+    def watched(self, passed, message):
+        real(self, passed, lambda: built.append(passed) or message())
+
+    monkeypatch.setattr(selfcheck.SuiteResult, "record", watched)
+    assert all(r.ok for r in selfcheck.run_selfcheck(grid="small"))
+    assert built == []
+
+
+def test_a_failing_check_builds_its_message_once_and_only_the_first_five_are_kept():
+    result, built = selfcheck.SuiteResult("planted"), []
+    for k in range(7):
+        result.record(False, lambda: built.append(k) or f"failure {k}")
+    assert (result.checks, result.fail_count) == (7, 7)
+    assert built == [0, 1, 2, 3, 4]
+    assert result.failures == [f"failure {k}" for k in range(5)]
