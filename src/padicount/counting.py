@@ -4,12 +4,11 @@ All arithmetic is exact; no floating point is used anywhere.  Powers pass
 through a magnitude guard that turns runaway inputs into a clean
 MagnitudeError instead of exhausting memory.  The guarded closed forms
 (sigma_krasner, delta_count, pi_count), krasner_count and the cyclic
-counts take its limit as bits, read from PADICOUNT_MAX_BITS by
-magnitude_bits only when not given; the cyclic counts pass it to
-pi_count, and ask about p^f0 - 1 only through its gcd,
-arith.gcd_p_power_minus_one.  Every
-division goes through arith.exact_quotient; a remainder means the
-implementation itself is wrong, so it raises ConsistencyError.
+counts take its limit as bits: PADICOUNT_MAX_BITS for None, else an int
+>= 1 (limit_bits).  The cyclic counts pass it to pi_count, and ask about
+p^f0 - 1 only through arith.gcd_p_power_minus_one.  Every division goes
+through arith.exact_quotient; a remainder means the implementation
+itself is wrong, so it raises ConsistencyError.
 """
 
 from __future__ import annotations
@@ -34,6 +33,15 @@ def magnitude_bits() -> int:
     if value is None or value < 1:
         raise DomainError(f"{MAX_BITS_ENV} must be a positive integer, got {raw!r}")
     return value
+
+
+def limit_bits(where: str, bits) -> int:
+    """magnitude_bits() for None, else bits, refused with DomainError unless
+    an int >= 1.  Callers test inline and call this only when that fails."""
+    if bits is None:
+        return magnitude_bits()
+    arith.require_counts(where, "bits", bits)
+    return bits
 
 
 def guarded_power(base: int, exponent: int, bits: int) -> int:
@@ -78,7 +86,8 @@ def sigma_krasner(p: int, N: int, s: int, bits: int | None = None) -> int:
             f"sigma_krasner: p^s = {arith.format_decimal(p**s)} must divide "
             f"N = {arith.format_decimal(N)}"
         )
-    bits = magnitude_bits() if bits is None else bits
+    if type(bits) is not int or bits < 1:  # bool is a subclass of int
+        bits = limit_bits("sigma_krasner", bits)
     total = 0
     prev = 0
     for i in range(s + 1):
@@ -96,8 +105,9 @@ def krasner_count(K: BaseFieldProfile, e: int, f: int, bits: int | None = None) 
     K's memo, where the class counts find the same values."""
     if not type(e) is type(f) is int or e < 1 or f < 1:  # bool is a subclass of int
         arith.require_counts("krasner_count", "e and f", e, f)
+    if type(bits) is not int or bits < 1:
+        bits = limit_bits("krasner_count", bits)
     p, memo = K.p, K._memo
-    bits = magnitude_bits() if bits is None else bits
     return e * memo[sigma_krasner][p, K.n0 * e * f, memo[arith.p_valuation][e, p].s, bits]
 
 
@@ -109,9 +119,10 @@ def pi_count(p: int, m: int, s: int, xi: int, bits: int | None = None) -> int:
     """
     if not type(p) is type(m) is type(s) is type(xi) is int:  # bool is a subclass of int
         arith.require_counts("pi_count", "p, m, s and xi", p, m, s, xi, low=None)
+    if type(bits) is not int or bits < 1:
+        bits = limit_bits("pi_count", bits)
     if s == 0:
         return 1
-    bits = magnitude_bits() if bits is None else bits
     lo, hi = m * (s - 1) + min(xi, s - 1), m * s + min(xi, s)
     return guarded_power(p, hi, bits) - guarded_power(p, lo, bits)
 
@@ -125,7 +136,8 @@ def delta_count(p: int, m: int, s: int, i: int, bits: int | None = None) -> int:
     """
     if not type(p) is type(m) is type(s) is type(i) is int:  # bool is a subclass of int
         arith.require_counts("delta_count", "p, m, s and i", p, m, s, i, low=None)
-    bits = magnitude_bits() if bits is None else bits
+    if type(bits) is not int or bits < 1:
+        bits = limit_bits("delta_count", bits)
     if i > s:
         return 0
     if s == 0:
@@ -170,8 +182,9 @@ def cyclic_count_ef(K: BaseFieldProfile, e: int, f: int, bits: int | None = None
     """
     if not type(e) is type(f) is int or e < 1 or f < 1:  # bool is a subclass of int
         arith.require_counts("cyclic_count_ef", "e and f", e, f)
+    if type(bits) is not int or bits < 1:
+        bits = limit_bits("cyclic_count_ef", bits)
     xi = K.xi
-    bits = magnitude_bits() if bits is None else bits
     s, h = arith.p_valuation(e, K.p)
     if arith.gcd_p_power_minus_one(h, K.p, K.f0) != h:
         return 0
@@ -189,8 +202,9 @@ def cyclic_count_total(K: BaseFieldProfile, d: int, bits: int | None = None) -> 
     """
     if type(d) is not int or d < 1:  # bool is a subclass of int
         arith.require_counts("cyclic_count_total", "d", d)
+    if type(bits) is not int or bits < 1:
+        bits = limit_bits("cyclic_count_total", bits)
     xi = K.xi
-    bits = magnitude_bits() if bits is None else bits
     r, k = arith.p_valuation(d, K.p)
     psi = psi_count(k, arith.gcd_p_power_minus_one(k, K.p, K.f0))
     num = psi * pi_count(K.p, K.n0 + 1, r, xi, bits)

@@ -11,21 +11,12 @@ Two substrates:
   product from a formula, or for permutations by lookup.
 
 Everything is exhaustive enumeration; no count here uses a closed form
-from the paper.  The order histogram combines the cyclic factors one at
-a time, each C_f enumerated element by element; the (order, count)
-pairs of the 256 factors used last are the module's one cache.  The
-dual group's cyclic subgroups are counted from two such histograms, of
-the distinguished factor and of the rest, without building a subgroup.
-A set of table elements is an int bitmask, bit x for element x.  One
-power walk finds a table's cyclic subgroups.  The lattice walk takes the
-subgroups by increasing order and joins each H with each cyclic <g> of
-prime-power order q^a whose <g^q> lies in H, skipping the generators of
-every known subgroup of prime index over H.  One coset walk, _join,
-closes every other set in a table: the generators for the associativity
-test and the lattice joins.  The chain-count check reads a lattice
-index of bitmasks and exponents, built once per table, and tests only
-the pairs that can form a chain.  Caps keep the worst cases bounded and
-raise MagnitudeError when exceeded.
+from the paper.  A set of table elements is an int bitmask, bit x for
+element x; each function's docstring says how it walks.  The (order,
+count) pairs of the 256 cyclic factors used last are the module's one
+cache.  Two constants bound the work, and nothing overrides them: an
+AbelianGroup above MAX_ABELIAN_ORDER and a lattice above MAX_TABLE_ORDER
+are refused with MagnitudeError.  selfcheck's largest are 531,441 and 48.
 """
 
 from __future__ import annotations
@@ -40,8 +31,8 @@ from . import arith
 from .errors import DomainError, MagnitudeError
 from .profiles import BaseFieldProfile
 
-DEFAULT_ABELIAN_CAP = 100_000
-DEFAULT_TABLE_CAP = 48
+MAX_ABELIAN_ORDER = 1_000_000
+MAX_TABLE_ORDER = 48
 
 
 def _require_integers(*args) -> None:
@@ -64,13 +55,13 @@ class AbelianGroup:
     (positions matter to the dual-group oracle).
     """
 
-    def __init__(self, factors, cap: int = DEFAULT_ABELIAN_CAP):
+    def __init__(self, factors):
         factors = tuple(factors)
         _require_integers(*factors)
         order = math.prod(factors)
-        if order > cap:
-            order, cap = arith.format_decimal(order), arith.format_decimal(cap)
-            raise MagnitudeError(f"group order {order} exceeds cap {cap}")
+        if order > MAX_ABELIAN_ORDER:
+            order = arith.format_decimal(order)
+            raise MagnitudeError(f"group order {order} exceeds cap {MAX_ABELIAN_ORDER}")
         self.factors = factors
         self.order = order
 
@@ -106,19 +97,21 @@ def _cyclic_orders(f: int) -> tuple[tuple[int, int], ...]:
     return tuple(Counter(map(f.__floordiv__, map(math.gcd, range(f), repeat(f)))).items())
 
 
-def dual_group(K: BaseFieldProfile, d: int, cap: int = DEFAULT_ABELIAN_CAP) -> AbelianGroup:
+def dual_group(K: BaseFieldProfile, d: int) -> AbelianGroup:
     """The dual-side product for degree d over K.
 
     C_d x C_z x C_{p^r}^n0 x C_{p^{min(xi,r)}} with d = p^r * k,
     gcd(k, p) = 1 and z = gcd(k, p^f0 - 1).  The C_d factor comes
     first; it is the distinguished coordinate for intersection counts.
     """
+    if type(d) is not int:  # bool is a subclass of int
+        arith.require_counts("dual_group", "d", d, low=None)
     if d < 1:
         raise DomainError("d must be >= 1")
     r, k = arith.p_valuation(d, K.p)
     z = arith.gcd_p_power_minus_one(k, K.p, K.f0)
     factors = (d, z) + (K.p**r,) * K.n0 + (K.p ** min(K.xi, r),)
-    return AbelianGroup(factors, cap=cap)
+    return AbelianGroup(factors)
 
 
 def dual_cyclic_subgroup_count(Ghat: AbelianGroup) -> Counter:
@@ -141,8 +134,8 @@ def dual_cyclic_subgroup_count(Ghat: AbelianGroup) -> Counter:
     if not Ghat.factors:
         raise DomainError("the dual group has no factors, so no distinguished first factor")
     d = Ghat.factors[0]
-    first = AbelianGroup(Ghat.factors[:1], cap=Ghat.order).order_histogram()
-    rest = AbelianGroup(Ghat.factors[1:], cap=Ghat.order).order_histogram()
+    first = AbelianGroup(Ghat.factors[:1]).order_histogram()
+    rest = AbelianGroup(Ghat.factors[1:]).order_histogram()
     elements = Counter()
     for a, n_a in first.items():
         for b, n_b in rest.items():
@@ -265,7 +258,7 @@ def _magma_generators(rows, identity: int) -> list[int]:
     return generators
 
 
-def subgroups(G: GroupTable, cap: int = DEFAULT_TABLE_CAP) -> list[tuple[int, ...]]:
+def subgroups(G: GroupTable) -> list[tuple[int, ...]]:
     """Every subgroup of G, each as a sorted tuple of element indices.
 
     One power walk lists the cyclic subgroups: each element not yet
@@ -298,8 +291,8 @@ def subgroups(G: GroupTable, cap: int = DEFAULT_TABLE_CAP) -> list[tuple[int, ..
     exponent) of each subgroup in list order, the exponent the lcm of
     its element orders; G._cyclic, x -> bitmask of <x>; G._orders, x -> |<x>|.
     """
-    if G.order > cap:
-        raise MagnitudeError(f"group order {G.order} exceeds cap {arith.format_decimal(cap)}")
+    if G.order > MAX_TABLE_ORDER:
+        raise MagnitudeError(f"group order {G.order} exceeds cap {MAX_TABLE_ORDER}")
     if G._subgroups is None:
         table, identity = G.table, G.identity
         primes = [q for q, _ in arith.prime_factors(G.order)]
@@ -378,7 +371,7 @@ def _quotient_has_coset_of_order(G: GroupTable, mask: int, J, d: int) -> bool:
     return False
 
 
-def lemma_check(G: GroupTable, n: int, cap: int = DEFAULT_TABLE_CAP) -> LemmaReport:
+def lemma_check(G: GroupTable, n: int) -> LemmaReport:
     """Verify the chain-count identity for index-n subgroups of G.
 
     The left side counts conjugacy classes of index-n subgroups directly.
@@ -396,9 +389,11 @@ def lemma_check(G: GroupTable, n: int, cap: int = DEFAULT_TABLE_CAP) -> LemmaRep
     containment is one AND, a conjugate is named by its bitmask, and a
     membership test reads one bit.
     """
+    if type(n) is not int:  # bool is a subclass of int
+        arith.require_counts("lemma_check", "n", n, low=None)
     if n < 1 or G.order % n:
         raise DomainError(f"n = {arith.format_decimal(n)} does not divide |G| = {G.order}")
-    subgroups(G, cap=cap)  # refuses the cap on every call, cached or not
+    subgroups(G)  # refuses a table past MAX_TABLE_ORDER on every call, cached or not
     by_order = G._lattice_index
     target = G.order // n
     index_n = by_order.get(target, [])

@@ -14,14 +14,14 @@ brute-force oracle or a cross-formula identity:
 * sandwich: class counts versus extension counts in a fixed closure;
 * golden: frozen hand-derived values.
 
-The suites run on a "full" grid (the acceptance grid) or a reduced
-"small" grid.  Each check is written in place as one guarded block,
+The suites run on a fixed "full" grid (the acceptance grid) or a reduced
+"small" one.  No group either builds is past the oracles' limits, so no
+check is skipped.  Each check is one guarded block,
 ``with result: ... result.record(passed, lambda: message)``; the
-printable counterexample is formatted only when the check fails.  An
-internal exactness violation (ConsistencyError) raised inside the block
-is recorded by the guard as that check's failure and the suite goes on,
-so a corrupted build still produces an orderly failing report instead
-of a crash.
+counterexample is formatted only when the check fails.  An internal
+exactness violation (ConsistencyError) inside the block is recorded as
+that check's failure and the suite goes on, so a corrupted build still
+gives an orderly failing report instead of a crash.
 
 One run builds each base field once, and its suites share the field and
 its memo (see run_selfcheck); a suite called on its own builds its own.
@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 
 from . import arith, counting, oracles, theorems
-from .errors import ConsistencyError, DomainError, MagnitudeError
+from .errors import ConsistencyError, DomainError
 from .profiles import BaseFieldProfile, CyclotomicDatum, qp_profile
 
 
@@ -93,33 +93,25 @@ def abelian_factor_lists(bound: int) -> list[tuple[int, ...]]:
     return sorted(set(out), key=lambda t: (len(t), t))
 
 
-def lemma_group_zoo(max_table_order: int, small: bool = False) -> list[oracles.GroupTable]:
-    """Cayley tables for the chain-count suite, each built only when its
-    order is within the cap."""
-    cyclic_max = 10 if small else 24
-    abelian_max = 16 if small else 48
-    dihedral_max = 6 if small else 12
-    groups = [oracles.cyclic(n) for n in range(1, min(cyclic_max, max_table_order) + 1)]
-    groups += [
-        oracles.abelian(*factors)
-        for factors in abelian_factor_lists(min(abelian_max, max_table_order))
-    ]
-    groups += [oracles.dihedral(n) for n in range(3, dihedral_max + 1) if 2 * n <= max_table_order]
-    named = [(8, oracles.quaternion8, ()), (6, oracles.symmetric, (3,))]
+def lemma_group_zoo(small: bool = False) -> list[oracles.GroupTable]:
+    """Cayley tables for the chain-count suite, of order at most 48 (small: 16)."""
+    cyclic_max, abelian_max, dihedral_max = (10, 16, 6) if small else (24, 48, 12)
+    groups = [oracles.cyclic(n) for n in range(1, cyclic_max + 1)]
+    groups += [oracles.abelian(*factors) for factors in abelian_factor_lists(abelian_max)]
+    groups += [oracles.dihedral(n) for n in range(3, dihedral_max + 1)]
+    groups += [oracles.quaternion8(), oracles.symmetric(3)]
     if not small:
-        named.append((24, oracles.symmetric, (4,)))
-    named.append((12, oracles.alternating, (4,)))
-    groups += [build(*args) for order, build, args in named if order <= max_table_order]
+        groups.append(oracles.symmetric(4))
+    groups.append(oracles.alternating(4))
     return groups
 
 
-def lemma_suite(max_table_order: int, small: bool = False) -> SuiteResult:
-    """Chain-count identity checks; run_selfcheck holds the default of the required cap."""
+def lemma_suite(small: bool = False) -> SuiteResult:
     result = SuiteResult("lemma")
-    for G in lemma_group_zoo(max_table_order, small=small):
+    for G in lemma_group_zoo(small):
         for n in arith.divisors(G.order):
             with result:
-                report = oracles.lemma_check(G, n, cap=max_table_order)
+                report = oracles.lemma_check(G, n)
                 result.record(report.equal, lambda: (
                     f"chain-count identity fails for {G.name}, n={n}: "
                     f"classes={report.lhs}, weighted chains/n={report.rhs}"
@@ -127,10 +119,7 @@ def lemma_suite(max_table_order: int, small: bool = False) -> SuiteResult:
     return result
 
 
-def pi_oracle_suite(
-    max_abelian_order: int, small: bool = False, bits: int | None = None
-) -> SuiteResult:
-    """pi_count against enumeration; run_selfcheck holds the default of the required cap."""
+def pi_oracle_suite(small: bool = False, bits: int | None = None) -> SuiteResult:
     result = SuiteResult("pi-oracle")
     top = 2 if small else 3
     for p in (2, 3):
@@ -138,10 +127,7 @@ def pi_oracle_suite(
             for r in range(1, top + 1):
                 for xi in range(0, top + 1):
                     shape = (p**r,) * m + (p ** min(xi, r),)
-                    try:
-                        hist = oracles.AbelianGroup(shape, cap=max_abelian_order).order_histogram()
-                    except MagnitudeError:  # past the enumeration cap: skipped
-                        continue
+                    hist = oracles.AbelianGroup(shape).order_histogram()
                     for s in range(0, r + 1):
                         with result:
                             got = counting.pi_count(p, m, s, xi, bits)
@@ -153,16 +139,12 @@ def pi_oracle_suite(
     return result
 
 
-def psi_oracle_suite(max_abelian_order: int, small: bool = False) -> SuiteResult:
-    """psi_count against enumeration; run_selfcheck holds the default of the required cap."""
+def psi_oracle_suite(small: bool = False) -> SuiteResult:
     result = SuiteResult("psi-oracle")
     bound = 12 if small else 30
     for u in range(1, bound + 1):
         for v in range(1, bound + 1):
-            try:
-                hist = oracles.AbelianGroup((u, v), cap=max_abelian_order).order_histogram()
-            except MagnitudeError:  # past the enumeration cap: skipped
-                continue
+            hist = oracles.AbelianGroup((u, v)).order_histogram()
             with result:
                 got = counting.psi_count(u, v)
                 want = hist.get(u, 0)
@@ -217,19 +199,13 @@ def _cyclic_profiles(qp=qp_profile) -> list[BaseFieldProfile]:
     ]
 
 
-def dual_oracle_suite(
-    max_abelian_order: int, small: bool = False, bits: int | None = None, fields=None
-) -> SuiteResult:
-    """cyclic_count_ef against dual groups, over fields or _cyclic_profiles();
-    run_selfcheck holds the default of the required cap."""
+def dual_oracle_suite(small: bool = False, bits: int | None = None, fields=None) -> SuiteResult:
+    """cyclic_count_ef against dual groups, over fields or _cyclic_profiles()."""
     result = SuiteResult("dual-oracle")
     d_max = 8 if small else 12
     for K in fields or _cyclic_profiles():
         for d in range(1, d_max + 1):
-            try:
-                Ghat = oracles.dual_group(K, d, cap=max_abelian_order)
-            except MagnitudeError:  # past the enumeration cap: skipped
-                continue
+            Ghat = oracles.dual_group(K, d)
             by_meet = None
             for e, f in arith.divisor_pairs(d):
                 with result:
@@ -353,33 +329,24 @@ def golden_suite(bits: int | None = None, qp=qp_profile) -> SuiteResult:
     return result
 
 
-def run_selfcheck(
-    grid: str = "full",
-    max_abelian_order: int = 1_000_000,
-    max_table_order: int = oracles.DEFAULT_TABLE_CAP,
-    bits: int | None = None,
-) -> list[SuiteResult]:
-    """Run every suite and return the per-suite results.  The caps'
-    defaults live here alone: the suites take each cap as a required
-    argument.  A cap below 1 would empty suites that then read as
-    passing, so it is refused.  bits is the magnitude limit every suite's
-    counts use, read from the environment once when not given.  The suites
-    share, for this run only, one Q_p builder that keeps what it builds and
-    one list of the cyclic suites' fields."""
+def run_selfcheck(grid: str = "full", bits: int | None = None) -> list[SuiteResult]:
+    """Every suite's result.  bits is the magnitude limit of every suite's
+    counts, read from the environment once when None.  The suites share,
+    for this run only, one Q_p builder that keeps what it builds and one
+    list of the cyclic suites' fields."""
     if grid not in ("small", "full"):
         raise DomainError(f"unknown grid {arith.format_repr(grid)}, expected 'small' or 'full'")
-    if min(max_abelian_order, max_table_order) < 1:
-        raise DomainError("max_abelian_order and max_table_order must be >= 1")
+    if type(bits) is not int or bits < 1:  # bool is a subclass of int
+        bits = counting.limit_bits("run_selfcheck", bits)
     small = grid == "small"
-    bits = counting.magnitude_bits() if bits is None else bits
     qp = functools.cache(qp_profile)
     fields = _cyclic_profiles(qp)
     return [
-        lemma_suite(max_table_order=max_table_order, small=small),
-        pi_oracle_suite(max_abelian_order=max_abelian_order, small=small, bits=bits),
-        psi_oracle_suite(max_abelian_order=max_abelian_order, small=small),
+        lemma_suite(small=small),
+        pi_oracle_suite(small=small, bits=bits),
+        psi_oracle_suite(small=small),
         delta_telescoping_suite(bits=bits),
-        dual_oracle_suite(max_abelian_order, small=small, bits=bits, fields=fields),
+        dual_oracle_suite(small=small, bits=bits, fields=fields),
         cyclic_decomposition_suite(small=small, bits=bits, fields=fields),
         remark_equivalence_suite(small=small, bits=bits, qp=qp),
         theorem_consistency_suite(small=small, bits=bits, qp=qp),

@@ -109,7 +109,8 @@ def _sum_ef(
     """iso_count_ef; each summand is also appended to terms when given."""
     if not type(e) is type(f) is int or e < 1 or f < 1:  # bool is a subclass of int
         arith.require_counts("iso_count_ef", "e and f", e, f)
-    bits = counting.magnitude_bits() if bits is None else bits
+    if type(bits) is not int or bits < 1:
+        bits = counting.limit_bits("iso_count_ef", bits)
     s = K._memo[arith.p_valuation][e, K.p].s
     if s >= len(K._rows):
         K.level(s)  # refuses a profile too short, never silently padded
@@ -174,7 +175,8 @@ def _sum_total(
     s = valuation[n, p].s
     if s >= len(K._rows):
         K.level(s)  # refuses a profile too short, never silently padded
-    bits = counting.magnitude_bits() if bits is None else bits
+    if type(bits) is not int or bits < 1:
+        bits = counting.limit_bits("iso_count_total", bits)
     gcd, psi = memo[arith.gcd_p_power_minus_one], memo[counting.psi_count]
     sigma, delta = memo[counting.sigma_krasner], memo[counting.delta_count]
     splits = K._bound[_splits]

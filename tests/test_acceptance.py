@@ -53,9 +53,9 @@ def test_criterion_2_lemma_brute_force_suite():
     # every builtin group, every divisor of its order: cyclic <= 24,
     # abelian products <= 48, dihedral <= D_12, Q8, S3, S4, A4
     with _Timer("criterion 2, chain-count identity on the group zoo"):
-        result = selfcheck.lemma_suite(max_table_order=48, small=False)
+        result = selfcheck.lemma_suite(small=False)
         _assert_suite(result)
-        zoo = selfcheck.lemma_group_zoo(48, small=False)
+        zoo = selfcheck.lemma_group_zoo(small=False)
         names = {g.name for g in zoo}
         assert {"cyclic(24)", "dihedral(12)", "quaternion8", "symmetric(3)",
                 "symmetric(4)", "alternating(4)"} <= names
@@ -67,10 +67,10 @@ def test_criterion_3_element_count_oracles():
     # pi over p in {2,3}, m <= 3, s <= r <= 3, xi <= 3 (r-independence included);
     # psi over u, v <= 30
     with _Timer("criterion 3, element-count oracles"):
-        pi = selfcheck.pi_oracle_suite(max_abelian_order=1_000_000, small=False)
+        pi = selfcheck.pi_oracle_suite(small=False)
         _assert_suite(pi)
         assert pi.checks == 2 * 3 * 4 * (2 + 3 + 4)  # p, xi, and sum of (r+1) over r
-        psi = selfcheck.psi_oracle_suite(max_abelian_order=1_000_000, small=False)
+        psi = selfcheck.psi_oracle_suite(small=False)
         _assert_suite(psi)
         assert psi.checks == 30 * 30
         delta = selfcheck.delta_telescoping_suite()
@@ -82,7 +82,7 @@ def test_criterion_4_dual_group_oracle():
     # profiles with n0 <= 2, f0 <= 2, xi <= 1, p in {2,3};
     # decomposition identity up to d = 24
     with _Timer("criterion 4, dual-group oracle and decomposition"):
-        dual = selfcheck.dual_oracle_suite(max_abelian_order=1_000_000, small=False)
+        dual = selfcheck.dual_oracle_suite(small=False)
         _assert_suite(dual)
         assert dual.checks == sum(
             len(arith.divisors(d)) for d in range(1, 13)

@@ -525,48 +525,26 @@ def test_selfcheck_fault_injection(capsys, monkeypatch):
     assert "first counterexample" in out
 
 
-def test_selfcheck_table_cap(capsys):
-    code, out, _ = run_cli(capsys, "selfcheck", "--grid", "small", "--max-table-order", "6")
-    assert code == 0
-
-
-def test_selfcheck_says_skipped_for_a_suite_that_ran_no_check(capsys):
-    # every pi-oracle group has order above 1, so the suite checks nothing
-    code, out, _ = run_cli(
-        capsys, "selfcheck", "--grid", "small", "--max-abelian-order", "1", "--max-table-order", "1"
-    )
-    assert code == 0
-    lines = out.splitlines()
-    assert "pi-oracle                 0 checks  skipped" in lines
-    assert "lemma                     1 checks  ok" in lines
-    assert lines[-1] == "selfcheck: all suites pass"
-    assert sum(line.endswith("skipped") for line in lines) == 1
-
-
 @pytest.mark.parametrize("flag", ["--max-abelian-order", "--max-table-order"])
-@pytest.mark.parametrize("cap", ["0", "-5"])
-def test_selfcheck_refuses_a_cap_below_one(capsys, flag, cap):
-    code, out, err = run_cli(capsys, "selfcheck", "--grid", "small", flag, cap)
-    assert (code, out) == (2, "")
-    assert err == f"error: {flag} must be >= 1\n"
+def test_selfcheck_has_no_limit_to_set(capsys, flag):
+    # the oracles' limits are constants, so no flag can shrink a suite to nothing
+    with pytest.raises(SystemExit) as refused:
+        main(["selfcheck", "--grid", "small", flag, "1"])
+    captured = capsys.readouterr()
+    assert (refused.value.code, captured.out) == (2, "")
+    assert f"unrecognized arguments: {flag} 1" in captured.err
 
 
-@pytest.mark.parametrize("flags, caps", [
-    ([], {}),
-    (["--max-table-order", "6"], {"max_table_order": 6}),
-    (["--max-abelian-order", "10", "--max-table-order", "6"], {"max_abelian_order": 10, "max_table_order": 6}),
-])
-def test_selfcheck_passes_only_the_caps_it_is_given(capsys, monkeypatch, flags, caps):
-    # an unset cap is left to run_selfcheck's own default; main's read of
-    # the bit limit is always passed on
+def test_selfcheck_passes_its_grid_and_the_bit_limit(capsys, monkeypatch):
+    # main's read of the bit limit is always passed on
     monkeypatch.delenv("PADICOUNT_MAX_BITS", raising=False)
     passed = []
     # _cmd_selfcheck looks run_selfcheck up on its module when it runs
     monkeypatch.setattr(
         selfcheck, "run_selfcheck", lambda **kwargs: passed.append(kwargs) or [SuiteResult("stub")]
     )
-    code, out, _ = run_cli(capsys, "selfcheck", "--grid", "small", *flags)
-    assert (code, passed) == (0, [{"grid": "small", "bits": counting.DEFAULT_MAX_BITS, **caps}])
+    code, out, _ = run_cli(capsys, "selfcheck", "--grid", "small")
+    assert (code, passed) == (0, [{"grid": "small", "bits": counting.DEFAULT_MAX_BITS}])
     assert out.endswith("selfcheck: all suites pass\n")
 
 
@@ -620,7 +598,6 @@ def test_a_bit_limit_that_int_would_coerce_is_refused(capsys, monkeypatch, limit
         ("count cyclic-total --qp 2 --d {}", "\u0663"),
         ("table --qp 2 --n-max {}", "4 "),
         ("table --qp 3 --e-max 2 --f-max {}", "2.0"),
-        ("selfcheck --grid small --max-table-order {}", "1_0"),
         ("count iso-ef --qp 3 --e {} --f 1", "9" * 5000),
     ],
 )

@@ -70,7 +70,7 @@ def test_a_group_refusal_names_its_factors_in_full():
         oracles.AbelianGroup((BIG,))
     with _int_str_digits(0):
         assert str(refused.value) == f"group constructor arguments must be >= 1, got ({BIG}, 0)"
-        assert str(capped.value) == f"group order {BIG} exceeds cap {oracles.DEFAULT_ABELIAN_CAP}"
+        assert str(capped.value) == f"group order {BIG} exceeds cap {oracles.MAX_ABELIAN_ORDER}"
 
 
 def test_a_profile_with_a_long_field_has_a_repr():

@@ -25,6 +25,10 @@ from padicount.oracles import (
 from padicount.profiles import BaseFieldProfile, CyclotomicDatum, qp_profile
 
 
+def _zoo_up_to(order):
+    return [G for G in selfcheck.lemma_group_zoo() if G.order <= order]
+
+
 def _coordinate_order(x, factors):
     """The order of the coordinate tuple x in the product of C_f over factors."""
     return math.lcm(*(f // math.gcd(c, f) for c, f in zip(x, factors)))
@@ -57,9 +61,11 @@ def test_group_table_refuses_entries_that_are_not_integers(rows):
 
 
 def test_abelian_group_cap():
-    with pytest.raises(MagnitudeError):
-        AbelianGroup([1000, 1000])
-    AbelianGroup([1000, 1000], cap=10**6)
+    assert oracles.MAX_ABELIAN_ORDER == 10**6
+    assert AbelianGroup((1000, 1000)).order == 10**6
+    with pytest.raises(MagnitudeError) as refused:
+        AbelianGroup((1001, 1000))
+    assert str(refused.value) == "group order 1001000 exceeds cap 1000000"
 
 
 def test_element_order_count_examples():
@@ -154,6 +160,12 @@ def test_group_table_rejects_junk():
     # in range, but no row and column both read 0, 1: no identity, before any permutation test
     (GroupTable, ([[1, 1], [0, 0]],), "table has no identity element"),
     (GroupTable, ([[0, 1, 2], [1, 2, 2], [2, 0, 1]],), "row 1 is not a permutation"),
+    # 2.0 once reached pow as a bare TypeError, and True was read as 1
+    (dual_group, (qp_profile(3, 1), 2.0), "dual_group: d must be an integer, got 2.0"),
+    (dual_group, (qp_profile(3, 1), True), "dual_group: d must be an integer, got True"),
+    (lemma_check, (cyclic(4), 2.0), "lemma_check: n must be an integer, got 2.0"),
+    (lemma_check, (cyclic(4), True), "lemma_check: n must be an integer, got True"),
+    (lemma_check, (cyclic(4), "2"), "lemma_check: n must be an integer, got '2'"),
 ])
 def test_oracles_refuse_malformed_arguments(function, args, message):
     with pytest.raises(DomainError) as refused:
@@ -268,16 +280,18 @@ def test_the_lattice_walk_rebuilds_few_known_subgroups_over_the_full_zoo(monkeyp
     # 1575 subgroups, 72 of them trivial and never joined.  A walk that
     # skipped only the generators its own prime-index joins covered made
     # 5596 joins here, so about 73% rebuilt a subgroup already found
-    zoo = selfcheck.lemma_group_zoo(48)
+    zoo = selfcheck.lemma_group_zoo()
     joins, size = _lattice_joins(monkeypatch, *zoo)
     assert size == 1575
     assert joins <= 2300
 
 
 def test_subgroups_cap():
-    G = cyclic(30)
-    with pytest.raises(MagnitudeError):
-        subgroups(G, cap=24)
+    assert oracles.MAX_TABLE_ORDER == 48
+    assert len(subgroups(cyclic(48))) == 10
+    with pytest.raises(MagnitudeError) as refused:
+        subgroups(cyclic(49))
+    assert str(refused.value) == "group order 49 exceeds cap 48"
 
 
 def test_subgroups_closed_under_join_and_conjugation():
@@ -406,7 +420,7 @@ def _closed_subsets(G):
 
 
 def test_subgroups_equal_the_closed_subsets_on_the_small_zoo():
-    small = [G for G in selfcheck.lemma_group_zoo(48) if G.order <= 12]
+    small = [G for G in selfcheck.lemma_group_zoo() if G.order <= 12]
     assert len(small) == 24
     for G in small:
         assert subgroups(G) == _closed_subsets(G), G.name
@@ -436,7 +450,7 @@ FULL_ZOO_LATTICE_SIZES = {
 
 
 def test_full_zoo_lattice_sizes():
-    sizes = {G.name: len(subgroups(G)) for G in selfcheck.lemma_group_zoo(48)}
+    sizes = {G.name: len(subgroups(G)) for G in selfcheck.lemma_group_zoo()}
     assert sizes == FULL_ZOO_LATTICE_SIZES
     assert sum(sizes.values()) == 1575
 
@@ -448,7 +462,7 @@ FULL_ZOO_DIGEST = "b8b2a324969eaa515bf412f19e766e5752ad097ccd12de5f3c7ba7abaa34a
 
 def test_full_zoo_names_tables_and_lattices_are_pinned():
     digest = hashlib.sha256()
-    zoo = selfcheck.lemma_group_zoo(48)
+    zoo = selfcheck.lemma_group_zoo()
     for G in zoo:
         digest.update(repr((G.name, G.table, subgroups(G))).encode())
     assert len(zoo) == 72
@@ -464,7 +478,7 @@ FULL_ZOO_LEMMA_DIGEST = "e2ffa5cd5a197567027d8d769dc36b7fe5afe881e741d1aa239a5f2
 def test_full_zoo_lemma_reports_are_pinned():
     digest = hashlib.sha256()
     reports = 0
-    for G in selfcheck.lemma_group_zoo(48):
+    for G in selfcheck.lemma_group_zoo():
         for n in arith.divisors(G.order):
             report = lemma_check(G, n)
             digest.update(repr((G.name, n, report.lhs, report.rhs, report.chain_counts)).encode())
@@ -498,34 +512,38 @@ def _all_pairs_chain_counts(G, n):
 
 
 def test_chain_counts_equal_the_all_pairs_count_up_to_order_24():
-    groups = selfcheck.lemma_group_zoo(24)
+    groups = _zoo_up_to(24)
     assert len(groups) == 51
     for G in groups:
         for n in arith.divisors(G.order):
             assert lemma_check(G, n).chain_counts == _all_pairs_chain_counts(G, n), (G.name, n)
 
 
-def test_lemma_check_refuses_the_cap_once_the_index_is_cached():
-    G = dihedral(6)
-    assert lemma_check(G, 2).equal
+def test_lemma_check_refuses_the_cap_once_the_index_is_cached(monkeypatch):
+    G = cyclic(49)
+    with pytest.raises(MagnitudeError):
+        lemma_check(G, 7)
+    with monkeypatch.context() as raised:
+        raised.setattr(oracles, "MAX_TABLE_ORDER", 49)
+        assert lemma_check(G, 7).equal
     assert G._lattice_index is not None
     for n in arith.divisors(G.order):
         with pytest.raises(MagnitudeError):
-            lemma_check(G, n, cap=G.order - 1)
+            lemma_check(G, n)
 
 
 def test_the_lemma_suite_fails_when_every_quotient_is_called_cyclic(monkeypatch):
     # a planted fault: the pruned pairs of composite quotient order still
     # reach the coset test, which decides the check
     monkeypatch.setattr(oracles, "_quotient_has_coset_of_order", lambda G, mask, J, d: True)
-    result = selfcheck.lemma_suite(max_table_order=oracles.DEFAULT_TABLE_CAP)
+    result = selfcheck.lemma_suite()
     assert result.checks == 373
     assert result.fail_count > 0
     assert all("chain-count" in message for message in result.failures)
 
 
 def test_only_the_order_is_factored_and_only_composite_quotients_walk_cosets(monkeypatch):
-    zoo = selfcheck.lemma_group_zoo(24)
+    zoo = _zoo_up_to(24)
     factored, walked = [], Counter()
     real_factors, real_walk = arith.prime_factors, oracles._quotient_has_coset_of_order
     monkeypatch.setattr(arith, "prime_factors", lambda n: factored.append(n) or real_factors(n))
@@ -565,7 +583,7 @@ def _power_loop_order(G, x):
 
 
 def test_the_coset_walk_matches_brute_force_on_the_nonabelian_zoo():
-    groups = [G for G in selfcheck.lemma_group_zoo(24) if not G.is_abelian()]
+    groups = [G for G in _zoo_up_to(24) if not G.is_abelian()]
     assert len(groups) == 14
     for G in groups:
         for x in range(G.order):
@@ -586,7 +604,7 @@ def _pi_oracle_groups():
         for m in range(1, 4):
             for r in range(1, 4):
                 for xi in range(0, 4):
-                    yield AbelianGroup((p**r,) * m + (p ** min(xi, r),), cap=10**6)
+                    yield AbelianGroup((p**r,) * m + (p ** min(xi, r),))
 
 
 def _psi_oracle_groups():
@@ -655,7 +673,7 @@ def _cyclic_subgroups_by_dedupe(Ghat, d):
 def test_dual_cyclic_subgroup_count_equals_the_dedupe_enumeration():
     for K in selfcheck._cyclic_profiles():
         for d in range(1, 13):
-            Ghat = dual_group(K, d, cap=10**6)
+            Ghat = dual_group(K, d)
             assert dual_cyclic_subgroup_count(Ghat) == _cyclic_subgroups_by_dedupe(Ghat, d), (
                 K.p, K.n0, K.f0, K.xi, d,
             )

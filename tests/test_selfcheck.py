@@ -72,43 +72,15 @@ def test_abelian_factor_lists_counts():
     assert (4, 4) in lists and (2, 2, 2, 2) in lists
 
 
-def test_table_order_cap_filters_zoo():
-    zoo = selfcheck.lemma_group_zoo(6)
-    assert all(g.order <= 6 for g in zoo)
-    names = {g.name for g in zoo}
-    assert "symmetric(3)" in names
-    assert "cyclic(6)" in names
-
-
-def test_dual_oracle_skips_groups_past_the_abelian_cap():
-    capped = selfcheck.dual_oracle_suite(max_abelian_order=10, small=True)
-    assert capped.ok
-    assert 0 < capped.checks < selfcheck.dual_oracle_suite(max_abelian_order=10**6, small=True).checks
-
-
-def test_psi_oracle_skips_groups_past_the_abelian_cap():
-    results = {r.name: r for r in selfcheck.run_selfcheck(grid="small", max_abelian_order=10)}
-    capped = results["psi-oracle"]
-    assert capped.ok
-    assert 0 < capped.checks < 144  # 144 = 12 x 12 groups C_u x C_v uncapped
-
-
-@pytest.mark.parametrize(
-    "cap, small, counts",
-    [(10, False, (41, 27)), (10, True, (29, 27)), (100, False, (118, 296)), (100, True, (54, 134))],
-)
-def test_the_element_count_oracles_skip_what_abelian_group_refuses(cap, small, counts):
-    # AbelianGroup alone applies the cap: each suite skips the groups it refuses
-    pi = selfcheck.pi_oracle_suite(max_abelian_order=cap, small=small)
-    psi = selfcheck.psi_oracle_suite(max_abelian_order=cap, small=small)
-    assert pi.ok and psi.ok
-    assert (pi.checks, psi.checks) == counts
-
-
-def test_full_grid_check_counts():
-    results = selfcheck.run_selfcheck(grid="full")
+@pytest.mark.parametrize("grid, counts", [
+    ("small", [99, 60, 144, 198, 180, 108, 36, 16, 76, 10]),
+    ("full", [373, 216, 900, 198, 315, 216, 144, 24, 214, 10]),
+])
+def test_grid_check_counts(grid, counts):
+    # with no limit to set, only an edit of a grid can move a count
+    results = selfcheck.run_selfcheck(grid=grid)
     assert all(r.ok for r in results), [r.name for r in results if not r.ok]
-    assert [r.checks for r in results] == [373, 216, 900, 198, 315, 216, 144, 24, 214, 10]
+    assert [r.checks for r in results] == counts
 
 
 @pytest.mark.parametrize("small, depths", [(True, {2: 3, 3: 1}), (False, {2: 3, 3: 2})])
@@ -119,28 +91,6 @@ def test_the_degree_grid_shares_one_profile_per_prime_as_deep_as_its_largest_n(s
     profiles = {K.p: K for K, _ in grid}
     assert all(K is profiles[K.p] for K, _ in grid)
     assert {p: K.depth for p, K in profiles.items()} == depths
-
-
-def test_table_order_cap_is_applied_before_building(monkeypatch, capsys):
-    built = []
-    real_init = oracles.GroupTable.__init__
-
-    def counting_init(self, table, name=""):
-        built.append(len(table))
-        real_init(self, table, name)
-
-    monkeypatch.setattr(oracles.GroupTable, "__init__", counting_init)
-    assert main(["selfcheck", "--grid", "small", "--max-table-order", "6"]) == 0
-    capsys.readouterr()
-    # cyclic(1..6), abelian(2,2), dihedral(3), symmetric(3)
-    assert sorted(built) == [1, 2, 3, 4, 4, 5, 6, 6, 6]
-
-
-@pytest.mark.parametrize("caps", [{"max_abelian_order": 0}, {"max_table_order": -5}])
-def test_run_selfcheck_refuses_a_cap_below_one(caps):
-    # a cap below 1 would empty lemma and the three oracle suites, which would read as passing
-    with pytest.raises(DomainError, match=">= 1"):
-        selfcheck.run_selfcheck(grid="small", **caps)
 
 
 @pytest.mark.parametrize("grid", ["tiny", "Full"])
@@ -159,7 +109,7 @@ def test_an_internal_error_fails_one_check_and_the_suite_goes_on(monkeypatch, ca
         return real(u, v)
 
     monkeypatch.setattr(counting, "psi_count", planted)
-    psi = selfcheck.psi_oracle_suite(max_abelian_order=10**6, small=True)
+    psi = selfcheck.psi_oracle_suite(small=True)
     assert (psi.checks, psi.fail_count) == (144, 1)
     assert psi.failures == ["internal exactness violation: planted"]
 
@@ -174,7 +124,7 @@ def test_a_remainder_in_the_dual_count_fails_its_checks_and_not_the_run(monkeypa
     # do not split into cyclic subgroups of 2 generators each
     real = oracles.AbelianGroup.order_histogram
     monkeypatch.setattr(oracles.AbelianGroup, "order_histogram", lambda G: real(G) + Counter({3: 1}))
-    dual = selfcheck.dual_oracle_suite(max_abelian_order=10**6, small=True)
+    dual = selfcheck.dual_oracle_suite(small=True)
     assert dual.checks == 180
     assert dual.failures[0].startswith(
         "internal exactness violation: cyclic subgroups of order 3 in (3, 1, 1, 1)"
@@ -223,8 +173,8 @@ def _bump(module, name, when, by=1):
 def _false_lemma_report():
     real = oracles.lemma_check
 
-    def planted(G, n, cap):
-        report = real(G, n, cap)
+    def planted(G, n):
+        report = real(G, n)
         if (G.name, n) == ("dihedral(4)", 2):
             return report._replace(lhs=report.lhs + 1, equal=False)
         return report

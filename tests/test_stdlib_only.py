@@ -106,7 +106,7 @@ def _package_names(tree):
 
 
 def test_cli_imports_no_oracle_and_no_selfcheck_default():
-    # the caps' defaults live in run_selfcheck; the CLI passes a cap only when it is given
+    # the CLI loads the oracle layer only through run_selfcheck, when selfcheck runs
     source = (ROOT / "src" / "padicount" / "cli.py").read_text(encoding="utf-8")
     names = list(_package_names(ast.parse(source)))
     assert "selfcheck.run_selfcheck" in names and "errors.DomainError" in names

@@ -5,7 +5,9 @@ suite's phases.
 
 DIR is the source root that holds the padicount package, by default this
 repository's src.  To compare two trees, run the script once per tree in
-turn, alternating, each in its own interpreter.
+turn, alternating, each in its own interpreter.  It calls the oracles
+without a cap argument, so a tree whose lemma_group_zoo, subgroups and
+lemma_check still take one needs the copy of this script from that tree.
 
 Each suite is timed inside a full run_selfcheck call, so the suites share
 whatever one run shares.  The lemma suite is also timed in three phases,
@@ -64,17 +66,17 @@ def suite_times(selfcheck, grid: str, repeat: int) -> dict[str, float]:
 
 def lemma_phases(selfcheck, oracles, arith, grid: str, repeat: int) -> dict[str, float]:
     """The lemma suite's three phases, each the best of repeat runs."""
-    cap, small = oracles.DEFAULT_TABLE_CAP, grid == "small"
+    small = grid == "small"
 
     def zoo():
-        return selfcheck.lemma_group_zoo(cap, small=small)
+        return selfcheck.lemma_group_zoo(small)
 
     lattices = checks = float("inf")
     for _ in range(repeat):
         groups = zoo()
-        lattices = min(lattices, best_of(1, lambda: [oracles.subgroups(G, cap=cap) for G in groups]))
+        lattices = min(lattices, best_of(1, lambda: [oracles.subgroups(G) for G in groups]))
         checks = min(checks, best_of(1, lambda: [
-            oracles.lemma_check(G, n, cap=cap) for G in groups for n in arith.divisors(G.order)
+            oracles.lemma_check(G, n) for G in groups for n in arith.divisors(G.order)
         ]))
     return {"lemma: zoo build": best_of(repeat, zoo), "lemma: lattices": lattices,
             "lemma: checks": checks}
