@@ -25,7 +25,7 @@ import functools
 import math
 from collections import Counter, namedtuple
 from itertools import chain, combinations, permutations, repeat
-from operator import itemgetter, or_
+from operator import itemgetter
 
 from . import arith
 from .errors import DomainError, MagnitudeError
@@ -104,10 +104,8 @@ def dual_group(K: BaseFieldProfile, d: int) -> AbelianGroup:
     gcd(k, p) = 1 and z = gcd(k, p^f0 - 1).  The C_d factor comes
     first; it is the distinguished coordinate for intersection counts.
     """
-    if type(d) is not int:  # bool is a subclass of int
-        arith.require_counts("dual_group", "d", d, low=None)
-    if d < 1:
-        raise DomainError("d must be >= 1")
+    if type(d) is not int or d < 1:  # bool is a subclass of int
+        arith.require_counts("dual_group", "d", d)
     r, k = arith.p_valuation(d, K.p)
     z = arith.gcd_p_power_minus_one(k, K.p, K.f0)
     factors = (d, z) + (K.p**r,) * K.n0 + (K.p ** min(K.xi, r),)
@@ -201,7 +199,7 @@ class GroupTable:
         self.name = name or f"group of order {order}"
         self._inverse = [row.index(identity) for row in rows]
         self._abelian = rows == columns
-        self._subgroups = self._lattice_index = self._cyclic = self._orders = None  # by subgroups
+        self._subgroups = self._lattice_index = self._cyclic = self._orders = self._phi = None
 
     def is_abelian(self) -> bool:
         return self._abelian
@@ -285,17 +283,22 @@ def subgroups(G: GroupTable) -> list[tuple[int, ...]]:
     far, and every such join H makes, is ORed into H's covered bits, and
     covered generators are not joined: each skipped join's result is known.
 
-    The walk keeps each subgroup as bitmask -> element list.  The first
-    call writes, from those, G._subgroups and, for lemma_check,
-    G._lattice_index: subgroup order -> (bitmask, element tuple,
-    exponent) of each subgroup in list order, the exponent the lcm of
-    its element orders; G._cyclic, x -> bitmask of <x>; G._orders, x -> |<x>|.
+    The walk keeps each subgroup as bitmask -> (sorted element tuple,
+    exponent), the exponent lcm(exp H, |<g>|) if G is abelian (<H, g> =
+    H<g>), else the lcm of its element orders.  The first call writes
+    G._subgroups; for lemma_check, G._lattice_index, order -> (bitmask,
+    tuple, exponent) of each subgroup, unsorted; G._cyclic, x -> bitmask of
+    <x>; G._orders, x -> |<x>|; and G._phi, d -> phi(d) for d | |G|, ascending.
     """
     if G.order > MAX_TABLE_ORDER:
         raise MagnitudeError(f"group order {G.order} exceeds cap {MAX_TABLE_ORDER}")
     if G._subgroups is None:
         table, identity = G.table, G.identity
-        primes = [q for q, _ in arith.prime_factors(G.order)]
+        phi = {1: 1}  # d | |G| -> phi(d), a product of phi(q^k) = q^k - q^k // q (1 at k = 0)
+        for q, a in arith.prime_factors(G.order):
+            phi = {d * q**k: f * (q**k - q**k // q) for d, f in phi.items() for k in range(a + 1)}
+        phi = dict(sorted(phi.items()))
+        primes = [d for d, f in phi.items() if f == d - 1]  # phi(d) = d - 1 just for d prime
         cyclic = [0] * G.order  # x -> the bitmask of <x>
         generators = []
         for x in range(G.order):
@@ -312,13 +315,17 @@ def subgroups(G: GroupTable) -> list[tuple[int, ...]]:
             dividing = [q for q in primes if n % q == 0]
             if len(dividing) == 1:
                 generators.append((x, 1 << x, 1 << powers[dividing[0] % n]))
-        found = {1 << identity: [identity]}  # bitmask -> element list
+        orders = list(map(int.bit_count, cyclic))  # x -> |<x>|
+        found = {1 << identity: ((identity,), 1)}  # bitmask -> (sorted element tuple, exponent)
         by_order = {1: [1 << identity]}  # order -> the bitmasks found so far
         for size in range(1, G.order + 1):
             for h in by_order.get(size, ()):
-                H = found[h]
-                covered = functools.reduce(or_, (j for q in primes for j in by_order.get(size * q, ())
-                                                 if h & j == h), h)
+                H, exponent = found[h]
+                covered = h
+                for q in primes:
+                    for j in by_order.get(size * q, ()):
+                        if h & j == h:
+                            covered |= j
                 for g, bit, root in generators:
                     if covered & bit or not h & root:
                         continue
@@ -326,16 +333,13 @@ def subgroups(G: GroupTable) -> list[tuple[int, ...]]:
                     if len(J) // size in primes:
                         covered |= j
                     if j not in found:
-                        found[j] = J
+                        found[j] = tuple(sorted(J)), (math.lcm(exponent, orders[g]) if G._abelian
+                                                      else math.lcm(*map(orders.__getitem__, J)))
                         by_order.setdefault(len(J), []).append(j)
-        orders = list(map(int.bit_count, cyclic))  # x -> |<x>|
-        index = {}
-        for _, S, mask in sorted((len(S), tuple(sorted(S)), mask) for mask, S in found.items()):
-            exponent = math.lcm(*map(orders.__getitem__, S))
-            index.setdefault(len(S), []).append((mask, S, exponent))
-        G._subgroups = [S for level in index.values() for _, S, _ in level]
-        G._lattice_index = index
-        G._cyclic, G._orders = cyclic, orders
+        G._lattice_index = {size: [(j, *found[j]) for j in js] for size, js in by_order.items()}
+        G._subgroups = [S for size in sorted(by_order)
+                        for S in sorted(found[j][0] for j in by_order[size])]
+        G._cyclic, G._orders, G._phi = cyclic, orders, phi
     return G._subgroups
 
 
@@ -384,10 +388,10 @@ def lemma_check(G: GroupTable, n: int) -> LemmaReport:
     subgroups themselves, since H <= J with |J| = |H| means J = H.  For
     d > 1, a coset jH of order d needs d | ord(j), so a J whose exponent
     d does not divide is skipped.  A quotient J/H of prime order d is
-    cyclic by Lagrange, so the coset walk runs only for composite d.
-    Subgroups are compared as bitmasks:
-    containment is one AND, a conjugate is named by its bitmask, and a
-    membership test reads one bit.
+    cyclic by Lagrange, so the coset walk runs only for composite d.  The
+    d, phi(d) and primality, phi(d) = d - 1, are read off G._phi.
+    Subgroups are compared as bitmasks: containment is one AND, a
+    conjugate is named by its bitmask, and a membership test reads one bit.
     """
     if type(n) is not int:  # bool is a subclass of int
         arith.require_counts("lemma_check", "n", n, low=None)
@@ -403,8 +407,7 @@ def lemma_check(G: GroupTable, n: int) -> LemmaReport:
         lhs = len(index_n)
     else:
         table, inverse = G.table, G._inverse
-        seen = set()  # the bitmasks of the conjugates of each class counted
-        lhs = 0
+        seen, lhs = set(), 0  # the bitmasks of the conjugates of each class counted
         for h, H, _ in index_n:
             if h in seen:
                 continue
@@ -412,17 +415,18 @@ def lemma_check(G: GroupTable, n: int) -> LemmaReport:
             for row, inv_g in zip(table, inverse):
                 seen.add(sum(1 << table[row[x]][inv_g] for x in H))
 
-    chain_counts = {1: len(index_n)}
-    for d in arith.divisors(n)[1:]:
+    chain_counts, weighted = {1: len(index_n)}, len(index_n)
+    for d, phi in G._phi.items():
+        if d == 1 or n % d:
+            continue
         above = [(j, J) for j, J, exponent in by_order.get(target * d, ()) if exponent % d == 0]
-        prime, count = arith.is_prime(d), 0
+        prime, count = phi == d - 1, 0
         for h, H, _ in index_n:
             for j, J in above:
                 if h & j == h and (abelian or _is_normal_in(G, h, H, J)):
                     count += prime or _quotient_has_coset_of_order(G, h, J, d)
         chain_counts[d] = count
-
-    weighted = sum(arith.euler_phi(d) * c for d, c in chain_counts.items())
+        weighted += phi * count
     rhs = arith.exact_quotient(weighted, n, "chain-count sum for {}", G.name)
     return LemmaReport(n=n, lhs=lhs, rhs=rhs, chain_counts=chain_counts, equal=lhs == rhs)
 

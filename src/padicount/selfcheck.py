@@ -25,6 +25,7 @@ gives an orderly failing report instead of a crash.
 
 One run builds each base field once, and its suites share the field and
 its memo (see run_selfcheck); a suite called on its own builds its own.
+The psi and dual suites enumerate each distinct group once per call.
 """
 
 from __future__ import annotations
@@ -140,11 +141,16 @@ def pi_oracle_suite(small: bool = False, bits: int | None = None) -> SuiteResult
 
 
 def psi_oracle_suite(small: bool = False) -> SuiteResult:
+    """psi_count(u, v) against C_u x C_v's element orders; C_v x C_u has the
+    same, so each unordered pair is enumerated once, and each (u, v) checked."""
     result = SuiteResult("psi-oracle")
     bound = 12 if small else 30
+    histograms = {}  # (u, v) with u <= v -> the order histogram of C_u x C_v
     for u in range(1, bound + 1):
         for v in range(1, bound + 1):
-            hist = oracles.AbelianGroup((u, v)).order_histogram()
+            if u <= v:
+                histograms[u, v] = oracles.AbelianGroup((u, v)).order_histogram()
+            hist = histograms[min(u, v), max(u, v)]
             with result:
                 got = counting.psi_count(u, v)
                 want = hist.get(u, 0)
@@ -200,18 +206,18 @@ def _cyclic_profiles(qp=qp_profile) -> list[BaseFieldProfile]:
 
 
 def dual_oracle_suite(small: bool = False, bits: int | None = None, fields=None) -> SuiteResult:
-    """cyclic_count_ef against dual groups, over fields or _cyclic_profiles()."""
+    """cyclic_count_ef against dual groups, each counted once, over fields or _cyclic_profiles()."""
     result = SuiteResult("dual-oracle")
     d_max = 8 if small else 12
+    counts = {}  # dual factors -> by_meet, counted in a check's guard, kept if it returns
     for K in fields or _cyclic_profiles():
         for d in range(1, d_max + 1):
             Ghat = oracles.dual_group(K, d)
-            by_meet = None
+            by_meet = counts.get(Ghat.factors)
             for e, f in arith.divisor_pairs(d):
                 with result:
-                    # counted inside the guard: a remainder fails each check of this (K, d)
                     if by_meet is None:
-                        by_meet = oracles.dual_cyclic_subgroup_count(Ghat)
+                        by_meet = counts[Ghat.factors] = oracles.dual_cyclic_subgroup_count(Ghat)
                     got, want = counting.cyclic_count_ef(K, e, f, bits), by_meet[f]
                     result.record(got == want, lambda: (
                         f"cyclic_count_ef(p={K.p},n0={K.n0},f0={K.f0},xi={K.xi}; "

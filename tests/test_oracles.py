@@ -146,7 +146,7 @@ def test_group_table_rejects_junk():
 
 
 @pytest.mark.parametrize("function, args, message", [
-    (dual_group, (qp_profile(3, 1), 0), "d must be >= 1"),
+    (dual_group, (qp_profile(3, 1), 0), "dual_group: d must be >= 1"),
     # d is the first factor, and a group with none has no distinguished factor
     (dual_cyclic_subgroup_count, (AbelianGroup(()),),
      "the dual group has no factors, so no distinguished first factor"),
@@ -166,6 +166,8 @@ def test_group_table_rejects_junk():
     (lemma_check, (cyclic(4), 2.0), "lemma_check: n must be an integer, got 2.0"),
     (lemma_check, (cyclic(4), True), "lemma_check: n must be an integer, got True"),
     (lemma_check, (cyclic(4), "2"), "lemma_check: n must be an integer, got '2'"),
+    # appended, so the other cases keep their ids
+    (dual_group, (qp_profile(3, 1), -1), "dual_group: d must be >= 1"),
 ])
 def test_oracles_refuse_malformed_arguments(function, args, message):
     with pytest.raises(DomainError) as refused:

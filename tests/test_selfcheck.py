@@ -243,3 +243,96 @@ def test_a_failing_check_builds_its_message_once_and_only_the_first_five_are_kep
     assert (result.checks, result.fail_count) == (7, 7)
     assert built == [0, 1, 2, 3, 4]
     assert result.failures == [f"failure {k}" for k in range(5)]
+
+
+def test_each_psi_check_reads_the_shared_histogram(monkeypatch):
+    # (u, v) with u > v reads the histogram enumerated at (v, u): a psi_count
+    # wrong only there must fail each of those checks
+    real = counting.psi_count
+    monkeypatch.setattr(counting, "psi_count", lambda u, v: real(u, v) + (u > v))
+    psi = selfcheck.psi_oracle_suite()
+    assert (psi.checks, psi.fail_count) == (900, 30 * 29 // 2)
+    assert psi.failures[0] == "psi_count(2,1) = 2 but enumeration of C_2 x C_1 finds 1"
+
+
+def _shared_dual_groups(fields, d_max=12):
+    """dual factors -> every (K, d) with that dual group, for the groups
+    that two or more (K, d) share, in suite order."""
+    readers = {}
+    for K in fields:
+        for d in range(1, d_max + 1):
+            readers.setdefault(oracles.dual_group(K, d).factors, []).append((K, d))
+    return {factors: pairs for factors, pairs in readers.items() if len(pairs) > 1}
+
+
+def test_a_field_that_reads_a_shared_dual_count_is_still_checked(monkeypatch):
+    fields = selfcheck._cyclic_profiles()
+    shared = _shared_dual_groups(fields)
+    assert len(shared) == 26
+    # the last reader of a group counted for another field first
+    (first, _), (K, d) = next((pairs[0], pairs[-1]) for factors, pairs in shared.items()
+                              if factors[0] > 1)
+    assert first is not K
+    real = counting.cyclic_count_ef
+    monkeypatch.setattr(counting, "cyclic_count_ef", lambda L, e, f, bits: (
+        real(L, e, f, bits) + (L is K and (e, f) == (d, 1))
+    ))
+    dual = selfcheck.dual_oracle_suite(fields=fields)
+    assert (dual.checks, dual.fail_count) == (315, 1)
+    assert dual.failures[0].startswith(
+        f"cyclic_count_ef(p={K.p},n0={K.n0},f0={K.f0},xi={K.xi}; e={d},f=1) = "
+    )
+
+
+def test_a_shared_dual_count_that_raises_fails_every_check_that_reads_it(monkeypatch):
+    fields = selfcheck._cyclic_profiles()
+    factors, pairs = max(_shared_dual_groups(fields).items(), key=lambda item: len(item[1]))
+    real = oracles.dual_cyclic_subgroup_count
+
+    def planted(Ghat):
+        if Ghat.factors == factors:
+            raise ConsistencyError("planted")
+        return real(Ghat)
+
+    monkeypatch.setattr(oracles, "dual_cyclic_subgroup_count", planted)
+    dual = selfcheck.dual_oracle_suite(fields=fields)
+    assert len(pairs) >= 3
+    assert dual.fail_count == sum(len(arith.divisor_pairs(d)) for _, d in pairs)
+    assert set(dual.failures) == {"internal exactness violation: planted"}
+
+
+def test_one_full_run_enumerates_each_group_once_and_factors_each_table_once(monkeypatch):
+    # before each suite enumerated each of its groups afresh: 1,188 histograms
+    # (72 pi, 900 psi, 2 x 108 dual), and lemma_check made 1,620 factorisations
+    histograms = []
+    real_histogram = oracles.AbelianGroup.order_histogram
+    monkeypatch.setattr(oracles.AbelianGroup, "order_histogram",
+                        lambda G: histograms.append(G.factors) or real_histogram(G))
+    for suite, count in ((selfcheck.pi_oracle_suite, 72), (selfcheck.psi_oracle_suite, 465),
+                         (selfcheck.dual_oracle_suite, 2 * 61)):
+        histograms.clear()
+        suite()
+        assert len(histograms) == count, suite.__name__
+
+    factored, checking = [], []
+    real_factors, real_check = arith.prime_factors, oracles.lemma_check
+
+    def check(G, n):
+        checking.append(G)
+        try:
+            return real_check(G, n)
+        finally:
+            checking.pop()
+
+    def factors(n):
+        if checking:  # inside lemma_check: note its table
+            factored.append(checking[-1])
+        return real_factors(n)
+
+    monkeypatch.setattr(arith, "prime_factors", factors)
+    monkeypatch.setattr(oracles, "lemma_check", check)
+    histograms.clear()
+    assert all(r.ok for r in selfcheck.run_selfcheck())
+    assert len(histograms) == 72 + 465 + 2 * 61 == 659
+    # one factorisation per table, made where its lattice is built
+    assert len(factored) == len(set(map(id, factored))) == 72

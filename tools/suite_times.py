@@ -1,7 +1,8 @@
 """Best-of-N in-process times of each selfcheck suite, with the lemma
-suite's phases.
+suite's phases, or an A/B comparison of two trees' selfcheck ops.
 
     python3 tools/suite_times.py [--src DIR] [--repeat N] [--grid full|small]
+    python3 tools/suite_times.py [--src DIR] --against OTHER [--pairs N] [--grid full|small]
 
 DIR is the source root that holds the padicount package, by default this
 repository's src.  To compare two trees, run the script once per tree in
@@ -12,10 +13,18 @@ lemma_check still take one needs the copy of this script from that tree.
 Each suite is timed inside a full run_selfcheck call, so the suites share
 whatever one run shares.  The lemma suite is also timed in three phases,
 each on a fresh zoo: building the zoo (axiom checks included), building
-every lattice, and every lemma_check once the lattices exist.  "compile"
-is the time to compile selfcheck.py and oracles.py from source, which a
-fresh interpreter without bytecode pays on its first selfcheck.  Every
-figure is the best of N repetitions, in milliseconds.  Stdlib only.
+every lattice through subgroups, as lemma_check does, and every
+lemma_check once the lattices exist.  "compile" is the time to compile
+selfcheck.py and oracles.py from source, which a fresh interpreter
+without bytecode pays on its first selfcheck.  Every figure is the best
+of N repetitions, in milliseconds.
+
+With --against, the source root OTHER is compared with DIR instead: N
+pairs of fresh interpreters, one per tree in each pair, the first tree
+alternating, each timing one selfcheck op as bench/worker.py does: the
+CPU time of cli.main with stdout captured, after an untimed warm-up
+count.  It prints each tree's median and quartiles and the number of
+pairs DIR won.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -23,6 +32,8 @@ from __future__ import annotations
 import argparse
 import os
 import platform
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -82,6 +93,47 @@ def lemma_phases(selfcheck, oracles, arith, grid: str, repeat: int) -> dict[str,
             "lemma: checks": checks}
 
 
+# one selfcheck op in a fresh interpreter; the warm-up is bench/worker.py's WARMUP_ARGV
+ONE_OP = """
+import contextlib, io, sys, time
+from padicount import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["count", "krasner", "--qp", "11", "--e", "1", "--f", "1"])
+    start = time.process_time()
+    code = cli.main(sys.argv[1:])
+    elapsed = time.process_time() - start
+print(code, elapsed * 1e3)
+"""
+
+
+def op_ms(src: Path, grid: str) -> float:
+    """CPU milliseconds of one selfcheck op in a fresh interpreter on src."""
+    env = {k: v for k, v in os.environ.items() if k != "PADICOUNT_MAX_BITS"}
+    env["PYTHONPATH"] = str(src)
+    run = subprocess.run([sys.executable, "-c", ONE_OP, "selfcheck", "--grid", grid],
+                         env=env, capture_output=True, text=True, check=True)
+    code, ms = run.stdout.split()
+    if code != "0":
+        raise SystemExit(f"selfcheck exited {code} on {src}")
+    return float(ms)
+
+
+def against(src: Path, other: Path, pairs: int, grid: str) -> None:
+    """Alternate pairs of fresh-interpreter ops on src and other; print each
+    side's median and quartiles and src's wins."""
+    times = {src: [], other: []}
+    for k in range(pairs):
+        for root in (src, other) if k % 2 == 0 else (other, src):
+            times[root].append(op_ms(root, grid))
+    print(f"# selfcheck --grid {grid}, CPython {platform.python_version()}, "
+          f"{os.cpu_count()} cores, {pairs} alternating pairs, CPU ms per op")
+    for root, ms in times.items():
+        q1, median, q3 = statistics.quantiles(ms, n=4)
+        print(f"{root}: median {median:.2f}, quartiles {q1:.2f} {q3:.2f}")
+    wins = sum(a < b for a, b in zip(times[src], times[other]))
+    print(f"{src} faster in {wins} of {pairs} pairs")
+
+
 def compile_time(package: Path, repeat: int) -> float:
     sources = [(package / name).read_text() for name in ("selfcheck.py", "oracles.py")]
     return best_of(repeat, lambda: [compile(text, "<module>", "exec") for text in sources])
@@ -93,12 +145,18 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=Path, default=default_src, help="source root")
     parser.add_argument("--repeat", type=int, default=7, help="repetitions per figure")
     parser.add_argument("--grid", choices=("full", "small"), default="full")
+    parser.add_argument("--against", type=Path, help="source root to compare with, op by op")
+    parser.add_argument("--pairs", type=int, default=10, help="alternating pairs with --against")
     args = parser.parse_args(argv)
+    for root in filter(None, (args.src, args.against)):
+        if not (root / "padicount" / "selfcheck.py").is_file():
+            parser.error(f"no padicount package under {root}")
+    if args.repeat < 1 or args.pairs < 2:
+        parser.error("--repeat must be >= 1 and --pairs >= 2")
+    if args.against:
+        against(args.src.resolve(), args.against.resolve(), args.pairs, args.grid)
+        return 0
     package = args.src.resolve() / "padicount"
-    if not (package / "selfcheck.py").is_file():
-        parser.error(f"no padicount package under {args.src}")
-    if args.repeat < 1:
-        parser.error("--repeat must be >= 1")
     sys.path.insert(0, str(args.src.resolve()))
     from padicount import arith, oracles, selfcheck
 
