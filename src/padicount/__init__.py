@@ -34,8 +34,10 @@ from .errors import (
 from .profiles import (
     BaseFieldProfile,
     CyclotomicDatum,
+    cyclotomic_profile,
     load_profile,
     qp_profile,
+    unramified_profile,
 )
 from .theorems import iso_count_ef, iso_count_total, tame_iso_count
 
@@ -62,6 +64,7 @@ __all__ = [
     "ProfileTooShortError",
     "cyclic_count_ef",
     "cyclic_count_total",
+    "cyclotomic_profile",
     "delta_count",
     "iso_count_ef",
     "iso_count_total",
@@ -72,4 +75,5 @@ __all__ = [
     "qp_profile",
     "sigma_krasner",
     "tame_iso_count",
+    "unramified_profile",
 ]

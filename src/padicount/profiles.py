@@ -4,10 +4,9 @@ A base field K is described by its prime p, absolute ramification e0 and
 absolute inertia f0, together with one datum per level i >= 1 giving the
 ramification and inertia of the extension K(zeta_{p^i})/K.  The tower
 data is genuine extra input: it is not determined by (p, e0, f0) alone,
-so for any field other than Q_p itself it must be supplied explicitly,
-typically from a JSON profile file.  Only Q_p gets an auto-built profile,
-which hard-codes the classical fact that adjoining the p^i-th roots of
-unity to Q_p is totally ramified of degree phi(p^i).
+so it comes from a JSON profile file or from a builder: cyclotomic_profile
+gives the family Q_p(zeta_{p^m}), Q_p among them, and unramified_profile
+the unramified extension of degree g of any profile.
 
 Every count takes a BaseFieldProfile: the cyclic counts read the
 absolute degree n0, the absolute inertia f0 and xi, where p^xi is the
@@ -23,6 +22,7 @@ value once while the profile lives (see _Memo).
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from collections import Counter, namedtuple
@@ -177,26 +177,43 @@ class BaseFieldProfile:
         return self._rows[i][1:]
 
 
-def qp_profile(p: int, max_level: int) -> BaseFieldProfile:
-    """Profile of Q_p itself, with cyclotomic data through max_level.
+def cyclotomic_profile(p: int, m: int, max_level: int) -> BaseFieldProfile:
+    """A new profile of Q_p(zeta_{p^m}) through max_level; m = 0 gives Q_p.
 
-    Level i carries e_i = phi(p^i), f_i = 1: the p-power cyclotomic
-    extensions of Q_p are totally ramified, for every p and every level
-    (phi(2) = 1 makes level 1 trivial when p = 2).  A p that is not prime
-    is refused when the profile is built.
-
-    Each call builds a new profile with an empty memo.  Arguments that
-    are not int, bools included, are refused, not coerced.
+    Q_p(zeta_{p^k})/Q_p is totally ramified of degree phi(p^k) (Serre,
+    Local Fields, IV 4), so e0 = phi(p^m), f0 = 1, and level i is trivial
+    for i <= m, else of degree p^(i-m), or phi(p^i) if m = 0.  No degree is
+    found by division, so a p that is not prime, 1 included, is refused
+    when the profile is built; an argument that is not an int, bools
+    included, is refused before.
     """
-    if type(p) is not int or type(max_level) is not int:  # bool is a subclass of int
-        p, max_level = arith.format_repr(p), arith.format_repr(max_level)
-        raise DomainError(f"qp_profile takes integers, got p = {p}, max_level = {max_level}")
+    if type(p) is not int or type(m) is not int or type(max_level) is not int:  # bool too
+        got = arith.format_repr((p, m, max_level))
+        raise DomainError(f"cyclotomic_profile takes integers, got (p, m, max_level) = {got}")
+    if m < 0:
+        raise DomainError("m must be >= 0")
     if max_level < 0:
         raise DomainError("max_level must be >= 0")
     data = tuple(
-        CyclotomicDatum(i, p ** (i - 1) * (p - 1), 1) for i in range(1, max_level + 1)
+        CyclotomicDatum(i, 1 if i <= m else p ** (i - m) if m else p ** (i - 1) * (p - 1), 1)
+        for i in range(1, max_level + 1)
     )
-    return BaseFieldProfile(p, 1, 1, data)
+    return BaseFieldProfile(p, p ** (m - 1) * (p - 1) if m else 1, 1, data)
+
+
+def qp_profile(p: int, max_level: int) -> BaseFieldProfile:
+    """Profile of Q_p through max_level: cyclotomic_profile(p, 0, max_level)."""
+    return cyclotomic_profile(p, 0, max_level)
+
+
+def unramified_profile(K: BaseFieldProfile, g: int) -> BaseFieldProfile:
+    """K_g, unramified of degree g over K: (p, e0, f0*g), level i (i, e_i,
+    f_i / gcd(f_i, g)), since K_g(zeta_{p^i}) is K(zeta_{p^i})K_g.  A g that
+    is not an int, bools included, or is below 1 raises DomainError."""
+    if type(g) is not int or g < 1:  # bool is a subclass of int
+        arith.require_counts("unramified_profile", "g", g)
+    levels = (CyclotomicDatum(i, e, f // math.gcd(f, g)) for i, e, f in K.cyclotomic)
+    return BaseFieldProfile(K.p, K.e0, K.f0 * g, levels)
 
 
 def validate(profile: BaseFieldProfile) -> list[str]:

@@ -35,6 +35,7 @@ import functools
 from . import arith, counting, oracles, theorems
 from .errors import ConsistencyError, DomainError
 from .profiles import BaseFieldProfile, CyclotomicDatum, qp_profile
+from .profiles import cyclotomic_profile, unramified_profile
 
 
 class SuiteResult:
@@ -185,23 +186,16 @@ def delta_telescoping_suite(bits: int | None = None) -> SuiteResult:
 
 
 def _cyclic_profiles(qp=qp_profile) -> list[BaseFieldProfile]:
-    """Nine base fields with n0 <= 2 and xi <= 1, through level 2: level i
-    is trivial for i <= xi, else totally ramified of degree
-    phi(p^i)/phi(p^xi), except over Q_3(sqrt 3), where K(zeta_3) =
-    K(sqrt -1) is unramified over K: its levels are (1, 2), (3, 2), as in
-    tests/data/ramified_quadratic_q3.json.  Every tower obeys
-    phi(p^i) | e0*e_i, so xi = 1 needs p = 2 or e0 = 2, and each step past
-    level 1 has degree 1 or p: over Q_3(zeta_3), level 2 is 3, not 6.
-    The three with e0 = f0 = 1 are Q_p through level 2, built by qp."""
-    shapes = ((1, 1), (2, 1), (1, 2))
-    phi = arith.euler_phi
-    q3_sqrt3 = [CyclotomicDatum(1, 1, 2), CyclotomicDatum(2, 3, 2)]
+    """Nine base fields with n0 <= 2 and xi <= 1, through level 2, Q_p built
+    by qp: Q_p, Q_3(zeta_3), each Q_p's unramified quadratic and two ramified
+    quadratics outside that family.  Over Q_2(sqrt 2), K(zeta_4) = Q_2(zeta_8)
+    is ramified quadratic; over Q_3(sqrt 3), K(zeta_3) = K(sqrt -1) is
+    unramified, as in tests/data/ramified_quadratic_q3.json."""
+    Datum, q2, q3, q5 = CyclotomicDatum, qp(2, 2), qp(3, 2), qp(5, 2)
     return [
-        BaseFieldProfile(p, e0, f0, q3_sqrt3 if (p, e0, xi) == (3, 2, 0) else [
-            CyclotomicDatum(i, 1 if i <= xi else phi(p**i) // phi(p**xi), 1) for i in (1, 2)
-        ]) if e0 * f0 > 1 else qp(p, 2)
-        for p, xi, bases in ((2, 1, shapes), (3, 0, shapes), (3, 1, ((2, 1),)), (5, 0, shapes[::2]))
-        for e0, f0 in bases
+        q2, BaseFieldProfile(2, 2, 1, (Datum(1, 1, 1), Datum(2, 2, 1))), unramified_profile(q2, 2),
+        q3, BaseFieldProfile(3, 2, 1, (Datum(1, 1, 2), Datum(2, 3, 2))), unramified_profile(q3, 2),
+        cyclotomic_profile(3, 1, 2), q5, unramified_profile(q5, 2),
     ]
 
 

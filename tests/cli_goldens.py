@@ -48,6 +48,7 @@ HERE = Path(__file__).resolve().parent
 GOLDENS = HERE / "data" / "cli_goldens.json"
 K1 = "data/ramified_quadratic_q3.json"  # paths echo in the output, so relative to HERE
 K2 = "data/unramified_quadratic_q2.json"
+K3 = "data/cyclotomic_q2_zeta4.json"  # xi = 2
 COLUMNS_DEFAULT = "80"
 
 CASES = [
@@ -77,6 +78,7 @@ CASES = [
     f"count iso-total --profile {K2} --n 4",
     f"count cyclic-total --profile {K1} --d 6 --json",
     f"count tame --profile {K2} --e 3 --f 2 --breakdown",
+    f"count cyclic-total --profile {K3} --d 4 --json",
     # tables
     "table --qp 2 --n-max 6",
     "table --qp 3 --n-max 4 --format json",

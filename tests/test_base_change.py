@@ -18,7 +18,6 @@ and cyclic counts alone.
 These identities do not check the totally ramified column itself.
 """
 
-import math
 from pathlib import Path
 
 import pytest
@@ -27,23 +26,23 @@ from test_memo import valid_profiles
 
 from padicount.arith import divisor_pairs, divisors, euler_phi, is_prime, p_valuation
 from padicount.counting import cyclic_count_ef, krasner_count
-from padicount.profiles import BaseFieldProfile, CyclotomicDatum, load_profile, qp_profile
+from padicount.profiles import (
+    BaseFieldProfile,
+    CyclotomicDatum,
+    load_profile,
+    qp_profile,
+    unramified_profile,
+)
 from padicount.theorems import iso_count_ef
 
 DATA = Path(__file__).resolve().parent / "data"
 TOP = 24  # every cell with e*f <= TOP
 
 
-def unramified(K, g):
-    """K_g, built through the constructor, so it is validated like any profile."""
-    levels = tuple(CyclotomicDatum(d.i, d.e, d.f // math.gcd(d.f, g)) for d in K.cyclotomic)
-    return BaseFieldProfile(K.p, K.e0, K.f0 * g, levels)
-
-
 def check_base_change(K, top=TOP):
     """Check every identity on K for e*f <= top, wherever K is deep enough;
     return the numbers of base-change cells and prime degrees checked."""
-    bases = {g: unramified(K, g) for g in range(1, top + 1)}
+    bases = {g: unramified_profile(K, g) for g in range(1, top + 1)}
     cells = [
         (e, f)
         for n in range(1, top + 1)
@@ -69,11 +68,11 @@ def check_base_change(K, top=TOP):
 
 def test_unramified_keeps_ramification_and_divides_out_the_inertia():
     K = load_profile(DATA / "ramified_quadratic_q3.json")
-    assert unramified(K, 1) == K
-    assert unramified(K, 2) == BaseFieldProfile(
+    assert unramified_profile(K, 1) == K
+    assert unramified_profile(K, 2) == BaseFieldProfile(
         3, 2, 2, (CyclotomicDatum(1, 1, 1), CyclotomicDatum(2, 3, 1))
     )
-    assert unramified(K, 3) == BaseFieldProfile(
+    assert unramified_profile(K, 3) == BaseFieldProfile(
         3, 2, 3, (CyclotomicDatum(1, 1, 2), CyclotomicDatum(2, 3, 2))
     )
 

@@ -12,7 +12,12 @@ from padicount.counting import (
     sigma_krasner,
 )
 from padicount.errors import DomainError, MagnitudeError
-from padicount.profiles import BaseFieldProfile, CyclotomicDatum, qp_profile
+from padicount.profiles import (
+    BaseFieldProfile,
+    cyclotomic_profile,
+    qp_profile,
+    unramified_profile,
+)
 
 Q2 = qp_profile(2, 2)  # xi = 1
 Q3 = qp_profile(3, 1)  # xi = 0
@@ -137,6 +142,12 @@ def test_psi_count_examples():
     assert psi_count(4, 2) == 4
 
 
+def test_psi_count_at_v_zero_is_psi_count_at_v_equal_u():
+    # v = 0 is in the domain v >= 0; the count reads v through gcd(u, v), and gcd(u, 0) = u
+    for u in range(1, 31):
+        assert psi_count(u, 0) == psi_count(u, u), u
+
+
 def test_psi_count_tiny_brute_force():
     # direct enumeration of C_u x C_v for very small u, v
     from math import gcd, lcm
@@ -171,7 +182,7 @@ def test_cyclic_count_ef_vanishes_without_tame_roots():
     # h = 3 does not divide 2^1 - 1
     assert cyclic_count_ef(Q2, 3, 1) == 0
     # but 3 | 2^2 - 1, so inertia 2 admits it
-    K = BaseFieldProfile(2, 1, 2, (CyclotomicDatum(1, 1, 1), CyclotomicDatum(2, 2, 1)))
+    K = unramified_profile(qp_profile(2, 2), 2)  # Q_4
     assert cyclic_count_ef(K, 3, 1) > 0
 
 
@@ -179,8 +190,7 @@ def test_cyclic_count_ef_vanishes_without_tame_roots():
 def test_cyclic_count_ef_vanishes_exactly_when_h_does_not_divide_p_power_minus_one(p):
     # cyclic_count_ef tests h | p^f0 - 1 through the gcd; the order test is the reference
     for f0 in (1, 2, 3):
-        levels = [CyclotomicDatum(i, p ** (i - 1) * (p - 1), 1) for i in (1, 2)]
-        K = BaseFieldProfile(p, 1, f0, levels)
+        K = unramified_profile(qp_profile(p, 2), f0)
         for e in range(1, 201):
             h = arith.p_valuation(e, p).h
             divides = arith.divides_p_power_minus_one(h, p, f0)
@@ -196,7 +206,7 @@ def test_cyclic_count_total_examples():
 
 def test_cyclic_decomposition_small():
     # Q_3(zeta_3) as well: (p, n0, f0, xi) = (3, 2, 1, 1)
-    K = BaseFieldProfile(3, 2, 1, (CyclotomicDatum(1, 1, 1), CyclotomicDatum(2, 3, 1)))
+    K = cyclotomic_profile(3, 1, 2)
     for F in (Q2, Q3, K):
         for d in range(1, 13):
             from padicount.arith import divisor_pairs
@@ -211,9 +221,7 @@ def test_cyclic_counts_over_a_field_with_xi_two():
     # capped xi at 1 would pass them all (it gives totals 56 and 224 here)
     from padicount import oracles
 
-    K = BaseFieldProfile(2, 2, 1, [
-        CyclotomicDatum(1, 1, 1), CyclotomicDatum(2, 1, 1), CyclotomicDatum(3, 2, 1)
-    ])
+    K = cyclotomic_profile(2, 2, 3)
     assert K.xi == 2
     assert (cyclic_count_total(K, 4), cyclic_count_total(K, 8)) == (120, 448)
     cells = {4: {1: 112, 2: 7, 4: 1}, 8: {1: 384, 2: 56, 4: 7, 8: 1}}

@@ -22,7 +22,7 @@ from padicount.oracles import (
     subgroups,
     symmetric,
 )
-from padicount.profiles import BaseFieldProfile, CyclotomicDatum, qp_profile
+from padicount.profiles import cyclotomic_profile, qp_profile, unramified_profile
 
 
 def _zoo_up_to(order):
@@ -109,16 +109,38 @@ def test_dual_cyclic_subgroup_count_q2():
 
 def test_dual_cyclic_subgroup_count_trivial():
     # Q_2, and Q_3(zeta_3): (p, n0, f0, xi) = (3, 2, 1, 1)
-    q3_zeta3 = BaseFieldProfile(3, 2, 1, (CyclotomicDatum(1, 1, 1), CyclotomicDatum(2, 3, 1)))
-    for K in (qp_profile(2, 2), q3_zeta3):
+    for K in (qp_profile(2, 2), cyclotomic_profile(3, 1, 2)):
         Ghat = dual_group(K, 1)
         assert dual_cyclic_subgroup_count(Ghat)[1] == 1
 
 
+def test_dual_oracle_over_fields_with_p_power_roots_of_unity():
+    # xi = 2 and 3, and f0 = 2 with xi = 1 and 2: each cell ef = d <= 12
+    # against subgroup enumeration, as the dual-oracle suite reads it
+    q2_zeta4, q3_zeta3 = cyclotomic_profile(2, 2, 3), cyclotomic_profile(3, 1, 2)
+    fields = [
+        q2_zeta4, cyclotomic_profile(2, 3, 4), cyclotomic_profile(3, 2, 3),
+        cyclotomic_profile(5, 1, 2), unramified_profile(q2_zeta4, 2),
+        unramified_profile(q3_zeta3, 2),
+    ]
+    assert [K.xi for K in fields] == [2, 3, 2, 1, 2, 1]
+    checked = 0
+    for K in fields:
+        for d in range(1, 13):
+            if (K.p, K.xi, d) == (3, 2, 9):  # 3^16 elements: past MAX_ABELIAN_ORDER
+                with pytest.raises(MagnitudeError):
+                    dual_group(K, d)
+                continue
+            by_meet = dual_cyclic_subgroup_count(dual_group(K, d))
+            for e, f in arith.divisor_pairs(d):
+                assert cyclic_count_ef(K, e, f) == by_meet[f], (K, e, f)
+                checked += 1
+    assert checked == 207
+
+
 def test_dual_oracle_matches_formulas_small():
     # Q_2 and Q_3, with xi = 1 and 0, and Q_3(zeta_3): (p, n0, f0, xi) = (3, 2, 1, 1)
-    q3_zeta3 = BaseFieldProfile(3, 2, 1, (CyclotomicDatum(1, 1, 1), CyclotomicDatum(2, 3, 1)))
-    for K in (qp_profile(2, 2), qp_profile(3, 1), q3_zeta3):
+    for K in (qp_profile(2, 2), qp_profile(3, 1), cyclotomic_profile(3, 1, 2)):
         for d in range(1, 9):
             Ghat = dual_group(K, d)
             by_meet = dual_cyclic_subgroup_count(Ghat)

@@ -11,15 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_memo import valid_profiles
 
+import padicount
 from padicount import profiles, selfcheck
-from padicount.arith import divisor_pairs
+from padicount.arith import divisor_pairs, euler_phi
 from padicount.counting import cyclic_count_ef, cyclic_count_total
 from padicount.errors import DomainError, ProfileTooShortError
 from padicount.profiles import (
     BaseFieldProfile,
     CyclotomicDatum,
+    cyclotomic_profile,
     load_profile,
     qp_profile,
+    unramified_profile,
     validate,
 )
 from padicount.theorems import iso_count_total
@@ -54,6 +57,61 @@ def test_qp_profile_rejects_composite():
 def test_qp_profile_refuses_arguments_that_are_not_integers(args):
     with pytest.raises(DomainError, match="integers"):
         qp_profile(*args)
+
+
+@pytest.mark.parametrize("p", [-3, 0, 1, 4])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_cyclotomic_profile_refuses_a_p_that_is_not_prime_by_name(p, m):
+    # phi(p^m) is 0 at p = 1: no division means the constructor names p
+    with pytest.raises(DomainError, match=f"p = {p} is not prime"):
+        cyclotomic_profile(p, m, 2)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "2"])
+def test_cyclotomic_profile_refuses_an_m_or_max_level_that_is_not_an_integer(bad):
+    for args in ((2, bad, 2), (2, 1, bad)):
+        with pytest.raises(DomainError, match="cyclotomic_profile takes integers"):
+            cyclotomic_profile(*args)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((2, -1, 2), "m must be >= 0"),
+    ((2, 1, -1), "max_level must be >= 0"),
+    ((2, -1, -1), "m must be >= 0"),
+])
+def test_cyclotomic_profile_refuses_a_negative_m_or_max_level(args, message):
+    with pytest.raises(DomainError) as refused:
+        cyclotomic_profile(*args)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("g, message", [
+    (0, "unramified_profile: g must be >= 1"),
+    (1.0, "unramified_profile: g must be an integer, got 1.0"),
+    (True, "unramified_profile: g must be an integer, got True"),
+])
+def test_unramified_profile_refuses_a_g_that_is_not_a_positive_integer(g, message):
+    with pytest.raises(DomainError) as refused:
+        unramified_profile(qp_profile(2, 2), g)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_the_cyclotomic_family_has_its_invariants(p):
+    # e0 = phi(p^m) and f0 = g; zeta_{p^m} lies in the field, and so does -1 when p = 2
+    for m in range(4):
+        for g in range(1, 4):
+            K = unramified_profile(cyclotomic_profile(p, m, m + 3), g)
+            assert (K.e0, K.f0, K.depth) == (euler_phi(p**m), g, m + 3), (p, m, g)
+            assert K.xi == (max(m, 1) if p == 2 else m), (p, m, g)
+
+
+def test_the_builders_give_the_data_profiles():
+    data = Path(__file__).resolve().parent / "data"
+    q4 = load_profile(data / "unramified_quadratic_q2.json")
+    assert unramified_profile(qp_profile(2, 3), 2) == q4
+    assert cyclotomic_profile(2, 2, 3) == load_profile(data / "cyclotomic_q2_zeta4.json")
+    assert cyclotomic_profile(2, 1, 3) == qp_profile(2, 3)  # zeta_2 = -1 lies in Q_2
 
 
 def test_level_lookup():
@@ -432,3 +490,6 @@ def test_a_copied_profile_is_equal_with_an_empty_memo(duplicate):
 
 def test_profiles_module_reexports():
     assert profiles.qp_profile is qp_profile
+    assert padicount.cyclotomic_profile is cyclotomic_profile
+    assert padicount.unramified_profile is unramified_profile
+    assert {"cyclotomic_profile", "unramified_profile"} <= set(padicount.__all__)

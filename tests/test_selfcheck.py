@@ -5,7 +5,7 @@ import pytest
 from padicount import arith, counting, oracles, selfcheck, theorems
 from padicount.cli import main
 from padicount.errors import ConsistencyError, DomainError
-from padicount.profiles import BaseFieldProfile
+from padicount.profiles import BaseFieldProfile, CyclotomicDatum
 
 
 def test_small_grid_passes():
@@ -24,6 +24,22 @@ def test_small_grid_passes():
         "golden",
     }
     assert all(r.checks > 0 for r in results)
+
+
+def test_the_cyclic_suites_read_the_same_nine_towers():
+    # written out, so a builder that moved a level shows here
+    D = CyclotomicDatum
+    assert selfcheck._cyclic_profiles() == [
+        BaseFieldProfile(2, 1, 1, (D(1, 1, 1), D(2, 2, 1))),
+        BaseFieldProfile(2, 2, 1, (D(1, 1, 1), D(2, 2, 1))),
+        BaseFieldProfile(2, 1, 2, (D(1, 1, 1), D(2, 2, 1))),
+        BaseFieldProfile(3, 1, 1, (D(1, 2, 1), D(2, 6, 1))),
+        BaseFieldProfile(3, 2, 1, (D(1, 1, 2), D(2, 3, 2))),
+        BaseFieldProfile(3, 1, 2, (D(1, 2, 1), D(2, 6, 1))),
+        BaseFieldProfile(3, 2, 1, (D(1, 1, 1), D(2, 3, 1))),
+        BaseFieldProfile(5, 1, 1, (D(1, 4, 1), D(2, 20, 1))),
+        BaseFieldProfile(5, 1, 2, (D(1, 4, 1), D(2, 20, 1))),
+    ]
 
 
 def test_corrupted_delta_is_caught(monkeypatch):

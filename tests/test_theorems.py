@@ -8,7 +8,13 @@ from test_memo import valid_profiles
 from padicount import arith, counting, theorems
 from padicount.counting import cyclic_count_ef, cyclic_count_total, krasner_count
 from padicount.errors import ConsistencyError, DomainError, MagnitudeError, ProfileTooShortError
-from padicount.profiles import BaseFieldProfile, CyclotomicDatum, load_profile, qp_profile
+from padicount.profiles import (
+    BaseFieldProfile,
+    CyclotomicDatum,
+    load_profile,
+    qp_profile,
+    unramified_profile,
+)
 from padicount.theorems import (
     MAX_SUMMANDS,
     iso_count_ef,
@@ -230,12 +236,7 @@ def _ramified_quadratic_over_q3():
 
 
 def _unramified_quadratic_over_q2():
-    from padicount.profiles import BaseFieldProfile, CyclotomicDatum
-
-    return BaseFieldProfile(
-        2, 1, 2,
-        (CyclotomicDatum(1, 1, 1), CyclotomicDatum(2, 2, 1), CyclotomicDatum(3, 4, 1)),
-    )
+    return unramified_profile(qp_profile(2, 3), 2)
 
 
 def test_nontrivial_base_fields_frozen_values():
